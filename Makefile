@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-tool lint fmt bench bench-go bench-profile bench-sched bench-partitioned bench-partitioned-smoke bench-windowed bench-windowed-smoke bench-join bench-join-smoke bench-durability bench-durability-smoke bench-obs bench-obs-smoke bench-multiquery bench-multiquery-smoke check
+.PHONY: build test race vet vet-tool lint fmt bench bench-go bench-profile bench-sched check FORCE
 
 build:
 	$(GO) build ./...
@@ -53,70 +53,32 @@ fmt:
 bench:
 	$(GO) run ./cmd/hotpathbench -o BENCH_results.json
 
-# bench-partitioned runs only the partitioned-throughput scenario at
-# -cpus 1,2,4 (full workload) and prints the report to stdout.
-bench-partitioned:
-	$(GO) run ./cmd/hotpathbench -scenario partitioned -cpus 1,2,4 -o -
+# bench-<scenario> runs one hotpathbench scenario at full size and prints
+# the report to stdout; bench-<scenario>-smoke is its CI sanity run (tiny
+# workload, same code path). Scenarios (see cmd/hotpathbench):
+#   partitioned  sharded ingest -> shard pipelines -> merge
+#   windowed     event-time windows, flat vs sharded, in-order vs 10% disordered
+#   join         stream-stream WITHIN join (flat vs co-partitioned) and
+#                stream-table enrichment (flat vs broadcast)
+#   durability   WAL-off vs WAL-on ingest, dirty-crash recovery time
+#   obs          instrumentation on/off A/B; fails above 5% (smoke: 25%) ns/tuple
+#   multiquery   N routed filters vs per-query replicas at N = 1, 100, 10k
+# BENCH_CPUS_<scenario> is the GOMAXPROCS sweep of the scenarios that take
+# one; the others run at the harness default.
+BENCH_CPUS_partitioned := 1,2,4
+BENCH_CPUS_windowed := 1,2,4
+BENCH_CPUS_join := 1,2,4
+bench_cpus = $(if $(BENCH_CPUS_$*),-cpus $(BENCH_CPUS_$*))
 
-# bench-partitioned-smoke is the CI sanity run: tiny workload, still
-# exercising the sharded ingest → shard pipelines → merge path.
-bench-partitioned-smoke:
-	$(GO) run ./cmd/hotpathbench -scenario partitioned -smoke -cpus 1,2,4 -o -
+bench-%-smoke: FORCE
+	$(GO) run ./cmd/hotpathbench -scenario $* -smoke $(bench_cpus) -o -
 
-# bench-windowed runs the event-time windowed throughput scenario:
-# flat vs sharded, in-order vs 10%-disordered input.
-bench-windowed:
-	$(GO) run ./cmd/hotpathbench -scenario windowed -cpus 1,2,4 -o -
+bench-%: FORCE
+	$(GO) run ./cmd/hotpathbench -scenario $* $(bench_cpus) -o -
 
-# bench-windowed-smoke is the CI sanity run for the watermarked
-# windowed path (sharded window runners + window-aligned merge).
-bench-windowed-smoke:
-	$(GO) run ./cmd/hotpathbench -scenario windowed -smoke -cpus 1,2,4 -o -
-
-# bench-join runs the streaming-join throughput scenario: stream-stream
-# symmetric-hash join with a WITHIN band (flat vs co-partitioned) and
-# stream-table enrichment (flat vs broadcast).
-bench-join:
-	$(GO) run ./cmd/hotpathbench -scenario join -cpus 1,2,4 -o -
-
-# bench-join-smoke is the CI sanity run: tiny workload, still exercising
-# symmetric state, expiry, and the broadcast table hash.
-bench-join-smoke:
-	$(GO) run ./cmd/hotpathbench -scenario join -smoke -cpus 1,2,4 -o -
-
-# bench-durability runs the durability scenario: WAL-off vs WAL-on
-# ingest throughput (group-committed batches from concurrent ingesters)
-# and dirty-crash recovery time against logs of growing size.
-bench-durability:
-	$(GO) run ./cmd/hotpathbench -scenario durability -o -
-
-# bench-durability-smoke is the CI sanity run: tiny workload, still
-# exercising group commit, the copy-and-reopen crash image, and replay.
-bench-durability-smoke:
-	$(GO) run ./cmd/hotpathbench -scenario durability -smoke -o -
-
-# bench-obs runs the instrumentation-overhead A/B: the partitioned
-# workload with the observability layer on vs off, interleaved
-# best-of-3; fails if the instrumentation tax exceeds 5% ns/tuple.
-bench-obs:
-	$(GO) run ./cmd/hotpathbench -scenario obs -o -
-
-# bench-obs-smoke is the CI sanity run: tiny workload, looser (25%)
-# overhead gate since scheduler noise dominates short runs.
-bench-obs-smoke:
-	$(GO) run ./cmd/hotpathbench -scenario obs -smoke -o -
-
-# bench-multiquery runs the shared-scan multi-query scenario: N
-# continuous filters over one stream at N = 1, 100, 10k — the routed
-# shared scan (predicate-indexed routing, common-subplan sharing)
-# against the naive per-query replica arrangement.
-bench-multiquery:
-	$(GO) run ./cmd/hotpathbench -scenario multiquery -o -
-
-# bench-multiquery-smoke is the CI sanity run: tiny workload, replica
-# arm capped at 100 queries; still registers 10k routed queries.
-bench-multiquery-smoke:
-	$(GO) run ./cmd/hotpathbench -scenario multiquery -smoke -o -
+# Pattern targets cannot be .PHONY (phony targets skip implicit-rule
+# search); depending on FORCE makes them always run instead.
+FORCE:
 
 # bench-go runs the paper-experiment testing.B benchmarks once each.
 bench-go:

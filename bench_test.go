@@ -1,6 +1,7 @@
 package datacell_test
 
-// One testing.B benchmark per experiment in DESIGN.md §3. The dcbench
+// One testing.B benchmark per paper experiment (the F1/E1–E7 table in
+// docs/ARCHITECTURE.md). The dcbench
 // command prints the full paper-style tables; these benches make the same
 // code paths measurable with `go test -bench`.
 

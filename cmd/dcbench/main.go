@@ -1,6 +1,6 @@
 // Command dcbench regenerates the paper-reproduction experiment tables
-// (DESIGN.md §3): the Figure-1 pipeline and experiments E1–E7. Run all of
-// them or a single one:
+// (listed in docs/ARCHITECTURE.md): the Figure-1 pipeline and experiments
+// E1–E7. Run all of them or a single one:
 //
 //	dcbench                 # everything at full scale
 //	dcbench -exp e1         # one experiment

@@ -179,7 +179,7 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 	}
 
 	e.mu.Lock()
-	// Copy-on-write: see registerParsed.
+	// Copy-on-write: see Query.attachInput.
 	s.replicas = append(append([]*basket.Basket(nil), s.replicas...), head)
 	e.cascades[key] = c
 	e.mu.Unlock()

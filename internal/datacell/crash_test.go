@@ -41,8 +41,28 @@ func crashRow(i int) [2]int64 {
 	return [2]int64{(int64(i) * 37) % 100, int64(i) * 10}
 }
 
-const crashFilterDDL = `CREATE CONTINUOUS QUERY qf AS
-	SELECT * FROM [SELECT * FROM S] AS x WHERE x.a > 40`
+// crashArrangements are the execution arrangements the property is
+// checked under. The filter query qf keeps its text and changes only its
+// input arrangement; extra DDL adds bystanders on the same stream.
+var crashArrangements = []struct {
+	name       string
+	filterWith string
+	extra      []string
+}{
+	{name: "separate"},
+	// A routed member: the scan frontier and the member's admission point
+	// are OIDs of the crashed process and must come back from the image.
+	{name: "routed", filterWith: " WITH (strategy = routed)"},
+	// A shared reader that never fires retains the whole stream in the
+	// primary basket, so the restored scan must resume past a non-empty
+	// prefix it had already routed instead of re-delivering it.
+	{name: "routed with a lagging shared reader", filterWith: " WITH (strategy = routed)", extra: []string{
+		`CREATE CONTINUOUS QUERY lag WITH (strategy = shared, min_tuples = 100000) AS
+			SELECT * FROM [SELECT * FROM S] AS x`,
+	}},
+}
+
+const crashFilterSQL = ` AS SELECT * FROM [SELECT * FROM S] AS x WHERE x.a > 40`
 
 const crashWindowDDL = `CREATE CONTINUOUS QUERY qw WITH (timestamp = et) AS
 	SELECT COUNT(*) AS c FROM [SELECT * FROM S] AS x WINDOW RANGE 100 SLIDE 100`
@@ -108,7 +128,7 @@ func refWindow(t *testing.T, memo map[int][]string, p int) []string {
 		return got
 	}
 	t.Helper()
-	e, _ := newCrashEngine(t, "")
+	e, _ := newCrashEngine(t, "", 0)
 	for i := 0; i < p; i++ {
 		ingestPairs(t, e, "S", [][2]int64{crashRow(i)})
 	}
@@ -122,9 +142,10 @@ func refWindow(t *testing.T, memo map[int][]string, p int) []string {
 	return got
 }
 
-// newCrashEngine builds an engine with the crash-test schema and both
-// queries; durable when dir is non-empty, volatile otherwise.
-func newCrashEngine(t *testing.T, dir string) (*Engine, error) {
+// newCrashEngine builds an engine with the crash-test schema and the
+// queries of one arrangement; durable when dir is non-empty, volatile
+// otherwise.
+func newCrashEngine(t *testing.T, dir string, arrangement int) (*Engine, error) {
 	t.Helper()
 	ctx := context.Background()
 	var e *Engine
@@ -137,25 +158,33 @@ func newCrashEngine(t *testing.T, dir string) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if _, err := e.Exec(ctx, "CREATE BASKET S (a INT, et INT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Exec(ctx, crashFilterDDL); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Exec(ctx, crashWindowDDL); err != nil {
-		t.Fatal(err)
+	arr := crashArrangements[arrangement]
+	ddl := append([]string{
+		"CREATE BASKET S (a INT, et INT)",
+		"CREATE CONTINUOUS QUERY qf" + arr.filterWith + crashFilterSQL,
+		crashWindowDDL,
+	}, arr.extra...)
+	for _, stmt := range ddl {
+		if _, err := e.Exec(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return e, nil
 }
 
 func TestCrashRecoveryProperty(t *testing.T) {
+	for i, arr := range crashArrangements {
+		t.Run(arr.name, func(t *testing.T) { crashRecoveryProperty(t, i) })
+	}
+}
+
+func crashRecoveryProperty(t *testing.T, arrangement int) {
 	ctx := context.Background()
 	base := t.TempDir()
 
 	// Pre-crash run: deliver the first crashDeliveredRows row by row,
 	// checkpoint mid-stream, then ack the tail without delivering.
-	e, err := newCrashEngine(t, base)
+	e, err := newCrashEngine(t, base, arrangement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,13 @@ package datacell
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/sql"
 	"repro/internal/vector"
+	"repro/internal/window"
 )
 
 // TestDDLRoundTrip drives the full SQL-first lifecycle through Exec:
@@ -230,5 +234,60 @@ func TestGracefulStopDrainsBacklog(t *testing.T) {
 	}
 	if got := q.Stats().TuplesIn; got != 1000 {
 		t.Errorf("drained %d of 1000 tuples", got)
+	}
+}
+
+// TestOptionsJournalRoundTrip is the property the DDL journal rests on:
+// any configuration the option API can produce is spelled by
+// continuousDDL such that parsing the statement and reading its WITH list
+// back through the options table yields the same configuration — so a
+// replayed journal rebuilds the topology its checkpoint images expect.
+func TestOptionsJournalRoundTrip(t *testing.T) {
+	const text = "SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10"
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		opts := []QueryOption{
+			WithStrategy(Strategy(rng.Intn(3))),
+			WithMinTuples(rng.Intn(5) - 1),
+			WithPriority(rng.Intn(7) - 3),
+			WithLoadShedding(rng.Intn(3) * 50),
+			WithBackpressure(Backpressure(rng.Intn(2))),
+			WithLateness(time.Duration(rng.Intn(3)) * 125 * time.Millisecond),
+			WithEventTimeColumn([]string{"", "et", "ts"}[rng.Intn(3)]),
+			WithDurable(rng.Intn(2) == 0),
+			WithCheckpointInterval(time.Duration(rng.Intn(3)) * time.Second),
+		}
+		switch rng.Intn(3) {
+		case 0:
+			opts = append(opts, WithSQLPolling())
+		case 1:
+			opts = append(opts, WithSubscriptionDepth(1+rng.Intn(200)))
+		}
+		switch rng.Intn(3) {
+		case 0:
+			opts = append(opts, WithWindowMode(window.Incremental))
+		case 1:
+			opts = append(opts, WithWindowMode(window.ReEvaluate))
+		}
+		// A random subset, so defaults and explicit settings mix.
+		rng.Shuffle(len(opts), func(a, b int) { opts[a], opts[b] = opts[b], opts[a] })
+		want := newQueryConfig(opts[:rng.Intn(len(opts)+1)])
+
+		ddl := continuousDDL("q", text, want)
+		st, err := sql.Parse(ddl)
+		if err != nil {
+			t.Fatalf("journal spelling does not parse: %s: %v", ddl, err)
+		}
+		cc, ok := st.(*sql.CreateContinuousStmt)
+		if !ok || cc.Name != "q" || cc.SelectText != text {
+			t.Fatalf("journal spelling parsed to %#v: %s", st, ddl)
+		}
+		parsed, err := optionsFromSpecs(cc.Options)
+		if err != nil {
+			t.Fatalf("journal spelling rejected: %s: %v", ddl, err)
+		}
+		if got := newQueryConfig(parsed); got != want {
+			t.Fatalf("round trip changed the config\n ddl %s\n got %+v\nwant %+v", ddl, got, want)
+		}
 	}
 }

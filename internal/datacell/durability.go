@@ -268,15 +268,14 @@ type ckptStream struct {
 	Shards   []basketImage
 }
 
-// ckptQuery is one durable continuous query's captured state.
+// ckptQuery is one durable continuous query's captured state, in the
+// order the installed topology lists its places and transitions.
 type ckptQuery struct {
 	Delivered int64 // emitter's cumulative delivery count
-	Out       basketImage
-	Replicas  []basketImage
-	ShardOuts []basketImage
-	Tails     []partition.TailImage
+	Places    []placeImage
 	Facts     []*factory.State
 	Merge     *partition.WindowedMergeState
+	Routed    *routedImage
 }
 
 // ckptImage is a full checkpoint: everything needed to restart the
@@ -310,16 +309,9 @@ func (e *Engine) captureImage(clean bool) *ckptImage {
 		tables[k] = t
 	}
 	streams := make(map[string]*stream, len(e.streams))
+	ingested := make(map[string]int64, len(e.streams))
 	for k, s := range e.streams {
-		streams[k] = s
-	}
-	queries := make(map[string]*Query, len(e.queries))
-	for k, q := range e.queries {
-		queries[k] = q
-	}
-	ingested := make(map[string]int64, len(streams))
-	for k, s := range streams {
-		ingested[k] = s.ingested
+		streams[k], ingested[k] = s, s.ingested
 	}
 	e.mu.Unlock()
 
@@ -338,30 +330,10 @@ func (e *Engine) captureImage(clean bool) *ckptImage {
 		}
 		img.Streams[name] = cs
 	}
-	for name, q := range queries {
-		if !q.durable {
-			continue
+	for _, q := range e.Queries() {
+		if q.durable {
+			img.Queries[strings.ToLower(q.Name)] = q.captureState()
 		}
-		cq := ckptQuery{Out: captureBasket(q.out)}
-		if q.sub != nil {
-			cq.Delivered = q.sub.em.Delivered()
-		}
-		for _, r := range q.replicas {
-			cq.Replicas = append(cq.Replicas, captureBasket(r))
-		}
-		for _, so := range q.shardOuts {
-			cq.ShardOuts = append(cq.ShardOuts, captureBasket(so))
-		}
-		for _, t := range q.tails {
-			cq.Tails = append(cq.Tails, t.CaptureState())
-		}
-		for _, f := range q.facts {
-			cq.Facts = append(cq.Facts, f.CaptureState())
-		}
-		if wm, ok := q.merge.(*partition.WindowedMerge); ok {
-			cq.Merge = wm.Snapshot()
-		}
-		img.Queries[name] = cq
 	}
 	return img
 }
@@ -388,10 +360,8 @@ func (e *Engine) restoreImage(img *ckptImage) error {
 		}
 	}
 	for name, cs := range img.Streams {
-		e.mu.Lock()
-		s := e.streams[name]
-		e.mu.Unlock()
-		if s == nil {
+		s, err := e.lookupStream(name)
+		if err != nil {
 			return mismatch("stream %q in image but not in journal", name)
 		}
 		e.mu.Lock()
@@ -410,10 +380,8 @@ func (e *Engine) restoreImage(img *ckptImage) error {
 		}
 	}
 	for name, cq := range img.Queries {
-		e.mu.Lock()
-		q := e.queries[name]
-		e.mu.Unlock()
-		if q == nil {
+		q, err := e.Query(name)
+		if err != nil {
 			return mismatch("query %q in image but not in journal", name)
 		}
 		if err := q.restoreState(&cq); err != nil {
@@ -423,32 +391,37 @@ func (e *Engine) restoreImage(img *ckptImage) error {
 	return nil
 }
 
-// restoreState loads one query's captured operator state.
+// captureState walks the installed topology: every query-owned place,
+// every lane factory, the merge's window buckets, the routed frontier.
+func (q *Query) captureState() ckptQuery {
+	var st ckptQuery
+	if q.sub != nil {
+		st.Delivered = q.sub.em.Delivered()
+	}
+	for _, p := range q.places {
+		st.Places = append(st.Places, p.capture())
+	}
+	for _, f := range q.facts {
+		st.Facts = append(st.Facts, f.CaptureState())
+	}
+	if wm, ok := q.merge.(*partition.WindowedMerge); ok {
+		st.Merge = wm.Snapshot()
+	}
+	if q.routed != nil {
+		img := q.routed.CaptureState()
+		st.Routed = &img
+	}
+	return st
+}
+
+// restoreState is captureState's inverse over the same walk; an image
+// taken from a differently shaped topology is an error.
 func (q *Query) restoreState(st *ckptQuery) error {
-	if err := restoreBasket(q.out, st.Out); err != nil {
-		return err
+	if len(st.Places) != len(q.places) {
+		return fmt.Errorf("%d places, image has %d", len(q.places), len(st.Places))
 	}
-	if len(st.Replicas) != len(q.replicas) {
-		return fmt.Errorf("%d replicas, image has %d", len(q.replicas), len(st.Replicas))
-	}
-	for i, r := range st.Replicas {
-		if err := restoreBasket(q.replicas[i], r); err != nil {
-			return err
-		}
-	}
-	if len(st.ShardOuts) != len(q.shardOuts) {
-		return fmt.Errorf("%d shard outputs, image has %d", len(q.shardOuts), len(st.ShardOuts))
-	}
-	for i, so := range st.ShardOuts {
-		if err := restoreBasket(q.shardOuts[i], so); err != nil {
-			return err
-		}
-	}
-	if len(st.Tails) != len(q.tails) {
-		return fmt.Errorf("%d shard tails, image has %d", len(q.tails), len(st.Tails))
-	}
-	for i, ti := range st.Tails {
-		if err := q.tails[i].RestoreState(ti); err != nil {
+	for i, img := range st.Places {
+		if err := q.places[i].restore(img); err != nil {
 			return err
 		}
 	}
@@ -463,14 +436,17 @@ func (q *Query) restoreState(st *ckptQuery) error {
 			return err
 		}
 	}
-	if st.Merge != nil {
-		wm, ok := q.merge.(*partition.WindowedMerge)
-		if !ok {
-			return fmt.Errorf("image has windowed-merge state but query has none")
-		}
+	wm, windowed := q.merge.(*partition.WindowedMerge)
+	if (st.Merge != nil) != windowed || (st.Routed != nil) != (q.routed != nil) {
+		return fmt.Errorf("image and query disagree on windowed-merge or routed state")
+	}
+	if windowed {
 		if err := wm.Restore(st.Merge); err != nil {
 			return err
 		}
+	}
+	if q.routed != nil {
+		return q.routed.RestoreState(*st.Routed)
 	}
 	return nil
 }
@@ -775,16 +751,4 @@ func (e *Engine) Stats() EngineStats {
 		RecoveredRecords: snap.recoveredRecords,
 		CleanStart:       snap.recoveredClean,
 	}
-}
-
-// replayLag returns the number of WAL records past the last checkpoint
-// (0 on a non-durable engine).
-func (e *Engine) replayLag() int64 {
-	return e.dur.snapshot().replayLag()
-}
-
-// lastCheckpointTime returns when the newest checkpoint was written
-// (zero time when none, or on a non-durable engine).
-func (e *Engine) lastCheckpointTime() time.Time {
-	return e.dur.snapshot().ckptTime
 }

@@ -541,11 +541,9 @@ func createTableDDL(name string, schema *catalog.Schema) string {
 
 // Stream returns the primary basket of a stream.
 func (e *Engine) Stream(name string) (*basket.Basket, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.streams[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, name)
+	s, err := e.lookupStream(name)
+	if err != nil {
+		return nil, err
 	}
 	return s.primary, nil
 }
@@ -633,7 +631,7 @@ func (e *Engine) lookupStream(name string) (*stream, error) {
 // primary basket (when shared consumers, or nobody, read it), to every
 // separate-strategy replica, and — on a partitioned stream with
 // registered shard readers — routes each tuple to its shard basket. The
-// replica slice is copy-on-write (see registerParsed), so the snapshot
+// replica slice is copy-on-write (see Query.attachInput), so the snapshot
 // taken under e.mu is used as-is instead of being recloned on every call.
 func (e *Engine) fanout(s *stream, n int, cols []*vector.Vector) error {
 	if e.obs != nil {
@@ -762,7 +760,7 @@ func (e *Engine) Exec(ctx context.Context, text string) (*storage.Relation, erro
 		if err != nil {
 			return nil, err
 		}
-		_, err = e.registerParsed(x.Name, x.SelectText, x.Select, opts...)
+		_, err = e.registerParsed(x.Name, x.SelectText, x.Select, newQueryConfig(opts))
 		return nil, logDDL(err)
 	case *sql.DropContinuousStmt:
 		return nil, logDDL(e.unregisterContinuous(x.Name))
@@ -841,13 +839,6 @@ func (e *Engine) show(what sql.ShowKind) (*storage.Relation, error) {
 		qs := e.Queries()
 		sort.Slice(qs, func(i, j int) bool { return qs[i].Name < qs[j].Name })
 		for _, q := range qs {
-			// Partitioned queries consume the stream's shard baskets by
-			// watermark regardless of the declared strategy; report the
-			// arrangement actually in effect.
-			strat := q.Strategy.String()
-			if q.Partitioned() {
-				strat = "partitioned"
-			}
 			watermark := vector.NullValue(vector.Timestamp)
 			if wm, ok := q.Watermark(); ok {
 				watermark = vector.NewTimestamp(wm)
@@ -855,7 +846,7 @@ func (e *Engine) show(what sql.ShowKind) (*storage.Relation, error) {
 			st := q.Stats()
 			rel.AppendRow([]vector.Value{
 				vector.NewString(q.Name),
-				vector.NewString(strat),
+				vector.NewString(q.arrangement()),
 				vector.NewInt(int64(q.Shards())),
 				vector.NewInt(int64(q.MergeLag())),
 				vector.NewInt(st.Late),
@@ -1009,7 +1000,7 @@ func (e *Engine) drop(name string) error {
 	key := strings.ToLower(name)
 	if _, ok := e.streams[key]; ok {
 		for _, q := range e.queries {
-			for _, streamName := range q.streams {
+			for _, streamName := range q.topo.streams {
 				if strings.ToLower(streamName) == key {
 					e.mu.Unlock()
 					return fmt.Errorf("%w: %q is read by %q", ErrStreamInUse, name, q.Name)
@@ -1133,13 +1124,16 @@ func coerce(v vector.Value, want vector.Type) (vector.Value, error) {
 	}
 }
 
-// Queries lists the registered continuous queries.
+// Queries lists the registered continuous queries. A query mid-install
+// or mid-drop holds its name in e.queries but is not listed.
 func (e *Engine) Queries() []*Query {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]*Query, 0, len(e.queries))
 	for _, q := range e.queries {
-		out = append(out, q)
+		if q.live.Load() {
+			out = append(out, q)
+		}
 	}
 	return out
 }
@@ -1149,7 +1143,7 @@ func (e *Engine) Query(name string) (*Query, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	q, ok := e.queries[strings.ToLower(name)]
-	if !ok {
+	if !ok || !q.live.Load() {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, name)
 	}
 	return q, nil

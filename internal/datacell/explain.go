@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/partition"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/vector"
@@ -40,33 +41,28 @@ func (e *Engine) explainAnalyze(name string) (*storage.Relation, error) {
 	}
 	n := func(v int64) vector.Value { return vector.NewInt(v) }
 
-	// Query header: shape, strategy, and the pipeline-wide totals.
-	strat := q.Strategy.String()
-	if q.Partitioned() {
-		strat = "partitioned"
-	}
-	shape := "flat"
+	// Query header: shape and strategy as the planner decided them, plus
+	// the pipeline-wide totals.
+	topo, shape := q.topo, "flat"
 	switch {
-	case q.Stats().JoinState > 0 || strings.Contains(strings.ToUpper(q.SQL), " JOIN "):
+	case partition.InspectJoin(topo.plan).Joins > 0:
 		shape = "join"
-	case hasWindow(q):
+	case topo.window != nil:
 		shape = "windowed"
 	}
-	if q.Partitioned() {
-		shape += fmt.Sprintf(", %d shards", q.Shards())
+	if topo.merge != mergeNone {
+		shape += fmt.Sprintf(", %d shards", topo.lanes)
 	}
 	total := q.Stats()
 	row("query", q.Name, nullInt,
-		fmt.Sprintf("strategy=%s shape=%s", strat, shape),
+		fmt.Sprintf("strategy=%s shape=%s", q.arrangement(), shape),
 		n(total.TuplesIn), n(total.TuplesOut), n(total.Firings), nullInt)
 
 	// Source streams with their arrival counters and primary backlog.
-	for _, sn := range q.streams {
-		e.mu.Lock()
-		s := e.streams[strings.ToLower(sn)]
-		e.mu.Unlock()
-		if s == nil {
-			continue
+	for _, sn := range topo.streams {
+		s, err := e.lookupStream(sn)
+		if err != nil {
+			continue // a chained query reads a basket, not a stream
 		}
 		e.mu.Lock()
 		ingested := s.ingested
@@ -123,21 +119,21 @@ func (e *Engine) explainAnalyze(name string) (*storage.Relation, error) {
 		}
 	}
 
-	// Recombination: the merge transition and the SPSC tails feeding it.
+	// Recombination: the merge transition and the lane sinks feeding it
+	// (SPSC tails, or baskets under a windowed merge).
 	if q.merge != nil {
-		detail := fmt.Sprintf("lag=%d", q.merge.Lag())
-		var merged vector.Value = nullInt
-		if m, ok := q.merge.(interface{ Merged() int64 }); ok {
-			merged = n(m.Merged())
-		}
-		row("merge", q.merge.Name(), nullInt, detail, merged, merged, nullInt, n(int64(q.merge.Lag())))
-		for i, t := range q.tails {
-			row("tail", t.Name(), n(int64(i)), "",
-				nullInt, n(t.Drained()), nullInt, n(int64(t.Pending())))
-		}
-		for i, so := range q.shardOuts {
-			_, resident, dropped, _ := so.Stats()
-			row("tail", so.Name(), n(int64(i)), "basket",
+		lag, merged := q.merge.Lag(), n(q.merge.Merged())
+		row("merge", q.merge.Name(), nullInt, fmt.Sprintf("lag=%d", lag), merged, merged, nullInt, n(int64(lag)))
+	}
+	for _, p := range q.places {
+		switch {
+		case p.shard < 0: // not a lane sink
+		case p.t != nil:
+			row("tail", p.t.Name(), n(int64(p.shard)), "",
+				nullInt, n(p.t.Drained()), nullInt, n(int64(p.t.Pending())))
+		default:
+			_, resident, dropped, _ := p.b.Stats()
+			row("tail", p.b.Name(), n(int64(p.shard)), "basket",
 				nullInt, n(dropped), nullInt, n(int64(resident)))
 		}
 	}
@@ -152,16 +148,6 @@ func (e *Engine) explainAnalyze(name string) (*storage.Relation, error) {
 			nullInt, n(em.Delivered()), nullInt, nullInt)
 	}
 	return rel, nil
-}
-
-// hasWindow reports whether any factory runs a window runner.
-func hasWindow(q *Query) bool {
-	for _, f := range q.facts {
-		if _, ok := f.WindowWatermark(); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // showTrace renders a query's bounded firing-trace ring (last-K

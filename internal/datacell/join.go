@@ -1,4 +1,4 @@
-// Streaming-join registration: the engine-side wiring that turns a
+// Streaming-join planning: the engine-side recognition that turns a
 // continuous query with a JOIN into stateful incremental execution.
 //
 //   - A query with two basket expressions is a stream-stream join: one
@@ -21,16 +21,11 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/adapters"
-	"repro/internal/basket"
 	"repro/internal/catalog"
 	"repro/internal/exec"
-	"repro/internal/factory"
-	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/plan"
 	"repro/internal/sql"
-	"repro/internal/window"
 )
 
 // planError surfaces catalog misses from planning as the engine's typed
@@ -46,10 +41,8 @@ func (e *Engine) planError(err error) error {
 // partitionLookup resolves a stream name to its partitioning spec — the
 // lookup AnalyzeJoin uses to decide co-partitioned/broadcast execution.
 func (e *Engine) partitionLookup(streamName string) (partition.Spec, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.streams[strings.ToLower(streamName)]
-	if !ok || s.router == nil {
+	s, err := e.lookupStream(streamName)
+	if err != nil || s.router == nil {
 		return partition.Spec{}, false
 	}
 	return s.router.Spec(), true
@@ -107,239 +100,4 @@ func collectScans(n plan.Node) []*plan.Scan {
 		}
 	})
 	return out
-}
-
-// registerStreamStream installs a continuous query whose two basket
-// expressions join two streams. The single factory (or one per shard
-// when co-partitioned) holds symmetric hash state and fires when either
-// side has arrivals.
-func (e *Engine) registerStreamStream(name, text string, sel *sql.SelectStmt, streamNames []string, cfg queryConfig) (*Query, error) {
-	key := strings.ToLower(name)
-	a, b := streamNames[0], streamNames[1]
-	if strings.EqualFold(a, b) {
-		return nil, fmt.Errorf("%w: %q; a stream-stream join needs two distinct streams", ErrSelfJoin, a)
-	}
-	if sel.Window != nil {
-		return nil, fmt.Errorf("%w: WINDOW over a stream-stream join; bound the join with JOIN ... WITHIN instead", ErrUnsupportedJoin)
-	}
-	e.mu.Lock()
-	_, okA := e.streams[strings.ToLower(a)]
-	_, okB := e.streams[strings.ToLower(b)]
-	e.mu.Unlock()
-	if !okA {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, a)
-	}
-	if !okB {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, b)
-	}
-
-	// The timestamp = col option is resolved at plan time, so the WITHIN
-	// band, state expiry, and column pruning all agree on the event-time
-	// columns.
-	p, err := plan.BuildWithEventTime(sel, e.cat, cfg.tsCol)
-	if err != nil {
-		return nil, e.planError(err)
-	}
-	shape := partition.InspectJoin(p)
-	if shape.Joins != 1 || shape.LeftStream == nil || shape.RightStream == nil {
-		return nil, fmt.Errorf("%w: stream-stream queries support exactly one two-way JOIN", ErrUnsupportedJoin)
-	}
-	if (cfg.lateness != 0 || cfg.tsCol != "") && shape.Join.Within == 0 {
-		return nil, fmt.Errorf("%w: lateness/timestamp on a join need a JOIN ... WITHIN bound", ErrInvalidOption)
-	}
-	if cfg.lateness < 0 {
-		return nil, fmt.Errorf("%w: negative lateness", ErrInvalidOption)
-	}
-	buildState := func() (*exec.StreamJoin, error) {
-		sj, err := exec.NewSymmetricJoin(shape.Join, cfg.lateness)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrUnsupportedJoin, err)
-		}
-		return sj, nil
-	}
-	// Validate the join shape and options once, before any state is
-	// published.
-	if _, err := buildState(); err != nil {
-		return nil, err
-	}
-
-	lSrc, rSrc := shape.LeftStream.Source, shape.RightStream.Source
-	e.mu.Lock()
-	sL := e.streams[strings.ToLower(lSrc)]
-	sR := e.streams[strings.ToLower(rSrc)]
-	e.mu.Unlock()
-	if sL == nil || sR == nil {
-		return nil, fmt.Errorf("%w: join scans %q and %q must both be streams", ErrUnknownStream, lSrc, rSrc)
-	}
-
-	// Co-partitioned path: both streams hash-sharded on the join key with
-	// one shard count — shard i joins lSrc#i with rSrc#i, concat merge.
-	if cfg.shedAt == 0 {
-		if an := partition.AnalyzeJoin(p, e.partitionLookup); an.OK && !an.Broadcast {
-			return e.registerPartitionedJoin(name, text, p, an, sL, sR, lSrc, rSrc, cfg, buildState)
-		}
-	}
-
-	// Flat path: one symmetric factory over both streams' baskets.
-	var replicas []*basket.Basket
-	mkInput := func(s *stream, src string, idx int) factory.Input {
-		if cfg.strategy == SharedBaskets {
-			return factory.Input{Basket: s.primary, Mode: factory.Shared, ReaderID: name, Bind: src}
-		}
-		replica := basket.New(fmt.Sprintf("%s_in%d", name, idx), s.schema, e.clock)
-		if cfg.shedAt > 0 {
-			replica.SetCapacity(cfg.shedAt)
-		}
-		e.mu.Lock()
-		// Copy-on-write (see registerParsed).
-		s.replicas = append(append([]*basket.Basket(nil), s.replicas...), replica)
-		e.mu.Unlock()
-		replicas = append(replicas, replica)
-		return factory.Input{Basket: replica, Mode: factory.Owned, Bind: src}
-	}
-	inL := mkInput(sL, lSrc, 0)
-	inR := mkInput(sR, rSrc, 1)
-	rollback := func(dropOut bool) {
-		e.mu.Lock()
-		for _, pair := range []struct {
-			s *stream
-			r factory.Input
-		}{{sL, inL}, {sR, inR}} {
-			if pair.r.Mode != factory.Owned {
-				continue
-			}
-			next := make([]*basket.Basket, 0, len(pair.s.replicas))
-			for _, r := range pair.s.replicas {
-				if r != pair.r.Basket {
-					next = append(next, r)
-				}
-			}
-			pair.s.replicas = next
-		}
-		e.mu.Unlock()
-		if dropOut {
-			_ = e.cat.Drop(name + "_out")
-		}
-	}
-
-	out := basket.New(name+"_out", p.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		rollback(false)
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
-	}
-	sj, err := buildState()
-	if err != nil {
-		rollback(true)
-		return nil, err
-	}
-	fact, err := factory.New(name, p, e.cat,
-		[]factory.Input{inL, inR}, []factory.Sink{out},
-		factory.WithMinTuples(cfg.minTuples),
-		factory.WithClock(e.clock),
-		factory.WithStreamJoin(sj))
-	if err != nil {
-		rollback(true)
-		return nil, err
-	}
-
-	q := &Query{
-		Name:     name,
-		SQL:      text,
-		Strategy: cfg.strategy,
-		streams:  []string{lSrc, rSrc},
-		facts:    []*factory.Factory{fact},
-		out:      out,
-		replicas: replicas,
-		engine:   e,
-	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
-}
-
-// registerPartitionedJoin installs a co-partitioned stream-stream join:
-// per shard one symmetric-join factory over the two streams' matching
-// shard baskets, emissions concatenated into <name>_out. All shard
-// states share one clock per side, so expiry tracks the whole stream's
-// progress rather than one shard's subsequence.
-func (e *Engine) registerPartitionedJoin(name, text string, p plan.Node, an partition.JoinAnalysis, sL, sR *stream, lSrc, rSrc string, cfg queryConfig, buildState func() (*exec.StreamJoin, error)) (*Query, error) {
-	key := strings.ToLower(name)
-	out := basket.New(name+"_out", p.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
-	}
-	unregister := func(upTo int) {
-		for i := 0; i < upTo; i++ {
-			_ = e.cat.Drop(fmt.Sprintf("%s_out#%d", name, i))
-		}
-		_ = e.cat.Drop(name + "_out")
-	}
-
-	n := an.Shards
-	lClock, rClock := window.NewWatermarkGroup(), window.NewWatermarkGroup()
-	latency := obs.NewHistogram()
-	facts := make([]*factory.Factory, 0, n)
-	tails := make([]*partition.Tail, 0, n)
-	fail := func(i int, err error) (*Query, error) {
-		unregister(i)
-		for _, done := range facts {
-			done.Close()
-		}
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		so := partition.NewTail(fmt.Sprintf("%s_out#%d", name, i), p.Schema(), tailRingBatches, e.clock)
-		if err := e.cat.RegisterShard(so.Name(), catalog.KindBasket, so, name+"_out", i); err != nil {
-			return fail(i, fmt.Errorf("%w: %q", ErrDuplicateName, so.Name()))
-		}
-		sj, err := buildState()
-		if err != nil {
-			return fail(i+1, err)
-		}
-		sj.ShareClocks(lClock, rClock)
-		inL := factory.Input{Basket: sL.shards[i], Mode: factory.Shared, ReaderID: name, Bind: lSrc}
-		inR := factory.Input{Basket: sR.shards[i], Mode: factory.Shared, ReaderID: name, Bind: rSrc}
-		f, err := factory.New(fmt.Sprintf("%s#%d", name, i), p, e.cat,
-			[]factory.Input{inL, inR}, []factory.Sink{so},
-			factory.WithMinTuples(cfg.minTuples),
-			factory.WithClock(e.clock),
-			factory.WithLatency(latency),
-			factory.WithStreamJoin(sj))
-		if err != nil {
-			return fail(i+1, err)
-		}
-		facts = append(facts, f)
-		tails = append(tails, so)
-	}
-	merge := partition.NewMerge(name+"_merge", "", tails, out, nil, e.cat)
-
-	q := &Query{
-		Name:     name,
-		SQL:      text,
-		Strategy: cfg.strategy,
-		streams:  []string{lSrc, rSrc},
-		facts:    facts,
-		merge:    merge,
-		out:      out,
-		shardIns: append(append([]*basket.Basket(nil), sL.shards...), sR.shards...),
-		tails:    tails,
-		engine:   e,
-	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	sL.shardReaders++
-	sR.shardReaders++
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
 }

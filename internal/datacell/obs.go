@@ -267,20 +267,23 @@ func basketSamples(e *Engine, pick func(resident int, dropped, shed int64, pendi
 
 // observeStage arms the scheduler observer of one pipeline-stage handle:
 // every firing lands in the per-stage duration/queue-delay histograms
-// and (via tuples, which reports the in/out moved by the firing) in the
-// query's bounded trace ring.
-func (e *Engine) observeStage(q *Query, h *scheduler.Handle, stage, name string, tuples func() (int64, int64)) {
+// and — when the transition belongs to one query (ring non-nil; a shared
+// scan has none) — in that query's bounded trace ring, with the in/out
+// tuples the firing moved as reported by tuples.
+func (e *Engine) observeStage(ring *obs.TraceRing, h *scheduler.Handle, stage, name string, tuples func() (int64, int64)) {
 	o := e.obs
 	if o == nil {
 		return
 	}
 	fireH, queueH := o.fireNS[stage], o.queueNS[stage]
 	clock := e.clock
-	ring := q.trace
 	h.Observe(func(queueNS, fireNS int64, err error) {
 		fireH.Observe(fireNS)
 		if queueNS > 0 {
 			queueH.Observe(queueNS)
+		}
+		if ring == nil {
+			return
 		}
 		var in, out int64
 		if tuples != nil {
@@ -304,26 +307,25 @@ func (e *Engine) observeStage(q *Query, h *scheduler.Handle, stage, name string,
 
 // factoryDelta returns a closure reporting the tuples a firing moved:
 // the difference of the factory's cumulative counters since the last
-// call. A transition fires on one worker at a time (the claim state
-// machine guarantees it), so the closure state needs no lock.
+// call. The pool fires a transition on one worker at a time, but a
+// deterministic Step may overlap a pool firing (tests drive Drain against
+// a started engine), so the cursors are atomics: overlapping firings may
+// split a delta between them, never corrupt it.
 func factoryDelta(f *factory.Factory) func() (int64, int64) {
-	var lastIn, lastOut int64
+	var lastIn, lastOut atomic.Int64
 	return func() (int64, int64) {
 		st := f.Stats()
-		in, out := st.TuplesIn-lastIn, st.TuplesOut-lastOut
-		lastIn, lastOut = st.TuplesIn, st.TuplesOut
-		return in, out
+		return st.TuplesIn - lastIn.Swap(st.TuplesIn), st.TuplesOut - lastOut.Swap(st.TuplesOut)
 	}
 }
 
 // counterDelta adapts a single cumulative counter (merged rows,
 // delivered rows) the same way; the count appears as both in and out.
 func counterDelta(read func() int64) func() (int64, int64) {
-	var last int64
+	var last atomic.Int64
 	return func() (int64, int64) {
 		v := read()
-		d := v - last
-		last = v
+		d := v - last.Swap(v)
 		return d, d
 	}
 }

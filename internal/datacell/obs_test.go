@@ -356,6 +356,31 @@ func TestExplainAnalyzeJoin(t *testing.T) {
 	}
 }
 
+// TestExplainShapeFromTopology: the shape row comes from the planned
+// topology, not from the query text — a JOIN keyword between newlines is
+// still a join, and a ' JOIN ' string literal in a filter is not one.
+func TestExplainShapeFromTopology(t *testing.T) {
+	ctx := context.Background()
+	e := New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	for _, ddl := range []string{
+		"CREATE BASKET l (k INT, v INT)",
+		"CREATE BASKET r (k INT, w INT)",
+		"CREATE BASKET tagged (a INT, tag VARCHAR)",
+		"CREATE CONTINUOUS QUERY j AS SELECT l.k AS k FROM [SELECT * FROM l] AS l\nJOIN\n[SELECT * FROM r] AS r ON l.k = r.k",
+		"CREATE CONTINUOUS QUERY lit AS SELECT * FROM [SELECT * FROM tagged] AS x WHERE x.tag = ' JOIN '",
+	} {
+		if _, err := e.Exec(ctx, ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+	}
+	for query, want := range map[string]string{"j": "strategy=separate shape=join", "lit": "strategy=separate shape=flat"} {
+		_, rel := explainOps(t, e, query)
+		if got := column(t, rel, "detail")[0]; got != want {
+			t.Errorf("EXPLAIN ANALYZE %s: query detail = %q, want %q", query, got, want)
+		}
+	}
+}
+
 // TestStatsShowRace hammers the consistent-cut read paths — Stats(),
 // SHOW QUERIES/BASKETS/SCHEDULER, EXPLAIN ANALYZE, /metrics rendering —
 // while concurrent ingesters and the worker pool mutate everything they

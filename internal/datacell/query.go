@@ -4,17 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/adapters"
 	"repro/internal/basket"
 	"repro/internal/catalog"
-	"repro/internal/exec"
 	"repro/internal/factory"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/plan"
 	"repro/internal/scheduler"
 	"repro/internal/sql"
@@ -28,32 +27,35 @@ import (
 type mergeStage interface {
 	scheduler.Transition
 	Lag() int
+	Merged() int64
+	Late() int64
 }
 
-// Query is a registered continuous query: one or more factories between
-// an input arrangement (per strategy) and an output basket with a
-// subscription emitter. On a partitioned stream a partitionable query
-// runs as N shard pipelines (facts) whose emissions a merge transition
-// recombines into the output basket; otherwise there is exactly one
-// factory.
+// Query is a registered continuous query: the installed form of its
+// topology. On a partitioned stream a partitionable query runs as N lane
+// factories whose emissions a merge transition recombines into the
+// output basket; a routed query has no factory of its own (it is a member
+// of the stream's shared scan); otherwise there is exactly one factory.
 type Query struct {
 	Name     string
 	SQL      string
 	Strategy Strategy
 
-	streams   []string // the stream(s) the basket expressions read (two for a stream-stream join)
-	facts     []*factory.Factory
-	merge     mergeStage // nil when unpartitioned
-	out       *basket.Basket
-	shardIns  []*basket.Basket  // stream-owned shard baskets (partitioned only)
-	shardOuts []*basket.Basket  // per-shard emission baskets (non-aligned windowed merges only)
-	tails     []*partition.Tail // per-shard SPSC handoff rings (plain/aligned merges)
-	unsubs    []func()          // basket listener detach hooks, run at unregister
-	sub       *Subscription     // nil when the query polls via SQL
-	replicas  []*basket.Basket  // separate strategy only (one per joined stream)
-	routed    *routedQuery      // routed strategy only (shared-scan attachment)
-	engine    *Engine
-	durable   bool // state captured by checkpoints (durable engines only)
+	topo   *topology
+	engine *Engine
+	// live is set once install completes and cleared by whoever wins the
+	// right to drop the query; lookups skip queries that are not live.
+	live atomic.Bool
+	undo []func() // inverse of every install side effect, in install order
+
+	inputs  []*basket.Basket // input places, query-owned (replicas) or not
+	places  []place          // query-owned places: <q>_out, replicas, lane sinks
+	facts   []*factory.Factory
+	merge   mergeStage // nil when unpartitioned
+	out     *basket.Basket
+	sub     *Subscription // nil when the query polls via SQL
+	routed  *routedQuery  // routed strategy only (shared-scan attachment)
+	durable bool          // state captured by checkpoints (durable engines only)
 
 	// trace is the bounded ring of the query's last-K pipeline firings
 	// (SHOW TRACE). Nil when the engine's metrics are disabled.
@@ -93,8 +95,8 @@ func (q *Query) Stats() factory.Stats {
 		total.JoinState += st.JoinState
 		total.JoinEvictions += st.JoinEvictions
 	}
-	if lm, ok := q.merge.(interface{ Late() int64 }); ok {
-		total.Late += lm.Late()
+	if q.merge != nil {
+		total.Late += q.merge.Late()
 	}
 	return total
 }
@@ -144,16 +146,21 @@ func (q *Query) Latency() *obs.Histogram {
 
 // Shards returns the number of parallel shard pipelines executing the
 // query (1 for an unpartitioned query).
-func (q *Query) Shards() int {
-	if q.routed != nil {
-		return 1
-	}
-	return len(q.facts)
-}
+func (q *Query) Shards() int { return max(len(q.facts), 1) }
 
 // Partitioned reports whether the query runs as shard pipelines with a
 // merge transition.
 func (q *Query) Partitioned() bool { return q.merge != nil }
+
+// arrangement names the input arrangement in effect: sharded queries
+// consume the stream's shard baskets by watermark whatever strategy they
+// declared.
+func (q *Query) arrangement() string {
+	if q.Partitioned() {
+		return "partitioned"
+	}
+	return q.Strategy.String()
+}
 
 // MergeLag returns the number of shard-emitted tuples not yet merged
 // into the output basket (0 for unpartitioned queries).
@@ -168,37 +175,21 @@ func (q *Query) MergeLag() int {
 // query's private input basket(s).
 func (q *Query) Shed() int64 {
 	var n int64
-	for _, r := range q.replicas {
-		n += r.Shed()
+	for _, b := range q.inputs {
+		n += b.Shed()
 	}
 	return n
 }
 
 // InputBacklog returns the number of tuples currently buffered in the
-// query's input arrangement: the private replica(s) under the separate
+// query's input places: the private replica(s) under the separate
 // strategy, the stream's shard baskets when partitioned, or the whole
 // shared basket(s) otherwise. Retained predicate-window tuples show up
 // here.
 func (q *Query) InputBacklog() int {
-	if len(q.replicas) > 0 {
-		n := 0
-		for _, r := range q.replicas {
-			n += r.Len()
-		}
-		return n
-	}
-	if len(q.shardIns) > 0 {
-		n := 0
-		for _, b := range q.shardIns {
-			n += b.Len()
-		}
-		return n
-	}
 	n := 0
-	for _, name := range q.streams {
-		if b, err := q.engine.Stream(name); err == nil {
-			n += b.Len()
-		}
+	for _, b := range q.inputs {
+		n += b.Len()
 	}
 	return n
 }
@@ -303,104 +294,143 @@ func WithEventTimeColumn(col string) QueryOption {
 	return func(c *queryConfig) { c.tsCol = col }
 }
 
+// withOption is one key of CREATE CONTINUOUS QUERY ... WITH (...): its
+// accepted spellings (the first is the journal spelling), how a value
+// parses into a QueryOption, and how a config's setting is spelled back
+// for the DDL journal ("" = nothing to spell). The table is the only place
+// a WITH key is named, so every QueryOption has a WITH equivalent and the
+// replayed DDL reconstructs the same topology — a requirement for
+// checkpoint images to load.
+type withOption struct {
+	keys    []string
+	parse   func(s sql.OptionSpec) (QueryOption, error)
+	journal func(c queryConfig) string
+}
+
+var withOptions = []withOption{
+	enumOption("strategy", "separate, shared, or routed", map[string]QueryOption{
+		"separate": WithStrategy(SeparateBaskets),
+		"shared":   WithStrategy(SharedBaskets),
+		"routed":   WithStrategy(RoutedScan),
+	}, func(c queryConfig) string { return c.strategy.String() }),
+	intOption(WithMinTuples, func(c queryConfig) string { return strconv.Itoa(c.minTuples) }, "min_tuples"),
+	enumOption("window_mode", "incremental or reeval", map[string]QueryOption{
+		"incremental": WithWindowMode(window.Incremental),
+		"reeval":      WithWindowMode(window.ReEvaluate),
+		"re_evaluate": WithWindowMode(window.ReEvaluate),
+		"reevaluate":  WithWindowMode(window.ReEvaluate),
+	}, func(c queryConfig) string {
+		switch {
+		case !c.forceMode:
+			return ""
+		case c.windowMode == window.Incremental:
+			return "incremental"
+		}
+		return "reeval"
+	}),
+	intOption(WithPriority, func(c queryConfig) string { return strconv.Itoa(c.priority) }, "priority"),
+	intOption(WithLoadShedding, func(c queryConfig) string { return strconv.Itoa(c.shedAt) }, "shed_limit"),
+	// A polling query (depth <= 0) is journaled as polling = true instead.
+	intOption(WithSubscriptionDepth, func(c queryConfig) string { return positive(int64(c.subDepth)) }, "depth", "subscription_depth"),
+	enumOption("polling", "true or false", map[string]QueryOption{
+		"true":  WithSQLPolling(),
+		"false": func(*queryConfig) {},
+	}, func(c queryConfig) string { return strconv.FormatBool(c.subDepth <= 0) }),
+	enumOption("backpressure", "block or drop_oldest", map[string]QueryOption{
+		"block":       WithBackpressure(BackpressureBlock),
+		"drop_oldest": WithBackpressure(BackpressureDropOldest),
+	}, func(c queryConfig) string { return c.policy.String() }),
+	durationOption("lateness", "a non-negative duration like '250ms'", 0,
+		func(ns int64) QueryOption { return func(c *queryConfig) { c.lateness = ns } },
+		func(c queryConfig) string { return strconv.FormatInt(c.lateness, 10) }),
+	{
+		keys: []string{"timestamp"},
+		parse: func(s sql.OptionSpec) (QueryOption, error) {
+			if s.Val == "" {
+				return nil, fmt.Errorf("%w: timestamp needs a column name", ErrInvalidOption)
+			}
+			return WithEventTimeColumn(s.Val), nil
+		},
+		journal: func(c queryConfig) string { return c.tsCol },
+	},
+	enumOption("durable", "true or false", map[string]QueryOption{
+		"true":  WithDurable(true),
+		"false": WithDurable(false),
+	}, func(c queryConfig) string { return strconv.FormatBool(c.durable) }),
+	// A non-positive interval keeps the engine default and is not journaled.
+	durationOption("checkpoint_interval", "a positive duration like '5s'", 1,
+		func(ns int64) QueryOption { return WithCheckpointInterval(time.Duration(ns)) },
+		func(c queryConfig) string { return positive(c.ckptEvery) }),
+}
+
+// intOption is an integer-valued key.
+func intOption(set func(int) QueryOption, journal func(queryConfig) string, keys ...string) withOption {
+	return withOption{
+		keys: keys,
+		parse: func(s sql.OptionSpec) (QueryOption, error) {
+			n, err := strconv.Atoi(s.Val)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %s = %q wants an integer", ErrInvalidOption, s.Key, s.Val)
+			}
+			return set(n), nil
+		},
+		journal: journal,
+	}
+}
+
+// enumOption is a key with a closed set of (case-insensitive) values.
+func enumOption(key, want string, vals map[string]QueryOption, journal func(queryConfig) string) withOption {
+	return withOption{
+		keys: []string{key},
+		parse: func(s sql.OptionSpec) (QueryOption, error) {
+			if o, ok := vals[strings.ToLower(s.Val)]; ok {
+				return o, nil
+			}
+			return nil, fmt.Errorf("%w: %s = %q (want %s)", ErrInvalidOption, key, s.Val, want)
+		},
+		journal: journal,
+	}
+}
+
+// durationOption is a key taking a duration of at least lo nanoseconds
+// (journaled as integer nanoseconds).
+func durationOption(key, want string, lo int64, set func(ns int64) QueryOption, journal func(queryConfig) string) withOption {
+	return withOption{
+		keys: []string{key},
+		parse: func(s sql.OptionSpec) (QueryOption, error) {
+			ns, err := parseDurationNS(s.Val)
+			if err != nil || ns < lo {
+				return nil, fmt.Errorf("%w: %s = %q (want %s or nanoseconds)", ErrInvalidOption, key, s.Val, want)
+			}
+			return set(ns), nil
+		},
+		journal: journal,
+	}
+}
+
+// positive spells n for the journal, or nothing when n is not positive.
+func positive(n int64) string {
+	if n <= 0 {
+		return ""
+	}
+	return strconv.FormatInt(n, 10)
+}
+
 // optionsFromSpecs translates a DDL WITH (...) list into QueryOptions —
 // the bridge that lets CREATE CONTINUOUS QUERY express everything the Go
 // option API can.
 func optionsFromSpecs(specs []sql.OptionSpec) ([]QueryOption, error) {
-	var opts []QueryOption
-	intOpt := func(s sql.OptionSpec, f func(int) QueryOption) error {
-		n, err := strconv.Atoi(s.Val)
-		if err != nil {
-			return fmt.Errorf("%w: %s = %q wants an integer", ErrInvalidOption, s.Key, s.Val)
-		}
-		opts = append(opts, f(n))
-		return nil
-	}
-	for _, s := range specs {
-		key := strings.ToLower(s.Key)
-		val := strings.ToLower(s.Val)
-		switch key {
-		case "strategy":
-			switch val {
-			case "separate":
-				opts = append(opts, WithStrategy(SeparateBaskets))
-			case "shared":
-				opts = append(opts, WithStrategy(SharedBaskets))
-			case "routed":
-				opts = append(opts, WithStrategy(RoutedScan))
-			default:
-				return nil, fmt.Errorf("%w: strategy = %q (want separate, shared, or routed)", ErrInvalidOption, s.Val)
-			}
-		case "min_tuples":
-			if err := intOpt(s, WithMinTuples); err != nil {
-				return nil, err
-			}
-		case "window_mode":
-			switch val {
-			case "incremental":
-				opts = append(opts, WithWindowMode(window.Incremental))
-			case "reeval", "re_evaluate", "reevaluate":
-				opts = append(opts, WithWindowMode(window.ReEvaluate))
-			default:
-				return nil, fmt.Errorf("%w: window_mode = %q (want incremental or reeval)", ErrInvalidOption, s.Val)
-			}
-		case "priority":
-			if err := intOpt(s, WithPriority); err != nil {
-				return nil, err
-			}
-		case "shed_limit":
-			if err := intOpt(s, WithLoadShedding); err != nil {
-				return nil, err
-			}
-		case "depth", "subscription_depth":
-			if err := intOpt(s, WithSubscriptionDepth); err != nil {
-				return nil, err
-			}
-		case "polling":
-			switch val {
-			case "true":
-				opts = append(opts, WithSQLPolling())
-			case "false":
-			default:
-				return nil, fmt.Errorf("%w: polling = %q (want true or false)", ErrInvalidOption, s.Val)
-			}
-		case "backpressure":
-			switch val {
-			case "block":
-				opts = append(opts, WithBackpressure(BackpressureBlock))
-			case "drop_oldest":
-				opts = append(opts, WithBackpressure(BackpressureDropOldest))
-			default:
-				return nil, fmt.Errorf("%w: backpressure = %q (want block or drop_oldest)", ErrInvalidOption, s.Val)
-			}
-		case "lateness":
-			ns, err := parseDurationNS(s.Val)
-			if err != nil || ns < 0 {
-				return nil, fmt.Errorf("%w: lateness = %q (want a non-negative duration like '250ms' or nanoseconds)", ErrInvalidOption, s.Val)
-			}
-			opts = append(opts, func(c *queryConfig) { c.lateness = ns })
-		case "timestamp":
-			if s.Val == "" {
-				return nil, fmt.Errorf("%w: timestamp needs a column name", ErrInvalidOption)
-			}
-			opts = append(opts, WithEventTimeColumn(s.Val))
-		case "durable":
-			switch val {
-			case "true":
-				opts = append(opts, WithDurable(true))
-			case "false":
-				opts = append(opts, WithDurable(false))
-			default:
-				return nil, fmt.Errorf("%w: durable = %q (want true or false)", ErrInvalidOption, s.Val)
-			}
-		case "checkpoint_interval":
-			ns, err := parseDurationNS(s.Val)
-			if err != nil || ns <= 0 {
-				return nil, fmt.Errorf("%w: checkpoint_interval = %q (want a positive duration like '5s' or nanoseconds)", ErrInvalidOption, s.Val)
-			}
-			opts = append(opts, WithCheckpointInterval(time.Duration(ns)))
-		default:
+	opts := make([]QueryOption, len(specs))
+	for i, s := range specs {
+		k := slices.IndexFunc(withOptions, func(w withOption) bool {
+			return slices.Contains(w.keys, strings.ToLower(s.Key))
+		})
+		if k < 0 {
 			return nil, fmt.Errorf("%w: unknown option %q", ErrInvalidOption, s.Key)
+		}
+		var err error
+		if opts[i], err = withOptions[k].parse(s); err != nil {
+			return nil, err
 		}
 	}
 	return opts, nil
@@ -435,72 +465,36 @@ func (e *Engine) RegisterContinuous(name, text string, opts ...QueryOption) (*Qu
 		e.gate.RLock()
 		defer e.gate.RUnlock()
 	}
-	q, err := e.registerParsed(name, text, sel, opts...)
-	if err != nil {
-		return nil, err
+	cfg := newQueryConfig(opts)
+	q, err := e.registerParsed(name, text, sel, cfg)
+	if err != nil || e.dur == nil {
+		return q, err
 	}
-	if e.dur != nil {
-		cfg := defaultQueryConfig()
-		for _, o := range opts {
-			o(&cfg)
-		}
-		if err := e.dur.logStmt(context.Background(), continuousDDL(name, text, cfg), true); err != nil {
-			return q, err
-		}
-	}
-	return q, nil
+	return q, e.dur.logStmt(context.Background(), continuousDDL(name, text, cfg), true)
 }
 
 func defaultQueryConfig() queryConfig {
 	return queryConfig{strategy: SeparateBaskets, minTuples: 1, subDepth: 64, durable: true}
 }
 
+func newQueryConfig(opts []QueryOption) queryConfig {
+	cfg := defaultQueryConfig()
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
 // continuousDDL synthesizes the journal spelling of a Go-registered
-// continuous query. Every QueryOption has a WITH equivalent, so the
-// replayed DDL reconstructs the same pipeline shape — a requirement for
-// checkpoint images to load (replica and shard counts must match).
+// continuous query: every setting that differs from the default, in
+// options-table order.
 func continuousDDL(name, text string, cfg queryConfig) string {
 	def := defaultQueryConfig()
 	var opts []string
-	add := func(k, v string) { opts = append(opts, k+" = "+v) }
-	if cfg.strategy != def.strategy {
-		add("strategy", cfg.strategy.String())
-	}
-	if cfg.minTuples != def.minTuples {
-		add("min_tuples", strconv.Itoa(cfg.minTuples))
-	}
-	if cfg.forceMode {
-		if cfg.windowMode == window.Incremental {
-			add("window_mode", "incremental")
-		} else {
-			add("window_mode", "reeval")
+	for _, w := range withOptions {
+		if v := w.journal(cfg); v != "" && v != w.journal(def) {
+			opts = append(opts, w.keys[0]+" = "+v)
 		}
-	}
-	if cfg.priority != def.priority {
-		add("priority", strconv.Itoa(cfg.priority))
-	}
-	if cfg.shedAt != def.shedAt {
-		add("shed_limit", strconv.Itoa(cfg.shedAt))
-	}
-	if cfg.subDepth <= 0 {
-		add("polling", "true")
-	} else if cfg.subDepth != def.subDepth {
-		add("depth", strconv.Itoa(cfg.subDepth))
-	}
-	if cfg.policy != def.policy {
-		add("backpressure", "drop_oldest")
-	}
-	if cfg.lateness != def.lateness {
-		add("lateness", strconv.FormatInt(cfg.lateness, 10))
-	}
-	if cfg.tsCol != "" {
-		add("timestamp", cfg.tsCol)
-	}
-	if cfg.durable != def.durable {
-		add("durable", "false")
-	}
-	if cfg.ckptEvery > 0 {
-		add("checkpoint_interval", strconv.FormatInt(cfg.ckptEvery, 10))
 	}
 	s := "CREATE CONTINUOUS QUERY " + name
 	if len(opts) > 0 {
@@ -510,280 +504,17 @@ func continuousDDL(name, text string, cfg queryConfig) string {
 }
 
 // registerParsed is the single registration path behind both
-// RegisterContinuous and CREATE CONTINUOUS QUERY.
-func (e *Engine) registerParsed(name, text string, sel *sql.SelectStmt, opts ...QueryOption) (*Query, error) {
+// RegisterContinuous and CREATE CONTINUOUS QUERY: plan the topology,
+// install it.
+func (e *Engine) registerParsed(name, text string, sel *sql.SelectStmt, cfg queryConfig) (*Query, error) {
 	if err := e.guard(nil); err != nil {
 		return nil, err
 	}
-	cfg := defaultQueryConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	key := strings.ToLower(name)
-	e.mu.Lock()
-	if _, dup := e.queries[key]; dup {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateQuery, name)
-	}
-	e.mu.Unlock()
-
-	if !sel.IsContinuous() {
-		return nil, fmt.Errorf("%w: %q; run it with Exec", ErrNotContinuous, name)
-	}
-	streamNames, err := basketExprStreams(sel)
+	t, err := e.planTopology(name, text, sel, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(streamNames) == 2 {
-		// Two basket expressions: a stream-stream join, executed by a
-		// symmetric-hash factory (one per shard when co-partitioned).
-		return e.registerStreamStream(name, text, sel, streamNames, cfg)
-	}
-	streamName := streamNames[0]
-	e.mu.Lock()
-	s, isStream := e.streams[strings.ToLower(streamName)]
-	e.mu.Unlock()
-
-	// The basket expression may also read another query's output basket —
-	// the paper's network of queries, where "continuous queries … take
-	// their input from other queries".
-	var chained *basket.Basket
-	if !isStream {
-		entry, err := e.cat.Lookup(streamName)
-		if err != nil {
-			return nil, fmt.Errorf("%w: basket expression reads %q, which is neither a stream nor a basket", ErrUnknownStream, streamName)
-		}
-		b, ok := entry.Source.(*basket.Basket)
-		if !ok || entry.Kind != catalog.KindBasket {
-			return nil, fmt.Errorf("%w: basket expression over %q, which is a %s", ErrUnknownStream, streamName, entry.Kind)
-		}
-		chained = b
-	}
-
-	p, err := plan.Build(sel, e.cat)
-	if err != nil {
-		return nil, e.planError(err)
-	}
-
-	if cfg.lateness != 0 || cfg.tsCol != "" {
-		if sel.Window == nil || sel.Window.Kind != sql.WindowRange {
-			return nil, fmt.Errorf("%w: lateness/timestamp apply to WINDOW RANGE queries only", ErrInvalidOption)
-		}
-		if cfg.lateness < 0 {
-			return nil, fmt.Errorf("%w: negative lateness", ErrInvalidOption)
-		}
-	}
-
-	// Stream-table join: when the plan is a single two-way equi-join of
-	// this stream with a table, the factory gets persistent enrichment
-	// state — a table-side hash rebuilt only when the table's version
-	// moves — instead of re-running a batch join per firing. Other join
-	// shapes (non-equi, multi-way, windowed) keep per-firing evaluation.
-	joinBuilder := e.streamTableJoinBuilder(p, sel, streamName, chained != nil)
-
-	// Routed path: eligible filter/project pipelines over a stream attach
-	// to the stream's shared scan — one consumption frontier, predicate-
-	// indexed routing, one evaluation per distinct subplan — instead of a
-	// private pipeline. Ineligible shapes (windows, joins, chained
-	// baskets, shedding, batching, filtered consuming scans) and
-	// partitioned streams (ingest routes to shard baskets; a shared scan
-	// on the primary would retain and duplicate every tuple alongside the
-	// shard copies) fall back to the shared-basket arrangement below.
-	if cfg.strategy == RoutedScan {
-		if info, ok := routedPlanInfo(p, streamName); ok &&
-			isStream && s.router == nil && chained == nil && joinBuilder == nil &&
-			sel.Window == nil && cfg.shedAt == 0 && cfg.minTuples == 1 {
-			return e.registerRouted(name, text, streamName, s, info, cfg)
-		}
-		cfg.strategy = SharedBaskets
-	}
-
-	// Partitioned path: on a partitioned stream, a partitionable query is
-	// cloned into one pipeline per shard with a merge transition
-	// recombining the emissions. Time-based windows shard when their plan
-	// has mergeable pane summaries (the shards share one slide grid, so
-	// the merge can align window boundaries); count windows are defined
-	// over the whole stream's arrival order and stay single-pipeline, as
-	// do queries with a private shedding bound (shard baskets are shared
-	// between the stream's partitioned queries).
-	if isStream && s.router != nil && cfg.shedAt == 0 {
-		if sel.Window == nil {
-			if joinBuilder != nil {
-				// Stream×table: broadcast the table to every shard — each
-				// stream tuple lives in exactly one shard, so the
-				// concatenated emissions are exact regardless of the key.
-				if an := partition.AnalyzeJoin(p, e.partitionLookup); an.OK && an.Broadcast {
-					return e.registerPartitioned(name, text, streamName, s,
-						p, partition.Analysis{OK: true, Mode: partition.MergeConcat, ShardPlan: p}, cfg, joinBuilder)
-				}
-			} else if an := partition.Analyze(p, streamName, s.router.Spec().By, name+"#partials"); an.OK {
-				return e.registerPartitioned(name, text, streamName, s, p, an, cfg, nil)
-			}
-		} else if wan := partition.AnalyzeWindowed(p, streamName, s.router.Spec().By, name+"#partials", sel.Window); wan.OK {
-			return e.registerPartitionedWindowed(name, text, streamName, s, p, wan, sel.Window, cfg)
-		}
-	}
-
-	// Input arrangement per strategy.
-	var in factory.Input
-	var replica *basket.Basket
-	switch {
-	case chained != nil && cfg.strategy == SharedBaskets:
-		in = factory.Input{Basket: chained, Mode: factory.Shared, ReaderID: name, Bind: streamName}
-	case chained != nil:
-		// Owned-direct: this query is the exclusive consumer of the
-		// upstream basket (no receptor fan-out exists to replicate it).
-		in = factory.Input{Basket: chained, Mode: factory.Owned, Bind: streamName}
-	case cfg.strategy == SharedBaskets:
-		in = factory.Input{Basket: s.primary, Mode: factory.Shared, ReaderID: name, Bind: streamName}
-	default:
-		replica = basket.New(name+"_in", s.schema, e.clock)
-		if cfg.shedAt > 0 {
-			replica.SetCapacity(cfg.shedAt)
-		}
-		in = factory.Input{Basket: replica, Mode: factory.Owned, Bind: streamName}
-		e.mu.Lock()
-		// Copy-on-write: Ingest's fan-out reads the slice outside e.mu, so
-		// published slices are never extended or reordered in place.
-		s.replicas = append(append([]*basket.Basket(nil), s.replicas...), replica)
-		e.mu.Unlock()
-	}
-
-	// rollback undoes the replica publication (and, once registered, the
-	// output catalog entry) when a later registration step fails — an
-	// orphaned replica would keep receiving every future ingest batch
-	// with nothing consuming it.
-	rollback := func(dropOut bool) {
-		if replica != nil {
-			e.mu.Lock()
-			next := make([]*basket.Basket, 0, len(s.replicas))
-			for _, r := range s.replicas {
-				if r != replica {
-					next = append(next, r)
-				}
-			}
-			s.replicas = next
-			e.mu.Unlock()
-		}
-		if dropOut {
-			_ = e.cat.Drop(name + "_out")
-		}
-	}
-
-	// Output basket: the plan's schema (plus its own delivery ts), exposed
-	// in the catalog for one-time inspection.
-	out := basket.New(name+"_out", p.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		rollback(false)
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
-	}
-
-	fopts := []factory.Option{
-		factory.WithMinTuples(cfg.minTuples),
-		factory.WithClock(e.clock),
-	}
-	if sel.Window != nil {
-		runner, err := e.buildWindowRunner(p, in.Basket.Schema(), streamName, sel.Window, cfg)
-		if err != nil {
-			rollback(true)
-			return nil, err
-		}
-		fopts = append(fopts, factory.WithWindow(runner))
-	}
-	if joinBuilder != nil {
-		sj, err := joinBuilder()
-		if err != nil {
-			rollback(true)
-			return nil, err
-		}
-		fopts = append(fopts, factory.WithStreamJoin(sj))
-	}
-	fact, err := factory.New(name, p, e.cat, []factory.Input{in}, []factory.Sink{out}, fopts...)
-	if err != nil {
-		rollback(true)
-		return nil, err
-	}
-
-	var replicas []*basket.Basket
-	if replica != nil {
-		replicas = []*basket.Basket{replica}
-	}
-	q := &Query{
-		Name:     name,
-		SQL:      text,
-		Strategy: cfg.strategy,
-		streams:  []string{streamName},
-		facts:    []*factory.Factory{fact},
-		out:      out,
-		replicas: replicas,
-		engine:   e,
-	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
-}
-
-// installQuery finalizes a registered query: durability wiring (the
-// delivery-frontier hook for exactly-once resumption, plus any
-// checkpoint-cadence tightening), then scheduler registration — with
-// gate-wrapped transitions on a durable engine so checkpoints cut
-// between firings, never through one. Each transition's input places
-// are subscribed to its scheduler handle, so an append wakes exactly
-// the transitions it can make fireable instead of rescanning the net;
-// the detach hooks accumulate in q.unsubs for unregistration.
-func (e *Engine) installQuery(q *Query, cfg queryConfig) {
-	q.durable = cfg.durable && e.dur != nil
-	if q.durable {
-		if q.sub != nil {
-			key := strings.ToLower(q.Name)
-			q.sub.em.OnDeliver(func(n int64) { e.dur.logFrontier(key, n) })
-		}
-		e.dur.tighten(time.Duration(cfg.ckptEvery))
-	}
-	// Observability arming must precede scheduling: hooks are not
-	// synchronized with firings once a transition is registered.
-	e.armQueryObservers(q)
-	for _, f := range q.facts {
-		h := e.addTransition(f, cfg.priority)
-		e.observeStage(q, h, stageFire, f.Name(), factoryDelta(f))
-		for _, in := range f.InputBaskets() {
-			q.subscribe(in, h)
-		}
-	}
-	if q.merge != nil {
-		h := e.addTransition(q.merge, cfg.priority)
-		var delta func() (int64, int64)
-		if m, ok := q.merge.(interface{ Merged() int64 }); ok {
-			delta = counterDelta(m.Merged)
-		}
-		e.observeStage(q, h, stageMerge, q.merge.Name(), delta)
-		if m, ok := q.merge.(*partition.Merge); ok {
-			// Plain/aligned merges consume SPSC tails: the producer-side
-			// push invokes the wake hook directly, no basket listener.
-			m.SetWake(h.Wake)
-		}
-		for _, so := range q.shardOuts {
-			q.subscribe(so, h)
-		}
-	}
-	if q.sub != nil {
-		h := e.addTransition(q.sub.em, cfg.priority)
-		e.observeStage(q, h, stageDeliver, q.sub.em.Name(), counterDelta(q.sub.em.Delivered))
-		q.subscribe(q.out, h)
-	}
-}
-
-// subscribe wires a basket append to a transition wake-up and records the
-// detach hook for unregisterContinuous.
-func (q *Query) subscribe(b *basket.Basket, h *scheduler.Handle) {
-	id := b.Subscribe(h.Wake)
-	q.unsubs = append(q.unsubs, func() { b.Unsubscribe(id) })
+	return e.install(t)
 }
 
 // CheckpointInfo reports a query's durability posture (see
@@ -816,216 +547,6 @@ func (q *Query) Checkpoint() CheckpointInfo {
 		info.Delivered = q.sub.em.Delivered()
 	}
 	return info
-}
-
-// registerPartitioned installs a continuous query as N shard pipelines
-// over the stream's shard baskets: per shard one factory running the
-// analysis' shard plan into a private emission basket (<name>_out#i),
-// plus a merge transition recombining the emissions into <name>_out —
-// order-preserving per shard, with a global distinct/re-aggregation
-// stage when the analysis requires one. Shard factories consume the
-// stream's shard baskets in shared (watermark) mode, so several
-// partitioned queries share one routed copy of the stream. joinBuilder,
-// when non-nil, gives every shard factory its own stream-table join
-// state (the broadcast decomposition).
-func (e *Engine) registerPartitioned(name, text, streamName string, s *stream, p plan.Node, an partition.Analysis, cfg queryConfig, joinBuilder func() (*exec.StreamJoin, error)) (*Query, error) {
-	key := strings.ToLower(name)
-	out := basket.New(name+"_out", p.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
-	}
-	unregister := func(upTo int) {
-		for i := 0; i < upTo; i++ {
-			_ = e.cat.Drop(fmt.Sprintf("%s_out#%d", name, i))
-		}
-		_ = e.cat.Drop(name + "_out")
-	}
-
-	n := len(s.shards)
-	latency := obs.NewHistogram()
-	facts := make([]*factory.Factory, 0, n)
-	tails := make([]*partition.Tail, 0, n)
-	for i := 0; i < n; i++ {
-		so := partition.NewTail(fmt.Sprintf("%s_out#%d", name, i), an.ShardPlan.Schema(), tailRingBatches, e.clock)
-		if err := e.cat.RegisterShard(so.Name(), catalog.KindBasket, so, name+"_out", i); err != nil {
-			unregister(i)
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateName, so.Name())
-		}
-		in := factory.Input{Basket: s.shards[i], Mode: factory.Shared, ReaderID: name, Bind: streamName}
-		fopts := []factory.Option{
-			factory.WithMinTuples(cfg.minTuples),
-			factory.WithClock(e.clock),
-			factory.WithLatency(latency),
-		}
-		if joinBuilder != nil {
-			sj, err := joinBuilder()
-			if err != nil {
-				unregister(i + 1)
-				for _, done := range facts {
-					done.Close()
-				}
-				return nil, err
-			}
-			fopts = append(fopts, factory.WithStreamJoin(sj))
-		}
-		f, err := factory.New(fmt.Sprintf("%s#%d", name, i), an.ShardPlan, e.cat,
-			[]factory.Input{in}, []factory.Sink{so}, fopts...)
-		if err != nil {
-			unregister(i + 1)
-			for _, done := range facts {
-				done.Close()
-			}
-			return nil, err
-		}
-		facts = append(facts, f)
-		tails = append(tails, so)
-	}
-	merge := partition.NewMerge(name+"_merge", an.MergeSource, tails, out, an.MergePlan, e.cat)
-
-	q := &Query{
-		Name:     name,
-		SQL:      text,
-		Strategy: cfg.strategy,
-		streams:  []string{streamName},
-		facts:    facts,
-		merge:    merge,
-		out:      out,
-		shardIns: s.shards,
-		tails:    tails,
-		engine:   e,
-	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	s.shardReaders++
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
-}
-
-// registerPartitionedWindowed installs a time-windowed continuous query
-// as N shard pipelines: per shard a window runner over the shard's
-// subsequence of the stream (all runners share one watermark group, so a
-// lagging or empty shard still closes its windows once the stream as a
-// whole has moved past them). When the grouping is partition-aligned the
-// per-shard window results are final and the plain concat merge
-// recombines them; otherwise the shards emit per-window partial
-// aggregates tagged with the window end and a WindowedMerge aligns the
-// slide grid across shards, re-aggregates each window's union, and
-// replays HAVING and the projection.
-func (e *Engine) registerPartitionedWindowed(name, text, streamName string, s *stream, p plan.Node, wan partition.WindowedAnalysis, w *sql.WindowClause, cfg queryConfig) (*Query, error) {
-	key := strings.ToLower(name)
-	out := basket.New(name+"_out", p.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
-	}
-	unregister := func(upTo int) {
-		for i := 0; i < upTo; i++ {
-			_ = e.cat.Drop(fmt.Sprintf("%s_out#%d", name, i))
-		}
-		_ = e.cat.Drop(name + "_out")
-	}
-
-	shardSchema := p.Schema()
-	if !wan.Aligned {
-		shardSchema = wan.ShardPlan.Schema().Clone()
-		shardSchema.Columns = append(shardSchema.Columns,
-			catalog.Column{Name: partition.WindowEndColumn, Type: vector.Timestamp})
-	}
-
-	group := window.NewWatermarkGroup()
-	n := len(s.shards)
-	latency := obs.NewHistogram()
-	facts := make([]*factory.Factory, 0, n)
-	// Aligned shard windows emit final results and hand them to the merge
-	// over SPSC tails; non-aligned shards emit window-tagged partials into
-	// baskets the WindowedMerge buckets by window end.
-	var shardOuts []*basket.Basket
-	var tails []*partition.Tail
-	fail := func(i int, err error) (*Query, error) {
-		unregister(i)
-		for _, done := range facts {
-			done.Close()
-		}
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		runner, err := e.buildShardWindowRunner(wan, p, s.shards[i].Schema(), streamName, w, cfg)
-		if err != nil {
-			return fail(i, err)
-		}
-		runner.ShareWatermark(group)
-		var sink factory.Sink
-		if wan.Aligned {
-			t := partition.NewTail(fmt.Sprintf("%s_out#%d", name, i), shardSchema, tailRingBatches, e.clock)
-			if err := e.cat.RegisterShard(t.Name(), catalog.KindBasket, t, name+"_out", i); err != nil {
-				return fail(i, fmt.Errorf("%w: %q", ErrDuplicateName, t.Name()))
-			}
-			tails = append(tails, t)
-			sink = t
-		} else {
-			so := basket.New(fmt.Sprintf("%s_out#%d", name, i), shardSchema, e.clock)
-			if err := e.cat.RegisterShard(so.Name(), catalog.KindBasket, so, name+"_out", i); err != nil {
-				return fail(i, fmt.Errorf("%w: %q", ErrDuplicateName, so.Name()))
-			}
-			shardOuts = append(shardOuts, so)
-			sink = so
-		}
-		in := factory.Input{Basket: s.shards[i], Mode: factory.Shared, ReaderID: name, Bind: streamName}
-		fopts := []factory.Option{
-			factory.WithMinTuples(cfg.minTuples),
-			factory.WithClock(e.clock),
-			factory.WithLatency(latency),
-			factory.WithWindow(runner),
-		}
-		if !wan.Aligned {
-			fopts = append(fopts, factory.WithWindowEndTag())
-		}
-		f, err := factory.New(fmt.Sprintf("%s#%d", name, i), wan.ShardPlan, e.cat,
-			[]factory.Input{in}, []factory.Sink{sink}, fopts...)
-		if err != nil {
-			return fail(i+1, err)
-		}
-		facts = append(facts, f)
-	}
-	var merge mergeStage
-	if wan.Aligned {
-		merge = partition.NewMerge(name+"_merge", "", tails, out, nil, e.cat)
-	} else {
-		frontiers := make([]func() int64, n)
-		for i, f := range facts {
-			frontiers[i] = f.WindowFrontier
-		}
-		merge = partition.NewWindowedMerge(name+"_merge", wan.MergeSource, shardOuts, out,
-			wan.MergePlan, e.cat, wan.ShardPlan.Schema().Len(), frontiers)
-	}
-
-	q := &Query{
-		Name:      name,
-		SQL:       text,
-		Strategy:  cfg.strategy,
-		streams:   []string{streamName},
-		facts:     facts,
-		merge:     merge,
-		out:       out,
-		shardIns:  s.shards,
-		shardOuts: shardOuts,
-		tails:     tails,
-		engine:    e,
-	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	s.shardReaders++
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
 }
 
 // windowSpec resolves the window clause plus the timestamp/lateness
@@ -1080,23 +601,20 @@ func (e *Engine) buildWindowRunner(p plan.Node, bufSchema *catalog.Schema, sourc
 	return window.NewRunner(spec, mode, reEval, nil, bufSchema)
 }
 
-// buildShardWindowRunner assembles the window layer for one shard
-// pipeline of a partitioned windowed query: the full plan when the
-// grouping is partition-aligned, the bare partial-aggregation plan
-// (per-window mergeable partials) otherwise.
-func (e *Engine) buildShardWindowRunner(wan partition.WindowedAnalysis, p plan.Node, bufSchema *catalog.Schema, sourceName string, w *sql.WindowClause, cfg queryConfig) (*window.Runner, error) {
-	if wan.Aligned {
-		return e.buildWindowRunner(p, bufSchema, sourceName, w, cfg)
-	}
+// buildPartialWindowRunner assembles the window layer for one lane of a
+// partitioned windowed query whose grouping is not partition-aligned: p
+// is the bare partial-aggregation plan, emitting per-window mergeable
+// partials.
+func (e *Engine) buildPartialWindowRunner(p plan.Node, bufSchema *catalog.Schema, sourceName string, w *sql.WindowClause, cfg queryConfig) (*window.Runner, error) {
 	spec, err := windowSpec(bufSchema, w, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.forceMode && cfg.windowMode == window.ReEvaluate {
-		reEval := &window.PlanEvaluator{Plan: wan.ShardPlan, Catalog: e.cat, Source: sourceName}
+		reEval := &window.PlanEvaluator{Plan: p, Catalog: e.cat, Source: sourceName}
 		return window.NewRunner(spec, window.ReEvaluate, reEval, nil, bufSchema)
 	}
-	paneEval, ok := window.RecognizePartial(wan.ShardPlan)
+	paneEval, ok := window.RecognizePartial(p)
 	if !ok {
 		// AnalyzeWindowed only accepts recognizable shapes, so this is a
 		// bug guard, not a user-reachable path.
@@ -1106,10 +624,10 @@ func (e *Engine) buildShardWindowRunner(wan partition.WindowedAnalysis, p plan.N
 }
 
 // UnregisterContinuous removes a continuous query — the Go equivalent of
-// DROP CONTINUOUS QUERY. Every factory (all shard pipelines) detaches
-// from the scheduler, shared readers release their watermarks, the merge
-// transition and the private replica and output baskets are freed, and
-// the subscription closes.
+// DROP CONTINUOUS QUERY. The query's undo stack runs in reverse: every
+// transition detaches from the scheduler, shared readers release their
+// watermarks, the query-owned places are freed, and the subscription
+// closes.
 func (e *Engine) UnregisterContinuous(name string) error {
 	if e.dur != nil {
 		e.gate.RLock()
@@ -1122,74 +640,15 @@ func (e *Engine) UnregisterContinuous(name string) error {
 }
 
 func (e *Engine) unregisterContinuous(name string) error {
-	key := strings.ToLower(name)
-	e.mu.Lock()
-	q, ok := e.queries[key]
-	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownQuery, name)
+	q, err := e.Query(name)
+	if err != nil {
+		return err
 	}
-	delete(e.queries, key)
-	for _, streamName := range q.streams {
-		s := e.streams[strings.ToLower(streamName)]
-		if s == nil {
-			continue
-		}
-		if len(q.replicas) > 0 {
-			// Copy-on-write removal (see registerParsed).
-			next := make([]*basket.Basket, 0, len(s.replicas))
-			for _, r := range s.replicas {
-				mine := false
-				for _, qr := range q.replicas {
-					if r == qr {
-						mine = true
-						break
-					}
-				}
-				if !mine {
-					next = append(next, r)
-				}
-			}
-			s.replicas = next
-		}
-		if q.merge != nil && s.router != nil {
-			// Every partitioned pipeline registered as a shard reader on
-			// each stream it consumes (both sides of a co-partitioned
-			// join).
-			s.shardReaders--
-		}
+	if !q.live.CompareAndSwap(true, false) {
+		return fmt.Errorf("%w: %q", ErrUnknownQuery, name) // lost to a concurrent drop
 	}
-	e.mu.Unlock()
-	// Detach the targeted wake-ups first: once the listeners are gone, no
-	// append can re-enqueue the transitions the removals below tear down.
-	for _, unsub := range q.unsubs {
-		unsub()
-	}
-	q.unsubs = nil
-	if q.routed != nil {
-		// Detach from the shared scan (and tear the scan transition down
-		// when this was its last member) before dropping the out basket.
-		e.dropRouted(q)
-	}
-	for _, t := range q.tails {
-		t.SetWake(nil)
-	}
-	for _, f := range q.facts {
-		e.sched.Remove(f.Name())
-		// Close releases shared-reader watermarks, so shard (or shared)
-		// baskets compact tuples only this query was retaining.
-		f.Close()
-	}
-	if q.merge != nil {
-		e.sched.Remove(q.merge.Name())
-	}
-	if q.sub != nil {
-		q.sub.closeWith(ErrSubscriptionClosed)
-	}
-	for i := 0; i < len(q.shardOuts)+len(q.tails); i++ {
-		_ = e.cat.Drop(fmt.Sprintf("%s_out#%d", q.Name, i))
-	}
-	return e.cat.Drop(name + "_out")
+	q.unwind()
+	return nil
 }
 
 // basketExprStreams locates the basket expressions in the query and

@@ -2,14 +2,13 @@ package datacell
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/adapters"
 	"repro/internal/basket"
 	"repro/internal/bat"
-	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -96,6 +95,49 @@ type routedQuery struct {
 	member *scanMember
 }
 
+// routedImage is a routed query's checkpoint image. OIDs die with the
+// process, so both frontiers are offsets from the primary basket's
+// content start — the same convention basket reader marks use. The scan
+// frontier is shared by the stream's routed queries; every member's
+// image carries it and restores it to the same value.
+type routedImage struct {
+	Consumed int64 // scan frontier: rows of the captured content already routed
+	Join     int64 // member admission: rows of the captured content it predates
+}
+
+// CaptureState snapshots the attachment. The engine holds its
+// consistency gate while calling, so no firing is in flight.
+func (r *routedQuery) CaptureState() routedImage {
+	sc := r.scan
+	sc.fireMu.Lock()
+	defer sc.fireMu.Unlock()
+	hseq, n := sc.primary.Bounds()
+	rel := func(oid bat.OID) int64 { return min(max(int64(oid)-int64(hseq), 0), int64(n)) }
+	return routedImage{Consumed: rel(bat.OID(sc.consumed.Load())), Join: rel(r.member.joinSeq)}
+}
+
+// RestoreState re-anchors the frontiers to the restored primary basket:
+// the scan resumes exactly past what it had routed (a lagging shared
+// reader may retain that prefix in the basket), whatever name this
+// incarnation of the scan registered its reader mark under.
+func (r *routedQuery) RestoreState(img routedImage) error {
+	sc := r.scan
+	sc.fireMu.Lock()
+	defer sc.fireMu.Unlock()
+	b := sc.primary
+	b.Lock()
+	defer b.Unlock()
+	_, n := b.LockedSnapshot()
+	if img.Consumed < 0 || img.Consumed > int64(n) || img.Join < 0 || img.Join > img.Consumed {
+		return fmt.Errorf("routed frontier %d/%d outside the %d restored rows of %s", img.Join, img.Consumed, n, sc.stream)
+	}
+	hseq := b.LockedHseq()
+	sc.consumed.Store(int64(hseq) + img.Consumed)
+	r.member.joinSeq = hseq + bat.OID(img.Join)
+	b.LockedSetMark(sc.name, hseq+bat.OID(img.Consumed))
+	return nil
+}
+
 // scanGen disambiguates scan incarnations: a stream whose last routed
 // query is dropped and which then gains a new one must not reuse the
 // torn-down transition's scheduler name or reader id.
@@ -171,45 +213,14 @@ func routedPlanInfo(p plan.Node, streamName string) (routedInfo, bool) {
 	return routedInfo{node: node, pred: pred}, true
 }
 
-// registerRouted installs a continuous query on the stream's shared
-// scan: no private replica, no per-query factory — just a membership in
-// a plan group (created on first use) plus the usual output basket and
-// subscription emitter.
-func (e *Engine) registerRouted(name, text, streamName string, s *stream, info routedInfo, cfg queryConfig) (*Query, error) {
-	key := strings.ToLower(name)
-	out := basket.New(name+"_out", info.node.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
-	}
-	sc, g, m := e.attachRouted(s, name, info, out, cfg.priority)
-	q := &Query{
-		Name:     name,
-		SQL:      text,
-		Strategy: RoutedScan,
-		streams:  []string{streamName},
-		out:      out,
-		engine:   e,
-		routed:   &routedQuery{scan: sc, group: g, member: m},
-	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
-}
-
 // attachRouted joins the stream's shared scan (creating it on first
 // use), retrying when it loses the race against a concurrent teardown of
 // the scan's last member.
-func (e *Engine) attachRouted(s *stream, name string, info routedInfo, out *basket.Basket, priority int) (*sharedScan, *scanGroup, *scanMember) {
+func (e *Engine) attachRouted(s *stream, name string, info routedInfo, out *basket.Basket, priority int) *routedQuery {
 	for {
 		sc := e.ensureScan(s, priority)
 		if g, m, ok := sc.addMember(name, info, out); ok {
-			return sc, g, m
+			return &routedQuery{scan: sc, group: g, member: m}
 		}
 	}
 }
@@ -234,7 +245,7 @@ func (e *Engine) ensureScan(s *stream, priority int) *sharedScan {
 	sc.consumed.Store(int64(s.primary.Hseq()))
 	s.primary.RegisterReader(sc.name)
 	sc.h = e.addTransition(sc, priority)
-	e.observeScan(sc)
+	e.observeStage(nil, sc.h, stageFire, sc.name, nil)
 	sc.subID = s.primary.Subscribe(func() {
 		sc.dirty.Store(true)
 		sc.h.Wake()
@@ -286,10 +297,7 @@ func (sc *sharedScan) addMember(name string, info routedInfo, out *basket.Basket
 		joinSeq: bat.OID(sc.consumed.Load()),
 		latency: obs.NewHistogram(),
 	}
-	cur := *g.members.Load()
-	next := make([]*scanMember, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = m
+	next := append(slices.Clone(*g.members.Load()), m)
 	g.members.Store(&next)
 	sc.memberCount.Add(1)
 	return g, m, true
@@ -303,13 +311,7 @@ func (e *Engine) dropRouted(q *Query) {
 	r := q.routed
 	sc := r.scan
 	sc.regMu.Lock()
-	cur := *r.group.members.Load()
-	next := make([]*scanMember, 0, len(cur))
-	for _, m := range cur {
-		if m != r.member {
-			next = append(next, m)
-		}
-	}
+	next := slices.DeleteFunc(slices.Clone(*r.group.members.Load()), func(m *scanMember) bool { return m == r.member })
 	r.group.members.Store(&next)
 	if len(next) == 0 {
 		sc.idx.Remove(r.group.id)
@@ -444,22 +446,6 @@ func (sc *sharedScan) evalGroup(g *scanGroup, batch bat.View) (*storage.Relation
 	ctx := exec.NewContext(sc.eng.cat)
 	ctx.Overrides[sc.source] = batch
 	return exec.Run(g.node, ctx)
-}
-
-// observeScan feeds the scan transition's firings into the fire-stage
-// latency histograms (per-query trace rings get their deliver stage from
-// the members' own emitters).
-func (e *Engine) observeScan(sc *sharedScan) {
-	if e.obs == nil {
-		return
-	}
-	fireH, queueH := e.obs.fireNS[stageFire], e.obs.queueNS[stageFire]
-	sc.h.Observe(func(queueNS, fireNS int64, err error) {
-		fireH.Observe(fireNS)
-		if queueNS > 0 {
-			queueH.Observe(queueNS)
-		}
-	})
 }
 
 // groupCount returns the number of live plan groups (diagnostics).

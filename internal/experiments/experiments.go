@@ -1,5 +1,5 @@
 // Package experiments implements the paper-reproduction harness: one
-// driver per experiment in DESIGN.md (F1, E1–E7), each returning a
+// driver per experiment (F1, E1–E7; see docs/ARCHITECTURE.md), each returning a
 // printable table. cmd/dcbench renders them; the test suite asserts the
 // directional claims (who wins) on scaled-down configurations.
 package experiments

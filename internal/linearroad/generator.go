@@ -7,7 +7,7 @@
 // computes per-minute segment statistics, detects accidents, and issues
 // toll notifications under a response-time bound.
 //
-// Deviations from the full benchmark are documented in DESIGN.md: the
+// Deviations from the full benchmark (also in docs/ARCHITECTURE.md): the
 // historical account-balance/expenditure queries are omitted and travel is
 // simplified (wrap-around instead of exits). Segment volume uses the
 // benchmark's real measure — distinct vehicles per minute, computed by a

@@ -5,8 +5,8 @@ package linearroad
 // system must produce identical tolls and alerts; the experiment harness
 // compares the two.
 //
-// Semantics of this reproduction (see DESIGN.md for the deviations from
-// the full benchmark):
+// Semantics of this reproduction (see docs/ARCHITECTURE.md for the
+// deviations from the full benchmark):
 //
 //   - Minute m covers simulated seconds [60m, 60m+60).
 //   - Segment statistics per (xway, dir, seg, minute): distinct-vehicle

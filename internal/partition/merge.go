@@ -309,6 +309,10 @@ func (m *Merge) Lag() int {
 // Merged returns the cumulative number of partial tuples drained.
 func (m *Merge) Merged() int64 { return atomic.LoadInt64(&m.merged) }
 
+// Late is always 0: a plain merge has no window boundary an emission
+// could arrive behind (the windowed merge's counterpart counts them).
+func (m *Merge) Late() int64 { return 0 }
+
 // Fire implements scheduler.Transition. It peeks every tail's buffered
 // batches without consuming, appends one merged batch to the output
 // basket, and only then discards the peeked prefix — the factory
