@@ -62,7 +62,8 @@ bench:
 #                stream-table enrichment (flat vs broadcast)
 #   durability   WAL-off vs WAL-on ingest, dirty-crash recovery time
 #   obs          instrumentation on/off A/B; fails above 5% (smoke: 25%) ns/tuple
-#   multiquery   N routed filters vs per-query replicas at N = 1, 100, 10k
+#   multiquery   N routed filters vs per-query replicas at N = 1, 100, 10k,
+#                and batch rows 128/4096/16384 at 1000 matching queries
 # BENCH_CPUS_<scenario> is the GOMAXPROCS sweep of the scenarios that take
 # one; the others run at the harness default.
 BENCH_CPUS_partitioned := 1,2,4

@@ -39,7 +39,9 @@
 //   - multiquery: queries-vs-throughput of N continuous filters over one
 //     stream — the shared routed scan (one scan per stream, predicate-
 //     indexed routing, common-subplan sharing) against the naive
-//     per-query replica-basket arrangement, at N = 1, 100, 10k.
+//     per-query replica-basket arrangement, at N = 1, 100, 10k; plus a
+//     batch-size sweep (128 / 4096 / 16384 rows) at 1000 matching
+//     queries, whose ns/tuple must not rise as batches fill.
 package main
 
 import (
@@ -161,7 +163,7 @@ type ObsResult struct {
 type MultiResult struct {
 	Name         string  `json:"name"`
 	Strategy     string  `json:"strategy"` // routed | separate
-	Workload     string  `json:"workload"` // mixed | nonmatch
+	Workload     string  `json:"workload"` // mixed | nonmatch | match
 	Queries      int     `json:"queries"`
 	BatchRows    int     `json:"batch_rows"`
 	Batches      int     `json:"batches"`
@@ -188,6 +190,7 @@ type Report struct {
 	Join        []JoinResult       `json:"join,omitempty"`
 	Durability  []DurabilityResult `json:"durability,omitempty"`
 	Obs         []ObsResult        `json:"obs_overhead,omitempty"`
+	MultiBefore []MultiResult      `json:"multiquery_before_row_routing,omitempty"`
 	Multi       []MultiResult      `json:"multiquery,omitempty"`
 }
 
@@ -226,6 +229,18 @@ var partBaseline = []PartResult{
 	{Name: "partitioned_throughput", Cpus: 4, Shards: 1, Tuples: 524288, TuplesPerSec: 4574543, NsPerTuple: 218.6},
 	{Name: "partitioned_throughput", Cpus: 4, Shards: 2, Tuples: 524288, TuplesPerSec: 1261367, NsPerTuple: 792.8},
 	{Name: "partitioned_throughput", Cpus: 4, Shards: 4, Tuples: 524288, TuplesPerSec: 1249942, NsPerTuple: 800.0},
+}
+
+// multiBaseline holds the multiquery 'match' batch-size sweep measured
+// on commit e7442d5, immediately before shared-scan routing went from
+// batch level (every group some row of the batch matched re-read the
+// whole batch) to row level — same harness, same 2-CPU container as the
+// recorded 'multiquery' rows. ns/tuple rose 4.8x from 128-row to
+// 16384-row batches; the multiquery-smoke CI job now fails above 3x.
+var multiBaseline = []MultiResult{
+	{Name: "multiquery", Strategy: "routed", Workload: "match", Queries: 1000, BatchRows: 128, Batches: 1024, Tuples: 131072, RegisterMs: 33.6, TuplesPerSec: 403320, NsPerTuple: 2479.4, NsPerBatch: 317366, RowsOut: 66816},
+	{Name: "multiquery", Strategy: "routed", Workload: "match", Queries: 1000, BatchRows: 4096, Batches: 32, Tuples: 131072, RegisterMs: 18.8, TuplesPerSec: 109296, NsPerTuple: 9149.4, NsPerBatch: 37476090, RowsOut: 65788},
+	{Name: "multiquery", Strategy: "routed", Workload: "match", Queries: 1000, BatchRows: 16384, Batches: 8, Tuples: 131072, RegisterMs: 19.1, TuplesPerSec: 84539, NsPerTuple: 11828.9, NsPerBatch: 193803934, RowsOut: 65431},
 }
 
 func measure(name string, depth int, tuplesPerOp int, fn func(b *testing.B)) Result {
@@ -556,7 +571,13 @@ func benchObs(cpus, shards, tuples, rounds int, maxOverheadPct float64) []ObsRes
 //   - "nonmatch": every query is a selective equality that no batch
 //     value ever hits — isolates routing overhead, since a routed scan
 //     should do one index probe per batch and evaluate nothing.
-func benchMultiquery(strategy datacell.Strategy, workload string, nQueries, tuples int) MultiResult {
+//   - "match": every query is a selective equality (WHERE v = i) and the
+//     batch values are uniform over twice the query count, so half the
+//     rows match exactly one query each and a big batch reaches every
+//     query. Swept over batchRows, ns_per_tuple shows whether a fuller
+//     batch is cheaper per tuple (cost linear in rows) or dearer (cost
+//     rows × matched queries).
+func benchMultiquery(strategy datacell.Strategy, workload string, nQueries, tuples, batchRows int) MultiResult {
 	ctx := context.Background()
 	eng := mustEngine("CREATE BASKET mq (v INT)")
 
@@ -566,8 +587,11 @@ func benchMultiquery(strategy datacell.Strategy, workload string, nQueries, tupl
 	if matchDomain < 1 {
 		matchDomain = 1
 	}
-	if workload == "nonmatch" {
+	switch workload {
+	case "nonmatch":
 		alwaysN, selective, matchDomain = 0, nQueries, 0
+	case "match":
+		alwaysN, selective, matchDomain = 0, nQueries, 2*nQueries
 	}
 
 	regStart := time.Now()
@@ -592,8 +616,9 @@ func benchMultiquery(strategy datacell.Strategy, workload string, nQueries, tupl
 	// Prebuild a few distinct ingest batches so the timed loop measures
 	// routing + evaluation, not row construction. Mixed batches cycle
 	// values through [0, matchDomain); nonmatch batches carry a value no
-	// registered predicate accepts.
-	const batchRows, distinct = 1024, 8
+	// registered predicate accepts; match batches draw uniformly.
+	const distinct = 8
+	rng := newSplitmix(7)
 	nBatches := tuples / batchRows
 	if nBatches < 1 {
 		nBatches = 1
@@ -602,9 +627,12 @@ func benchMultiquery(strategy datacell.Strategy, workload string, nQueries, tupl
 	for b := range prebuilt {
 		v := vector.NewWithCap(vector.Int64, batchRows)
 		for i := 0; i < batchRows; i++ {
-			if matchDomain == 0 {
+			switch {
+			case matchDomain == 0:
 				v.AppendInt(-1)
-			} else {
+			case workload == "match":
+				v.AppendInt(int64(rng() % uint64(matchDomain)))
+			default:
 				v.AppendInt(int64((b*batchRows + i) % matchDomain))
 			}
 		}
@@ -639,8 +667,8 @@ func benchMultiquery(strategy datacell.Strategy, workload string, nQueries, tupl
 		NsPerBatch:   float64(elapsed.Nanoseconds()) / float64(nBatches),
 		RowsOut:      rowsOut,
 	}
-	fmt.Fprintf(os.Stderr, "%-22s strategy=%-8s workload=%-8s queries=%-6d %12.0f tuples/s %10.0f ns/batch rows_out=%d reg=%.0fms\n",
-		r.Name, r.Strategy, r.Workload, r.Queries, r.TuplesPerSec, r.NsPerBatch, r.RowsOut, r.RegisterMs)
+	fmt.Fprintf(os.Stderr, "%-22s strategy=%-8s workload=%-8s queries=%-6d batch=%-6d %12.0f tuples/s %10.0f ns/batch rows_out=%d reg=%.0fms\n",
+		r.Name, r.Strategy, r.Workload, r.Queries, r.BatchRows, r.TuplesPerSec, r.NsPerBatch, r.RowsOut, r.RegisterMs)
 	return r
 }
 
@@ -1331,8 +1359,9 @@ func main() {
 		if *smoke {
 			tuples = 1 << 14
 		}
+		const batchRows = 1024
 		for _, n := range []int{1, 100, 10_000} {
-			multi = append(multi, benchMultiquery(datacell.RoutedScan, "mixed", n, tuples))
+			multi = append(multi, benchMultiquery(datacell.RoutedScan, "mixed", n, tuples, batchRows))
 		}
 		for _, n := range []int{1, 100, 10_000} {
 			t := tuples
@@ -1344,10 +1373,15 @@ func main() {
 				}
 				t = tuples / 8
 			}
-			multi = append(multi, benchMultiquery(datacell.SeparateBaskets, "mixed", n, t))
+			multi = append(multi, benchMultiquery(datacell.SeparateBaskets, "mixed", n, t, batchRows))
 		}
 		for _, n := range []int{1, 10_000} {
-			multi = append(multi, benchMultiquery(datacell.RoutedScan, "nonmatch", n, tuples))
+			multi = append(multi, benchMultiquery(datacell.RoutedScan, "nonmatch", n, tuples, batchRows))
+		}
+		// Batch-size linearity: the same tuple count (smoke or not — eight
+		// firings at the largest batch) in ever fuller batches.
+		for _, rows := range []int{128, 4096, 16384} {
+			multi = append(multi, benchMultiquery(datacell.RoutedScan, "match", 1000, 1<<17, rows))
 		}
 	}
 
@@ -1380,7 +1414,11 @@ func main() {
 			"residuals; 'nonmatch' arms match nothing), driven batch-by-batch with a deterministic " +
 			"drain. strategy=routed shares one scan per stream with predicate-indexed routing and " +
 			"common-subplan sharing; strategy=separate is the naive per-query replica arrangement. " +
-			"ns_per_batch is the figure routing must keep near-flat as N grows.",
+			"ns_per_batch is the figure routing must keep near-flat as N grows. The 'match' arms " +
+			"(1000 equalities, values uniform over 2000 keys) sweep batch_rows at a fixed tuple " +
+			"count: ns_per_tuple must fall, not rise, as batches fill; " +
+			"'multiquery_before_row_routing' is that sweep under batch-level routing. The " +
+			"multiquery arms drain on the calling goroutine, so num_cpu does not bear on them.",
 		GoOS:        runtime.GOOS,
 		GoArch:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
@@ -1393,6 +1431,9 @@ func main() {
 		Durability:  dur,
 		Obs:         obsRes,
 		Multi:       multi,
+	}
+	if len(multi) > 0 {
+		rep.MultiBefore = multiBaseline
 	}
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

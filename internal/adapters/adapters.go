@@ -257,6 +257,9 @@ type ChannelEmitter struct {
 	sendMu  sync.Mutex
 	closed  bool
 	dropped int64
+	// parked records that Ready declined a firing because the channel was
+	// full (blocking policy); see Unparked.
+	parked atomic.Bool
 
 	// Durability hooks (guarded by sendMu). delivered counts rows handed
 	// to the subscriber since the query registered; after a restart the
@@ -336,7 +339,19 @@ func (e *ChannelEmitter) Ready() bool {
 		return false
 	default:
 	}
-	return e.policy == BackpressureDropOldest || len(e.ch) < cap(e.ch)
+	if e.policy == BackpressureDropOldest || len(e.ch) < cap(e.ch) {
+		return true
+	}
+	e.parked.Store(true)
+	return false
+}
+
+// Unparked reports, once per episode, that the emitter declined a firing
+// on a full channel which has room again. Appends wake an emitter, the
+// subscriber's receive does not, so whoever scheduled a blocking emitter
+// polls this and wakes the transition when it turns true.
+func (e *ChannelEmitter) Unparked() bool {
+	return e.parked.Load() && len(e.ch) < cap(e.ch) && e.parked.CompareAndSwap(true, false)
 }
 
 // C returns the subscription channel. It is closed by Close.

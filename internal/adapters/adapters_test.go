@@ -152,11 +152,25 @@ func TestChannelEmitterBackpressure(t *testing.T) {
 	_ = b.AppendRows([][]vector.Value{{vector.NewInt(1), vector.NewFloat(1)}})
 	_ = e.Fire()
 	_ = b.AppendRows([][]vector.Value{{vector.NewInt(2), vector.NewFloat(2)}})
+	if e.Unparked() {
+		t.Error("an emitter that never declined a firing has nothing to report")
+	}
 	// Channel full: emitter reports not ready instead of dropping.
 	if e.Ready() {
 		t.Error("full channel should gate readiness")
 	}
+	if e.Unparked() {
+		t.Error("parked on a channel that is still full: no wake is due")
+	}
 	<-e.C()
+	// The receive wakes nobody; Unparked is how the scheduler's owner
+	// learns, exactly once, that the emitter can run again.
+	if !e.Unparked() {
+		t.Error("the consumer made room: the parked emitter needs a wake")
+	}
+	if e.Unparked() {
+		t.Error("Unparked must report an episode once")
+	}
 	if !e.Ready() {
 		t.Error("drained channel should unblock")
 	}

@@ -192,6 +192,7 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 		st.in.Subscribe(h.Wake)
 		eh := e.addTransition(st.sub.em, 0)
 		st.out.Subscribe(eh.Wake)
+		st.sub.scheduled(eh)
 	}
 	return c, nil
 }

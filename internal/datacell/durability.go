@@ -123,6 +123,9 @@ type durability struct {
 
 	// ckptMu serializes whole checkpoints (ticker vs Stop vs explicit).
 	ckptMu sync.Mutex
+	// retime tells checkpointLoop that ckptEvery tightened while it was
+	// waiting out the previous cadence.
+	retime chan struct{}
 
 	// Recovery-time switches; set only while Open replays, before the
 	// engine is visible to any other goroutine.
@@ -214,10 +217,17 @@ func (d *durability) tighten(every time.Duration) {
 		return
 	}
 	d.mu.Lock()
-	if d.ckptEvery <= 0 || every < d.ckptEvery {
+	tightened := d.ckptEvery <= 0 || every < d.ckptEvery
+	if tightened {
 		d.ckptEvery = every
 	}
 	d.mu.Unlock()
+	if tightened {
+		select {
+		case d.retime <- struct{}{}:
+		default: // a re-arm is already pending; it will read the new cadence
+		}
+	}
 }
 
 // gatedTransition wraps a scheduler transition so its firing holds the
@@ -527,6 +537,7 @@ func (e *Engine) initDurability(cfg Config) error {
 		dir:       cfg.DataDir,
 		wal:       w,
 		ckptEvery: every,
+		retime:    make(chan struct{}, 1),
 		delivered: map[string]int64{},
 	}
 	if err := e.recoverDurable(); err != nil {
@@ -647,25 +658,27 @@ func (e *Engine) recoverDurable() error {
 }
 
 // checkpointLoop is the background checkpointer, launched by Start and
-// stopped with the flush ticker. The cadence is re-read every round so
-// a query's checkpoint_interval option can tighten it after Start.
+// stopped with the flush ticker. The cadence is re-read every round, and
+// a query's checkpoint_interval option tightening it after Start re-arms
+// the round in progress, so the first checkpoint under the new cadence
+// lands one new interval after the registration, not one old one.
 func (e *Engine) checkpointLoop(stop chan struct{}) {
 	d := e.dur
 	for {
 		d.mu.Lock()
 		every := d.ckptEvery
 		d.mu.Unlock()
-		if every <= 0 {
-			// Disabled: only Stop's final checkpoint runs.
-			<-stop
-			return
+		// A nil channel never fires: with the cadence disabled only Stop's
+		// final checkpoint runs, until a query turns it on.
+		var due <-chan time.Time
+		if every > 0 {
+			due = time.After(every)
 		}
-		t := time.NewTimer(every)
 		select {
 		case <-stop:
-			t.Stop()
 			return
-		case <-t.C:
+		case <-d.retime:
+		case <-due:
 			_ = e.checkpoint(false)
 		}
 	}

@@ -296,3 +296,44 @@ func TestCheckpointAdvancesPosture(t *testing.T) {
 		t.Errorf("LastCheckpoint = %v", ci.LastCheckpoint)
 	}
 }
+
+// A query's checkpoint_interval tightens the background cadence from the
+// moment it registers: the checkpointer, already waiting out the engine
+// default, re-arms, so the first checkpoint lands about one *new*
+// interval after the registration — not one default interval after Start.
+// Both starting points are covered: the 10 s default and a disabled
+// checkpointer, which the option turns on.
+func TestCheckpointIntervalAppliesToTheRoundInProgress(t *testing.T) {
+	for _, engineEvery := range []time.Duration{0, -1} {
+		t.Run(engineEvery.String(), func(t *testing.T) {
+			ctx := context.Background()
+			e, err := Open(ctx, Config{DataDir: t.TempDir(), CheckpointInterval: engineEvery})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Stop(ctx)
+			if _, err := e.Exec(ctx, "CREATE BASKET R (a INT, b INT)"); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			const every = 100 * time.Millisecond
+			registered := time.Now()
+			if _, err := e.Exec(ctx, `CREATE CONTINUOUS QUERY q WITH (checkpoint_interval = '100ms') AS
+				SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10`); err != nil {
+				t.Fatal(err)
+			}
+			// Far below the 10 s default, far above one interval on a busy host.
+			for deadline := registered.Add(3 * time.Second); e.Stats().LastCheckpoint.IsZero(); {
+				if time.Now().After(deadline) {
+					t.Fatalf("no checkpoint within %v of registering checkpoint_interval = %v", time.Since(registered), every)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := e.Stats().LastCheckpoint.Sub(registered); got < every/2 {
+				t.Errorf("first checkpoint %v after registration, before the %v interval could have elapsed", got, every)
+			}
+		})
+	}
+}

@@ -15,14 +15,17 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/basket"
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/factory"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/plan"
@@ -134,6 +137,61 @@ type Engine struct {
 	flushStop  chan struct{}
 	// done is closed exactly once, on Stop; context watchers select on it.
 	done chan struct{}
+
+	// The tick's work list — everything the passage of time, rather than
+	// an append, can make fireable. install and its undo maintain both
+	// sets, so a tick costs nothing per query that is in neither.
+	// windowed holds the factories that own a window runner: time may
+	// close their windows with no arrival. rewakes holds the transitions
+	// that can become ready with no append to wake them.
+	windowed tickSet[*factory.Factory]
+	rewakes  tickSet[*rewake]
+}
+
+// tickSet is a copy-on-write list: writers hold e.mu, the tick goroutine
+// reads it with one atomic load.
+type tickSet[T comparable] struct{ p atomic.Pointer[[]T] }
+
+func (s *tickSet[T]) list() []T {
+	if p := s.p.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func (s *tickSet[T]) add(x T) {
+	next := append(slices.Clone(s.list()), x)
+	s.p.Store(&next)
+}
+
+func (s *tickSet[T]) remove(x T) {
+	next := slices.DeleteFunc(slices.Clone(s.list()), func(y T) bool { return y == x })
+	s.p.Store(&next)
+}
+
+// rewake is a transition whose firing condition can turn true without an
+// append to any of its input places, so no listener wakes it: a blocking
+// subscription's emitter parked on a full channel (the consumer's receive
+// makes room), and a windowed merge (a shard's window frontier can pass a
+// buffered window without that shard emitting anything). The tick wakes
+// the handle when due reports the condition.
+type rewake struct {
+	h   *scheduler.Handle
+	due func() bool
+}
+
+// tickRewake enrols a transition in the tick's re-wake set and returns
+// the inverse.
+func (e *Engine) tickRewake(h *scheduler.Handle, due func() bool) (undo func()) {
+	rw := &rewake{h: h, due: due}
+	e.mu.Lock()
+	e.rewakes.add(rw)
+	e.mu.Unlock()
+	return func() {
+		e.mu.Lock()
+		e.rewakes.remove(rw)
+		e.mu.Unlock()
+	}
 }
 
 // stream is one ingestion point: the primary (shared) basket plus the
@@ -307,7 +365,7 @@ func (e *Engine) Start(ctx context.Context) error {
 			case <-stop:
 				return
 			case <-tick.C:
-				_ = e.FlushWindows()
+				e.tick()
 			}
 		}
 	}()
@@ -1156,13 +1214,22 @@ func (e *Engine) FlushWindows() error {
 		e.gate.RLock()
 		defer e.gate.RUnlock()
 	}
-	for _, q := range e.Queries() {
-		for _, f := range q.facts {
-			if err := f.FlushWindows(); err != nil {
-				return err
-			}
+	for _, f := range e.windowed.list() {
+		if err := f.FlushWindows(); err != nil {
+			return err
 		}
 	}
-	e.sched.Notify()
 	return nil
+}
+
+// tick is one beat of the running engine's 5 ms timer: close the windows
+// time has closed, then wake the transitions that became ready with no
+// append. It touches only the two tick sets, never the query table.
+func (e *Engine) tick() {
+	_ = e.FlushWindows()
+	for _, rw := range e.rewakes.list() {
+		if rw.due() {
+			rw.h.Wake()
+		}
+	}
 }

@@ -108,7 +108,7 @@ func (e *Engine) explainAnalyze(name string) (*storage.Relation, error) {
 	if r := q.routed; r != nil {
 		sc, g := r.scan, r.group
 		row("scan", sc.name, nullInt,
-			fmt.Sprintf("shared members=%d groups=%d index=%d", sc.memberCount.Load(), sc.groupCount(), sc.idx.Len()),
+			fmt.Sprintf("shared members=%d groups=%d index=%d rows_evaluated=%d", sc.memberCount.Load(), sc.groupCount(), sc.idx.Len(), sc.evaluated.Load()),
 			n(sc.rows.Load()), nullInt, n(sc.batches.Load()), n(int64(sc.primary.Len())))
 		row("route", q.Name, nullInt,
 			fmt.Sprintf("anchor=%s group_members=%d group_evals=%d", g.pred.Describe(), len(*g.members.Load()), g.evals.Load()),

@@ -52,11 +52,14 @@ type engineObs struct {
 
 	// Shared-scan routing (routed strategy): batches routed, member
 	// queries matched vs. skipped by the predicate index, and shared
-	// subplan evaluations (one per matched plan group per batch).
-	routeBatches *obs.Counter
-	routeMatched *obs.Counter
-	routeSkipped *obs.Counter
-	routeEvals   *obs.Counter
+	// subplan evaluations (one per matched plan group per batch), and the
+	// rows those evaluations were handed (the index's candidates — against
+	// batches × rows × evals, the work row-level routing saved).
+	routeBatches       *obs.Counter
+	routeMatched       *obs.Counter
+	routeSkipped       *obs.Counter
+	routeEvals         *obs.Counter
+	routeRowsEvaluated *obs.Counter
 }
 
 const (
@@ -88,6 +91,8 @@ func newEngineObs(e *Engine) *engineObs {
 		routeMatched:  reg.Counter("dc_route_matched_queries_total", "Per-batch routed-query matches (query received the batch).", nil),
 		routeSkipped:  reg.Counter("dc_route_skipped_queries_total", "Per-batch routed-query skips (predicate index proved no match).", nil),
 		routeEvals:    reg.Counter("dc_route_shared_evals_total", "Shared subplan evaluations (one per matched plan group per batch).", nil),
+
+		routeRowsEvaluated: reg.Counter("dc_route_rows_evaluated_total", "Rows handed to member plans by shared-scan routing (candidate rows per evaluated plan group).", nil),
 	}
 	for _, st := range []string{stageFire, stageMerge, stageDeliver} {
 		o.fireNS[st] = reg.Histogram("dc_stage_fire_ns", "Transition firing duration by pipeline stage, ns.", obs.Labels{"stage": st})

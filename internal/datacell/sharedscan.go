@@ -49,8 +49,8 @@ type sharedScan struct {
 	closed atomic.Bool
 
 	// fireMu (lock level 46) is held for the whole firing; see above.
-	fireMu  sync.Mutex
-	scratch []any // matched-group buffer, reused across firings (under fireMu)
+	fireMu sync.Mutex
+	probe  route.Scratch // hit and candidate-row buffers, reused across firings (under fireMu)
 
 	// regMu (lock level 44) guards groups/nextID and all writes to
 	// memberCount and the members slices.
@@ -62,6 +62,7 @@ type sharedScan struct {
 	consumed    atomic.Int64 // OID one past the newest consumed batch
 	batches     atomic.Int64
 	rows        atomic.Int64
+	evaluated   atomic.Int64 // rows handed to member plans
 }
 
 // scanGroup is one shared subplan: every routed query whose compiled
@@ -347,8 +348,9 @@ func (sc *sharedScan) Name() string { return sc.name }
 func (sc *sharedScan) Ready() bool { return sc.dirty.Load() }
 
 // Fire implements scheduler.Transition: consume the unseen suffix of
-// the primary basket once, route it, and fan shared evaluation results
-// out to the matched members.
+// the primary basket once, probe the predicate index for the candidate
+// rows of each plan group, evaluate each matched group over its
+// candidates only, and fan the result out to the group's members.
 func (sc *sharedScan) Fire() error {
 	sc.fireMu.Lock()
 	defer sc.fireMu.Unlock()
@@ -379,15 +381,23 @@ func (sc *sharedScan) Fire() error {
 	sc.batches.Add(1)
 	sc.rows.Add(int64(unseen))
 
-	matched := sc.idx.Match(batch, sc.scratch[:0])
-	sc.scratch = matched[:0]
+	// Flatten once per firing: every all-rows group then shares the
+	// columns, and candidate gathers index one segment.
+	if len(batch.Chunks) > 1 {
+		batch = bat.ViewOf(batch.Columns()...)
+	}
+	hits := sc.idx.Probe(batch, &sc.probe)
+	defer sc.probe.Release() // a dropped group must not stay pinned by the scratch
 
 	e := sc.eng
-	var delivered int64
-	var groupEvals int64
+	ctx := exec.NewContext(e.cat)
+	ctx.Overrides[sc.source] = batch
+	ctx.Restrict = map[string]bat.Candidates{}
+	var delivered, groupEvals, evaluated int64
 	var firstErr error
-	for _, p := range matched {
-		g := p.(*scanGroup)
+	last := e.clock.Now()
+	for _, hit := range hits {
+		g := hit.Payload.(*scanGroup)
 		members := *g.members.Load()
 		active := 0
 		for _, m := range members {
@@ -398,10 +408,17 @@ func (sc *sharedScan) Fire() error {
 		if active == 0 {
 			continue
 		}
-		t0 := e.clock.Now()
-		rel, err := sc.evalGroup(g, batch)
+		// The group's own plan decides what matches (and what NULL means);
+		// the index only narrowed the rows it has to look at.
+		ctx.Restrict[sc.source] = hit.Rows
+		rel, err := exec.Run(g.node, ctx)
 		g.evals.Add(1)
 		groupEvals++
+		if hit.Rows == nil {
+			evaluated += int64(unseen)
+		} else {
+			evaluated += int64(len(hit.Rows))
+		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("routed scan %s: %w", sc.stream, err)
 		}
@@ -416,9 +433,6 @@ func (sc *sharedScan) Fire() error {
 			delivered++
 			m.firings.Add(1)
 			m.tuplesIn.Add(int64(unseen))
-			if err != nil {
-				continue
-			}
 			if outRows > 0 {
 				// Fresh Relation header per member: the basket append
 				// copies values, so the column vectors are shared safely.
@@ -427,9 +441,20 @@ func (sc *sharedScan) Fire() error {
 				}
 				m.tuplesOut.Add(int64(outRows))
 			}
-			m.latency.Observe(e.clock.Now() - t0)
+		}
+		if err == nil {
+			// One clock read per group: its members share the evaluation,
+			// so they share the latency sample (evaluation plus fan-out).
+			now := e.clock.Now()
+			for _, m := range members {
+				if m.joinSeq <= base {
+					m.latency.Observe(now - last)
+				}
+			}
+			last = now
 		}
 	}
+	sc.evaluated.Add(evaluated)
 	if o := e.obs; o != nil {
 		o.routeBatches.Inc()
 		o.routeMatched.Add(delivered)
@@ -437,15 +462,9 @@ func (sc *sharedScan) Fire() error {
 			o.routeSkipped.Add(skipped)
 		}
 		o.routeEvals.Add(groupEvals)
+		o.routeRowsEvaluated.Add(evaluated)
 	}
 	return firstErr
-}
-
-// evalGroup runs the group's shared plan over the batch view.
-func (sc *sharedScan) evalGroup(g *scanGroup, batch bat.View) (*storage.Relation, error) {
-	ctx := exec.NewContext(sc.eng.cat)
-	ctx.Overrides[sc.source] = batch
-	return exec.Run(g.node, ctx)
 }
 
 // groupCount returns the number of live plan groups (diagnostics).

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/adapters"
+	"repro/internal/scheduler"
 	"repro/internal/storage"
 )
 
@@ -32,6 +33,9 @@ type Subscription struct {
 	mu     sync.Mutex
 	closed bool
 	err    error
+	// unpark leaves the tick's re-wake set (nil unless blocking and
+	// scheduled).
+	unpark func()
 }
 
 func newSubscription(e *Engine, em *adapters.ChannelEmitter) *Subscription {
@@ -40,6 +44,20 @@ func newSubscription(e *Engine, em *adapters.ChannelEmitter) *Subscription {
 	e.subs = append(e.subs, s)
 	e.mu.Unlock()
 	return s
+}
+
+// scheduled records that the emitter runs as transition h. A blocking
+// emitter goes not-ready while its channel is full and no append will
+// wake it when the consumer makes room, so it joins the tick's re-wake
+// set; a drop-oldest emitter is ready whenever results wait.
+func (s *Subscription) scheduled(h *scheduler.Handle) {
+	if s.em.Policy() != BackpressureBlock {
+		return
+	}
+	unpark := s.eng.tickRewake(h, s.em.Unparked)
+	s.mu.Lock()
+	s.unpark = unpark
+	s.mu.Unlock()
 }
 
 // C returns the delivery channel: one relation per result batch. The
@@ -94,7 +112,11 @@ func (s *Subscription) closeWith(cause error) {
 	}
 	s.closed = true
 	s.err = cause
+	unpark := s.unpark
 	s.mu.Unlock()
+	if unpark != nil {
+		unpark()
+	}
 	s.eng.sched.Remove(s.em.Name())
 	s.em.Close()
 	// Drop the engine's reference so repeated create/drop cycles don't

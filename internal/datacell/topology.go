@@ -525,10 +525,29 @@ func (q *Query) build() error {
 		q.schedule(f, stageFire, factoryDelta(f), wakeOn)
 	}
 	if q.merge != nil {
-		q.schedule(q.merge, stageMerge, counterDelta(q.merge.Merged), sinks)
+		h := q.schedule(q.merge, stageMerge, counterDelta(q.merge.Merged), sinks)
+		if t.merge == mergeWindowed {
+			q.onUndo(e.tickRewake(h, q.merge.Ready))
+		}
 	}
 	if q.sub != nil {
-		q.schedule(q.sub.em, stageDeliver, counterDelta(q.sub.em.Delivered), []place{{b: q.out}})
+		q.sub.scheduled(q.schedule(q.sub.em, stageDeliver, counterDelta(q.sub.em.Delivered), []place{{b: q.out}}))
+	}
+	// Last, so the tick flushes only fully scheduled pipelines, and first
+	// to go on a drop.
+	if t.window != nil {
+		e.mu.Lock()
+		for _, f := range q.facts {
+			e.windowed.add(f)
+		}
+		e.mu.Unlock()
+		q.onUndo(func() {
+			e.mu.Lock()
+			for _, f := range q.facts {
+				e.windowed.remove(f)
+			}
+			e.mu.Unlock()
+		})
 	}
 	return nil
 }
@@ -655,7 +674,7 @@ func (q *Query) attachInput(spec inputSpec, lane, idx int) factory.Input {
 // transitions it can enable instead of rescanning the net. The undo
 // detaches the wake-ups first, so nothing re-enqueues the transition
 // while Remove fences its last firing.
-func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int64, int64), wakeOn []place) {
+func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int64, int64), wakeOn []place) *scheduler.Handle {
 	e := q.engine
 	h := e.addTransition(t, q.topo.cfg.priority)
 	e.observeStage(q.trace, h, stage, t.Name(), delta)
@@ -669,4 +688,5 @@ func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int
 		}
 		e.sched.Remove(t.Name())
 	})
+	return h
 }

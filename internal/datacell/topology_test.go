@@ -41,10 +41,12 @@ func topoEngine(t *testing.T) *Engine {
 
 // netFootprint is everything a registration may leave behind: catalog
 // entries, fan-out replicas, shard-routing switches, shared readers,
-// scheduler transitions, subscriptions, and claimed query names.
+// scheduler transitions, subscriptions, the tick's work sets, and claimed
+// query names.
 func netFootprint(e *Engine) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "catalog=%v transitions=%d", e.cat.Names(), len(e.sched.Transitions()))
+	fmt.Fprintf(&b, " windowed=%d rewakes=%d", len(e.windowed.list()), len(e.rewakes.list()))
 	e.mu.Lock()
 	fmt.Fprintf(&b, " queries=%d subs=%d", len(e.queries), len(e.subs))
 	var streams []*stream

@@ -27,6 +27,13 @@ type Context struct {
 	// names. Factories use this to run a plan against the snapshot they
 	// locked; wrap flat columns with bat.ViewOf.
 	Overrides map[string]bat.View
+	// Restrict, when it maps a source (lower-case name) to a non-nil
+	// candidate list, makes scans of that source read only those sorted
+	// view-relative positions — a caller that already knows which rows
+	// can matter (the shared scan's predicate index) hands the plan
+	// O(candidates) rows instead of the whole view. The plan above the scan
+	// is unchanged and stays the only authority on what matches.
+	Restrict map[string]bat.Candidates
 	// Consumed collects, per basket, the snapshot positions referenced by
 	// consuming scans. The caller applies the removal (§2.6: "all tuples
 	// referenced in a basket expression are removed … automatically").
@@ -170,11 +177,12 @@ func runScan(s *plan.Scan, ctx *Context) (*storage.Relation, error) {
 		return nil, fmt.Errorf("exec: %s has %d columns, plan expects %d", s.Source, view.NumCols(), s.Src.Len())
 	}
 	n := view.NumRows()
-	var cands bat.Candidates
+	key := strings.ToLower(s.Source)
+	cands := ctx.Restrict[key]
 	if s.Filter != nil {
 		// Non-nil even when nothing matches (nil means "no filter"); grown
 		// by append so the allocation tracks matches, not source depth.
-		cands = bat.Candidates{}
+		pass := bat.Candidates{}
 		base := 0
 		for _, ch := range view.Chunks {
 			cn := ch.Len()
@@ -187,18 +195,21 @@ func runScan(s *plan.Scan, ctx *Context) (*storage.Relation, error) {
 			}
 			if cc == nil {
 				for p := 0; p < cn; p++ {
-					cands = append(cands, base+p)
+					pass = append(pass, base+p)
 				}
 			} else {
 				for _, p := range cc {
-					cands = append(cands, base+p)
+					pass = append(pass, base+p)
 				}
 			}
 			base += cn
 		}
+		if cands != nil {
+			pass = bat.Intersect(cands, pass)
+		}
+		cands = pass
 	}
 	if s.Consuming {
-		key := strings.ToLower(s.Source)
 		consumed := cands
 		if consumed == nil {
 			consumed = bat.All(n)

@@ -478,3 +478,57 @@ func TestConsumingScanNotAbsorbedByPushdown(t *testing.T) {
 		t.Errorf("outer predicate leaked into consuming scan: %s", scan.Filter)
 	}
 }
+
+// TestScanRestrict: a position restriction makes a scan read only those
+// rows, composes with the scan's own filter by intersection, and leaves
+// the plan above it to decide what matches. A consuming scan consumes
+// only what it was shown.
+func TestScanRestrict(t *testing.T) {
+	cat := testDB(t)
+	build := func(q string) plan.Node {
+		sel, err := sql.ParseSelect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.Build(sel, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ids := func(p plan.Node, restrict bat.Candidates) ([]int64, *Context) {
+		ctx := NewContext(cat)
+		ctx.Restrict = map[string]bat.Candidates{"events": restrict}
+		rel, err := Run(p, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]int64{}, rel.Cols[0].Ints()...), ctx
+	}
+	equal := func(what string, got, want []int64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: got %v, want %v", what, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: got %v, want %v", what, got, want)
+			}
+		}
+	}
+
+	outer := build("SELECT e.id FROM [SELECT * FROM events] AS e WHERE e.v >= 30")
+	got, ctx := ids(outer, bat.Candidates{1, 3, 4, 8})
+	equal("restricted scan under a Select", got, []int64{3, 4, 8})
+	if c := ctx.Consumed["events"]; len(c) != 4 {
+		t.Errorf("consumed %v, want exactly the four rows shown", c)
+	}
+	got, _ = ids(outer, nil)
+	equal("nil restriction reads everything", got, []int64{3, 4, 5, 6, 7, 8, 9})
+	got, _ = ids(outer, bat.Candidates{})
+	equal("empty restriction reads nothing", got, nil)
+
+	filtered := build("SELECT e.id FROM [SELECT * FROM events WHERE v >= 30] AS e")
+	got, _ = ids(filtered, bat.Candidates{1, 3, 4, 8})
+	equal("restriction ∩ scan filter", got, []int64{3, 4, 8})
+}

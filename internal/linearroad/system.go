@@ -73,7 +73,6 @@ func NewSystem() (*System, error) {
 	// The toll processor's private stream replica. Ingest only fans out to
 	// engine-managed replicas, so Feed routes into it explicitly.
 	posIn := basket.New("lr_tollproc_in", schema, clock)
-	posIn.OnAppend(eng.Scheduler().Notify)
 	statsEntry, err := eng.Catalog().Lookup("segstats_out")
 	if err != nil {
 		return nil, err
@@ -88,7 +87,9 @@ func NewSystem() (*System, error) {
 		logic:   newTollLogic(),
 		stats:   map[segKey]map[int64]sqlStat{},
 	}
-	eng.Scheduler().Add(proc)
+	h := eng.Scheduler().Register(proc, 0)
+	posIn.Subscribe(h.Wake)
+	statsBasket.Subscribe(h.Wake)
 	return &System{eng: eng, clock: clock, proc: proc, Latency: metrics.NewHistogram()}, nil
 }
 

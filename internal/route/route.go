@@ -1,30 +1,46 @@
 // Package route implements the predicate index behind shared-scan
 // multi-query execution: a discrimination network over the selection
 // predicates of the continuous queries registered on one stream. Each
-// ingested batch is matched against the index once — equality predicates
-// through per-column hash buckets probed with the batch's distinct
-// values, range predicates through min/max interval overlap, everything
-// else through a residual always-visit list — so a batch reaches only
-// the query groups whose filters can possibly match it, and the other
-// groups cost nothing per firing.
+// ingested batch is probed against the index once, and the probe answers
+// per row, not per batch: every matched entry comes back with the
+// candidate row positions its anchor admits, so the caller evaluates the
+// entry's plan over those rows only.
 //
-// The index is copy-on-write: Match loads an immutable snapshot with one
+//   - An equality anchor (column = constant) hashes into a per-column
+//     bucket. One pass per indexed column groups the batch's row positions
+//     by bucket key; the entries of one bucket share one list.
+//   - A range anchor (an interval over one numeric column) gets its rows
+//     from one typed pass over the column, skipped when the column's batch
+//     min/max cannot overlap the interval.
+//   - Residual entries (no indexable atom) and pending entries (added
+//     since the last rebuild) get all rows.
+//
+// A probe therefore costs O(rows × indexed columns + range entries ×
+// rows) and hands out O(Σ candidates) row positions, instead of the
+// caller paying O(rows) for every entry some row of the batch matches.
+//
+// The index is copy-on-write: Probe loads an immutable snapshot with one
 // atomic read, while Add/Remove build replacement state under a writer
 // mutex. Additions park in a pending overlay (matched conservatively as
-// always-match) until the owner calls FlushIfDirty, which folds them
-// into a fresh snapshot — this keeps registering N queries O(N) instead
-// of O(N²) full rebuilds.
+// all-rows) until the owner calls FlushIfDirty, which folds them into a
+// fresh snapshot — this keeps registering N queries O(N) instead of O(N²)
+// full rebuilds. The per-probe row lists live in a Scratch the caller
+// owns, so the shared snapshot stays immutable.
 //
-// Matching is conservative by construction: an anchor atom is one
-// conjunct of the query's predicate, so "anchor cannot match" implies
-// "predicate cannot match", and anything the index cannot normalize
-// falls back to the residual list. The index never proves a match — the
-// routed group still evaluates its full plan — it only proves misses.
+// Matching is conservative by construction, row by row: an anchor atom is
+// one conjunct of the entry's predicate, so a row absent from an entry's
+// list cannot satisfy its predicate, and a row whose anchor column is
+// NULL is in no list (NULL compares unknown, which never selects). A row
+// present in a list may still fail the other conjuncts, and anything the
+// index cannot normalize falls back to the residual list. The index never
+// proves a match — the routed group still evaluates its full plan over
+// the candidates — it only proves misses.
 package route
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -417,16 +433,35 @@ type entry struct {
 	pred    Pred
 }
 
-// state is the immutable matching structure Match reads with a single
+// bucket is the entries anchored on one (column, key) equality. They
+// share one candidate row list per probe, addressed by slot.
+type bucket struct {
+	slot    int
+	entries []*entry
+}
+
+// eqColumn holds one indexed column's equality buckets, keyed in the
+// column's native domain (only the map of the column's type is filled) so
+// the per-row probe hashes a machine word, not a tagged struct.
+type eqColumn struct {
+	col    int
+	ints   map[int64]*bucket // Int64 and Timestamp columns
+	floats map[float64]*bucket
+	strs   map[string]*bucket
+	bools  map[bool]*bucket
+}
+
+// state is the immutable matching structure Probe reads with a single
 // atomic load: the discrimination network plus the pending overlay of
 // entries added since the last rebuild (visited unconditionally). The
 // network and the overlay are published together so a concurrent
 // rebuild — which moves entries from the overlay into the network, or
-// drops removed ones from both — can never leave Match seeing an entry
+// drops removed ones from both — can never leave Probe seeing an entry
 // in both places (duplicate routing) or in neither (a silently missed
 // batch).
 type state struct {
-	eq       map[int]map[vkey][]*entry // column -> value -> entries
+	eq       []*eqColumn
+	buckets  []*bucket // by slot
 	rngs     []*entry
 	residual []*entry
 	pending  []*entry
@@ -466,15 +501,13 @@ func (ix *Index) Add(id uint64, p Pred, payload any) {
 	if p.kind == Never {
 		return // never matches; no need to route it at all
 	}
-	old := ix.st.Load()
-	pending := make([]*entry, len(old.pending)+1)
-	copy(pending, old.pending)
-	pending[len(old.pending)] = e
-	ix.st.Store(&state{eq: old.eq, rngs: old.rngs, residual: old.residual, pending: pending})
+	next := *ix.st.Load()
+	next.pending = append(slices.Clone(next.pending), e)
+	ix.st.Store(&next)
 }
 
 // Remove drops the entry registered under id and publishes a rebuilt
-// snapshot, so no later Match can return its payload.
+// snapshot, so no later Probe can return its payload.
 func (ix *Index) Remove(id uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -504,16 +537,23 @@ func (ix *Index) FlushIfDirty() {
 // rebuildLocked publishes a fresh state from master with an empty
 // pending overlay. Caller holds mu.
 func (ix *Index) rebuildLocked() {
-	next := &state{eq: map[int]map[vkey][]*entry{}}
+	next := &state{}
+	cols := map[int]*eqColumn{}
 	for _, e := range ix.master {
 		switch e.pred.kind {
 		case Eq:
-			buckets := next.eq[e.pred.col]
-			if buckets == nil {
-				buckets = map[vkey][]*entry{}
-				next.eq[e.pred.col] = buckets
+			c := cols[e.pred.col]
+			if c == nil {
+				c = &eqColumn{col: e.pred.col}
+				cols[e.pred.col] = c
+				next.eq = append(next.eq, c)
 			}
-			buckets[e.pred.key] = append(buckets[e.pred.key], e)
+			b := c.bucketFor(e.pred.key)
+			if b.entries == nil {
+				b.slot = len(next.buckets)
+				next.buckets = append(next.buckets, b)
+			}
+			b.entries = append(b.entries, e)
 		case Range:
 			next.rngs = append(next.rngs, e)
 		case Residual:
@@ -523,103 +563,230 @@ func (ix *Index) rebuildLocked() {
 	ix.st.Store(next)
 }
 
+// bucketFor returns the bucket of key k, creating it empty on first use.
+func (c *eqColumn) bucketFor(k vkey) *bucket {
+	switch k.kind {
+	case keyInt:
+		return getOrAdd(&c.ints, k.i)
+	case keyFloat:
+		return getOrAdd(&c.floats, k.f)
+	case keyString:
+		return getOrAdd(&c.strs, k.s)
+	default:
+		return getOrAdd(&c.bools, k.b)
+	}
+}
+
+func getOrAdd[T comparable](m *map[T]*bucket, k T) *bucket {
+	if *m == nil {
+		*m = map[T]*bucket{}
+	}
+	b := (*m)[k]
+	if b == nil {
+		b = &bucket{}
+		(*m)[k] = b
+	}
+	return b
+}
+
+// Hit is one entry the batch may satisfy, with the rows that may do so.
+type Hit struct {
+	Payload any
+	// Rows lists, ascending, the batch positions the entry's anchor
+	// admits: a position absent from it cannot satisfy the entry's
+	// predicate, a position in it may still fail the other conjuncts. Nil
+	// means every row (residual and pending entries). Hits of one
+	// equality bucket share one list; all lists alias the Scratch.
+	Rows bat.Candidates
+}
+
+// Scratch is Probe's working memory: the hit list and the candidate row
+// lists it points into. The caller owns it, must not use one Scratch
+// from two goroutines at once, and may read what Probe returned until it
+// passes the same Scratch to Probe again. Call Release when the hits are
+// consumed so the scratch does not pin payloads between probes.
+type Scratch struct {
+	hits    []Hit
+	rows    []bat.Candidates // per bucket slot
+	touched []int            // slots with at least one row this probe
+	ranges  []bat.Candidates // per range entry
+	stats   []colStats       // min/max of the range-anchored columns
+}
+
+// Release clears the payload references of the last probe's hits.
+func (sc *Scratch) Release() { clear(sc.hits) }
+
+// Probe returns every entry the batch may satisfy with its candidate
+// rows: residual and pending entries with all rows, an equality entry
+// with the rows holding its key (one pass per indexed column groups the
+// row positions by bucket, whatever the number of entries), a range entry
+// with the rows inside its interval (one typed pass per entry, skipped
+// when the column's min/max cannot overlap). NULLs are in no list. An
+// entry with no candidate row is not returned. Safe for concurrent use
+// with Add/Remove; sc carries the result (see Scratch).
+func (ix *Index) Probe(batch bat.View, sc *Scratch) []Hit {
+	st := ix.st.Load()
+	for _, slot := range sc.touched {
+		sc.rows[slot] = sc.rows[slot][:0]
+	}
+	sc.touched = sc.touched[:0]
+	if len(sc.rows) < len(st.buckets) {
+		sc.rows = append(sc.rows, make([]bat.Candidates, len(st.buckets)-len(sc.rows))...)
+	}
+	hits := sc.hits[:0]
+	for _, e := range st.residual {
+		hits = append(hits, Hit{Payload: e.payload})
+	}
+	for _, e := range st.pending {
+		hits = append(hits, Hit{Payload: e.payload})
+	}
+	for _, c := range st.eq {
+		c.groupRows(batch, sc)
+	}
+	for _, slot := range sc.touched {
+		for _, e := range st.buckets[slot].entries {
+			hits = append(hits, Hit{Payload: e.payload, Rows: sc.rows[slot]})
+		}
+	}
+	if len(sc.ranges) < len(st.rngs) {
+		sc.ranges = append(sc.ranges, make([]bat.Candidates, len(st.rngs)-len(sc.ranges))...)
+	}
+	sc.stats = sc.stats[:0]
+	for i, e := range st.rngs {
+		if !overlaps(&e.pred.iv, sc.columnStats(batch, e.pred.col)) {
+			continue
+		}
+		rows := rangeRows(batch, e.pred.col, &e.pred.iv, sc.ranges[i][:0])
+		sc.ranges[i] = rows
+		if len(rows) > 0 {
+			hits = append(hits, Hit{Payload: e.payload, Rows: rows})
+		}
+	}
+	sc.hits = hits
+	return hits
+}
+
+// Match appends to out the payloads of every entry the batch may
+// satisfy — Probe without the row lists.
+func (ix *Index) Match(batch bat.View, out []any) []any {
+	var sc Scratch
+	for _, h := range ix.Probe(batch, &sc) {
+		out = append(out, h.Payload)
+	}
+	return out
+}
+
+// groupRows appends each non-null row position of the column to the list
+// of the bucket its value keys — one pass over the rows regardless of
+// how many entries anchor on the column.
+func (c *eqColumn) groupRows(batch bat.View, sc *Scratch) {
+	base := 0
+	for _, ch := range batch.Chunks {
+		if c.col < len(ch.Cols) {
+			v := ch.Cols[c.col]
+			switch v.Type() {
+			case vector.Int64, vector.Timestamp:
+				groupTyped(v.Ints(), v, base, c.ints, sc)
+			case vector.Float64:
+				groupTyped(v.Floats(), v, base, c.floats, sc)
+			case vector.String:
+				groupTyped(v.Strings(), v, base, c.strs, sc)
+			case vector.Bool:
+				groupTyped(v.Bools(), v, base, c.bools, sc)
+			}
+		}
+		base += ch.Len()
+	}
+}
+
+func groupTyped[T comparable](vals []T, v *vector.Vector, base int, buckets map[T]*bucket, sc *Scratch) {
+	if len(buckets) == 0 {
+		return
+	}
+	nulls := v.HasNulls()
+	for i, x := range vals {
+		b := buckets[x]
+		if b == nil || (nulls && v.IsNull(i)) {
+			continue
+		}
+		if len(sc.rows[b.slot]) == 0 {
+			sc.touched = append(sc.touched, b.slot)
+		}
+		sc.rows[b.slot] = append(sc.rows[b.slot], base+i)
+	}
+}
+
+// rangeRows appends the positions of the column's non-null values inside
+// iv. The interval's domain is the column type's, so only the matching
+// case runs.
+func rangeRows(batch bat.View, col int, iv *interval, out bat.Candidates) bat.Candidates {
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64) // integer bounds are closed
+	if iv.hasLo {
+		lo = iv.loI
+	}
+	if iv.hasHi {
+		hi = iv.hiI
+	}
+	// lo <= x <= hi as one unsigned compare: in a sparse interval two
+	// signed ones mispredict on different rows.
+	span := uint64(hi) - uint64(lo)
+	base := 0
+	for _, ch := range batch.Chunks {
+		if col < len(ch.Cols) {
+			v := ch.Cols[col]
+			nulls := v.HasNulls()
+			switch {
+			case !iv.isFloat && (v.Type() == vector.Int64 || v.Type() == vector.Timestamp):
+				for i, x := range v.Ints() {
+					if uint64(x)-uint64(lo) > span || (nulls && v.IsNull(i)) {
+						continue
+					}
+					out = append(out, base+i)
+				}
+			case iv.isFloat && v.Type() == vector.Float64:
+				for i, x := range v.Floats() {
+					if !iv.containsFloat(x) || (nulls && v.IsNull(i)) {
+						continue
+					}
+					out = append(out, base+i)
+				}
+			}
+		}
+		base += ch.Len()
+	}
+	return out
+}
+
+// containsFloat reports whether x lies inside a float interval; NaN lies
+// in none, as no comparison with it holds.
+func (iv *interval) containsFloat(x float64) bool {
+	if iv.hasLo && !(x > iv.loF || (x == iv.loF && !iv.loOpen)) {
+		return false
+	}
+	if iv.hasHi && !(x < iv.hiF || (x == iv.hiF && !iv.hiOpen)) {
+		return false
+	}
+	return x == x
+}
+
 // colStats caches one column's batch min/max for interval overlap tests.
 type colStats struct {
+	col        int
 	any        bool
 	minI, maxI int64
 	minF, maxF float64
 }
 
-// Match appends to out the payloads of every entry whose predicate may
-// match the batch: residual and pending entries always, equality entries
-// whose bucket key occurs among the batch's distinct values, range
-// entries whose interval overlaps the batch column's min/max. Each
-// distinct predicate atom is evaluated once per batch, not once per
-// query. Safe for concurrent use with Add/Remove.
-func (ix *Index) Match(batch bat.View, out []any) []any {
-	st := ix.st.Load()
-	for _, e := range st.residual {
-		out = append(out, e.payload)
-	}
-	for _, e := range st.pending {
-		out = append(out, e.payload)
-	}
-	for col, buckets := range st.eq {
-		out = probeColumn(batch, col, buckets, out)
-	}
-	if len(st.rngs) > 0 {
-		stats := map[int]*colStats{}
-		for _, e := range st.rngs {
-			st := stats[e.pred.col]
-			if st == nil {
-				st = columnStats(batch, e.pred.col)
-				stats[e.pred.col] = st
-			}
-			if overlaps(&e.pred.iv, st) {
-				out = append(out, e.payload)
-			}
+// columnStats returns the batch min/max of one column, skipping nulls,
+// computed once per probe per column.
+func (sc *Scratch) columnStats(batch bat.View, col int) *colStats {
+	for i := range sc.stats {
+		if sc.stats[i].col == col {
+			return &sc.stats[i]
 		}
 	}
-	return out
-}
-
-// probeColumn hashes the batch's distinct non-null values of one column
-// into the eq buckets — one pass over the rows regardless of how many
-// queries anchor on the column.
-func probeColumn(batch bat.View, col int, buckets map[vkey][]*entry, out []any) []any {
-	seen := map[vkey]struct{}{}
-	probe := func(k vkey) {
-		if _, dup := seen[k]; dup {
-			return
-		}
-		seen[k] = struct{}{}
-		for _, e := range buckets[k] {
-			out = append(out, e.payload)
-		}
-	}
-	for _, ch := range batch.Chunks {
-		if col >= len(ch.Cols) {
-			continue
-		}
-		v := ch.Cols[col]
-		nulls := v.HasNulls()
-		switch v.Type() {
-		case vector.Int64, vector.Timestamp:
-			for i, x := range v.Ints() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				probe(vkey{kind: keyInt, i: x})
-			}
-		case vector.Float64:
-			for i, x := range v.Floats() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				probe(vkey{kind: keyFloat, f: x})
-			}
-		case vector.String:
-			for i, x := range v.Strings() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				probe(vkey{kind: keyString, s: x})
-			}
-		case vector.Bool:
-			for i, x := range v.Bools() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				probe(vkey{kind: keyBool, b: x})
-			}
-		}
-	}
-	return out
-}
-
-// columnStats computes the batch min/max of one column, skipping nulls.
-func columnStats(batch bat.View, col int) *colStats {
-	st := &colStats{}
+	sc.stats = append(sc.stats, colStats{col: col})
+	st := &sc.stats[len(sc.stats)-1]
 	for _, ch := range batch.Chunks {
 		if col >= len(ch.Cols) {
 			continue

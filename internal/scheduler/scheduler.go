@@ -27,8 +27,10 @@
 // After a firing the worker re-checks Ready and self-requeues at the tail
 // of its run-queue, so a continuously-ready transition keeps running
 // without starving others and without any periodic polling in the workers.
-// Time-based windows are advanced by the engine's dedicated timer
-// goroutine (which calls Notify), not by per-worker tickers.
+// There is no broadcast wake: whoever makes a transition fireable by
+// other means than an append (the engine's timer goroutine, for windows
+// that time closes and emitters a consumer un-blocks) wakes that
+// transition's Handle.
 package scheduler
 
 import (
@@ -355,20 +357,6 @@ func (s *Scheduler) Transitions() []Transition {
 		out[i] = e.t
 	}
 	return out
-}
-
-// Notify wakes every registered transition — the legacy broadcast kick.
-// The engine's timer goroutine calls it so time-based windows advance;
-// hot-path appends should use the per-transition Handle.Wake instead.
-func (s *Scheduler) Notify() {
-	if s.pool.Load() == nil {
-		return
-	}
-	s.mu.Lock()
-	for _, h := range s.entries {
-		h.Wake()
-	}
-	s.mu.Unlock()
 }
 
 // Step runs one deterministic pass: every currently-ready transition fires

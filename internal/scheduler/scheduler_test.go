@@ -114,12 +114,12 @@ func TestRemove(t *testing.T) {
 func TestConcurrentModeProcessesStream(t *testing.T) {
 	s := New()
 	var in, out int64
-	s.Add(&tokenTransition{name: "t", in: &in, out: &out, min: 1})
+	h := s.Register(&tokenTransition{name: "t", in: &in, out: &out, min: 1}, 0)
 	s.Start(4)
 	defer s.Stop()
 	for i := 0; i < 100; i++ {
 		atomic.AddInt64(&in, 10)
-		s.Notify()
+		h.Wake()
 	}
 	deadline := time.After(5 * time.Second)
 	for atomic.LoadInt64(&out) != 1000 {
