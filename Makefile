@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-tool lint fmt bench bench-go bench-profile bench-sched check FORCE
+.PHONY: build test race vet vet-tool lint fmt size bench bench-go bench-profile bench-sched check FORCE
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,12 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# size prints the non-test Go code-line count outside bench/ (blank and
+# comment-only lines excluded): the one number a simplicity PR quotes
+# before and after.
+size:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | grep -cvE '^\s*(//.*)?$$'
 
 # bench measures the ingest→fire→emit hot path, the storage-level
 # consumption primitives at several basket depths, and the partitioned

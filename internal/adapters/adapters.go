@@ -7,9 +7,7 @@
 package adapters
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,175 +45,6 @@ func FormatTuple(row []vector.Value) string {
 		parts[i] = v.String()
 	}
 	return strings.Join(parts, ",")
-}
-
-// Receptor is a separate thread that continuously picks up incoming events
-// from a channel, validates their structure, and appends them to one or
-// more baskets (several, under the separate-baskets strategy).
-type Receptor struct {
-	name    string
-	schema  *catalog.Schema // user schema (no ts)
-	targets []*basket.Basket
-	batch   int
-
-	mu       sync.Mutex
-	received int64
-	rejected int64
-}
-
-// NewReceptor builds a receptor delivering into the given baskets. batch
-// controls how many tuples are accumulated before an append (1 = per-tuple
-// delivery; larger batches exercise the engine's bulk advantage).
-func NewReceptor(name string, schema *catalog.Schema, targets []*basket.Basket, batch int) *Receptor {
-	if batch < 1 {
-		batch = 1
-	}
-	return &Receptor{name: name, schema: schema, targets: targets, batch: batch}
-}
-
-// Name returns the receptor name.
-func (r *Receptor) Name() string { return r.name }
-
-// Received returns the number of accepted tuples.
-func (r *Receptor) Received() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.received
-}
-
-// Rejected returns the number of malformed tuples dropped.
-func (r *Receptor) Rejected() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rejected
-}
-
-// AddTarget registers another basket to replicate into (separate-baskets
-// strategy: each new query brings its private input basket).
-func (r *Receptor) AddTarget(b *basket.Basket) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.targets = append(r.targets, b)
-}
-
-// Deliver validates and appends a batch of already-parsed rows to every
-// target basket.
-func (r *Receptor) Deliver(rows [][]vector.Value) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	r.mu.Lock()
-	targets := append([]*basket.Basket(nil), r.targets...)
-	r.received += int64(len(rows))
-	r.mu.Unlock()
-	for _, b := range targets {
-		if err := b.AppendRows(rows); err != nil {
-			return fmt.Errorf("receptor %s: %w", r.name, err)
-		}
-	}
-	return nil
-}
-
-// Consume reads newline-delimited tuples from rd until EOF, delivering
-// them in batches. Malformed lines are counted and skipped — a receptor
-// must not die because one sensor hiccuped. It is meant to run on its own
-// goroutine (the paper's receptor thread).
-func (r *Receptor) Consume(rd io.Reader) error {
-	scanner := bufio.NewScanner(rd)
-	scanner.Buffer(make([]byte, 64*1024), 1024*1024)
-	pending := make([][]vector.Value, 0, r.batch)
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		err := r.Deliver(pending)
-		pending = pending[:0]
-		return err
-	}
-	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" {
-			continue
-		}
-		row, err := ParseTuple(r.schema, line)
-		if err != nil {
-			r.mu.Lock()
-			r.rejected++
-			r.mu.Unlock()
-			continue
-		}
-		pending = append(pending, row)
-		if len(pending) >= r.batch {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	return scanner.Err()
-}
-
-// Emitter is a transition that picks up result tuples from an output
-// basket and delivers them to the interested client as text. It implements
-// scheduler.Transition.
-type Emitter struct {
-	name   string
-	source *basket.Basket
-	out    io.Writer
-
-	mu        sync.Mutex
-	delivered int64
-}
-
-// NewEmitter builds an emitter draining source into w.
-func NewEmitter(name string, source *basket.Basket, w io.Writer) *Emitter {
-	return &Emitter{name: name, source: source, out: w}
-}
-
-// Name implements scheduler.Transition.
-func (e *Emitter) Name() string { return e.name }
-
-// Ready implements scheduler.Transition: fire when results wait.
-func (e *Emitter) Ready() bool { return e.source.Len() > 0 }
-
-// Delivered returns the number of tuples written so far.
-func (e *Emitter) Delivered() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.delivered
-}
-
-// Fire implements scheduler.Transition: drain the basket and write every
-// tuple (without the implicit ts column) to the client.
-func (e *Emitter) Fire() error {
-	e.source.Lock()
-	view, n := e.source.LockedSnapshot()
-	e.source.LockedDropPrefix(n)
-	e.source.Unlock()
-	if n == 0 {
-		return nil
-	}
-	userW := e.source.UserWidth()
-	var b strings.Builder
-	row := make([]vector.Value, userW)
-	for _, ch := range view.Chunks {
-		for i := 0; i < ch.Len(); i++ {
-			for c := 0; c < userW; c++ {
-				row[c] = ch.Cols[c].Get(i)
-			}
-			b.WriteString(FormatTuple(row))
-			b.WriteByte('\n')
-		}
-	}
-	e.mu.Lock()
-	e.delivered += int64(n)
-	e.mu.Unlock()
-	if _, err := io.WriteString(e.out, b.String()); err != nil {
-		return fmt.Errorf("emitter %s: %w", e.name, err)
-	}
-	return nil
 }
 
 // Backpressure selects what a channel emitter does when its subscriber

@@ -1,7 +1,6 @@
 package adapters
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/basket"
@@ -55,69 +54,6 @@ func TestFormatRoundTrip(t *testing.T) {
 	}
 	if vector.Compare(back[0], row[0]) != 0 || vector.Compare(back[1], row[1]) != 0 {
 		t.Errorf("round trip: %v -> %q -> %v", row, line, back)
-	}
-}
-
-func TestReceptorConsume(t *testing.T) {
-	clk := metrics.NewManualClock(1)
-	b := basket.New("in", schemaIV(), clk)
-	r := NewReceptor("rec", schemaIV(), []*basket.Basket{b}, 3)
-	input := "1,1.5\n2,2.5\n\nbogus line\n3,3.5\n4,4.5\n"
-	if err := r.Consume(strings.NewReader(input)); err != nil {
-		t.Fatal(err)
-	}
-	if r.Received() != 4 {
-		t.Errorf("received = %d", r.Received())
-	}
-	if r.Rejected() != 1 {
-		t.Errorf("rejected = %d", r.Rejected())
-	}
-	if b.Len() != 4 {
-		t.Errorf("basket len = %d", b.Len())
-	}
-}
-
-func TestReceptorReplicatesToAllTargets(t *testing.T) {
-	clk := metrics.NewManualClock(1)
-	b1 := basket.New("q1", schemaIV(), clk)
-	b2 := basket.New("q2", schemaIV(), clk)
-	r := NewReceptor("rec", schemaIV(), []*basket.Basket{b1}, 1)
-	r.AddTarget(b2)
-	if err := r.Deliver([][]vector.Value{{vector.NewInt(1), vector.NewFloat(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	if b1.Len() != 1 || b2.Len() != 1 {
-		t.Errorf("replication: %d %d", b1.Len(), b2.Len())
-	}
-}
-
-func TestEmitterDrains(t *testing.T) {
-	clk := metrics.NewManualClock(1)
-	b := basket.New("out", schemaIV(), clk)
-	_ = b.AppendRows([][]vector.Value{
-		{vector.NewInt(1), vector.NewFloat(1.5)},
-		{vector.NewInt(2), vector.NewFloat(2.5)},
-	})
-	var sb strings.Builder
-	e := NewEmitter("emit", b, &sb)
-	if !e.Ready() {
-		t.Fatal("emitter should be ready")
-	}
-	if err := e.Fire(); err != nil {
-		t.Fatal(err)
-	}
-	want := "1,1.5\n2,2.5\n"
-	if sb.String() != want {
-		t.Errorf("output = %q, want %q", sb.String(), want)
-	}
-	if e.Delivered() != 2 {
-		t.Errorf("delivered = %d", e.Delivered())
-	}
-	if b.Len() != 0 {
-		t.Errorf("basket not drained: %d", b.Len())
-	}
-	if e.Ready() {
-		t.Error("drained emitter should not be ready")
 	}
 }
 

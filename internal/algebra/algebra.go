@@ -510,15 +510,6 @@ func SortOrder(keys []*vector.Vector, desc []bool, cands bat.Candidates) bat.Can
 	return out
 }
 
-// TopN returns the first n candidates of the sort order (ORDER BY … LIMIT n).
-func TopN(keys []*vector.Vector, desc []bool, cands bat.Candidates, n int) bat.Candidates {
-	ordered := SortOrder(keys, desc, cands)
-	if n < len(ordered) {
-		ordered = ordered[:n]
-	}
-	return ordered
-}
-
 // Distinct returns one candidate per distinct composite key, preserving
 // first-seen order.
 func Distinct(keys []*vector.Vector, cands bat.Candidates) bat.Candidates {

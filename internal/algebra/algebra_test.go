@@ -273,16 +273,6 @@ func TestSortNullsFirst(t *testing.T) {
 	assertCands(t, got, bat.Candidates{1, 2, 0})
 }
 
-func TestTopN(t *testing.T) {
-	v := vector.FromInts([]int64{5, 3, 9, 1})
-	got := TopN([]*vector.Vector{v}, []bool{false}, nil, 2)
-	assertCands(t, got, bat.Candidates{3, 1})
-	got = TopN([]*vector.Vector{v}, []bool{false}, nil, 10)
-	if len(got) != 4 {
-		t.Errorf("TopN over-limit = %v", got)
-	}
-}
-
 func TestDistinct(t *testing.T) {
 	v := vector.FromStrings([]string{"a", "b", "a", "b", "c"})
 	got := Distinct([]*vector.Vector{v}, nil)

@@ -69,7 +69,6 @@ type Basket struct {
 	// the pre-bound admission callback (avoids a closure per drain).
 	feed     Feed
 	feedEmit func(cols []*vector.Vector, ts int64) error
-	feedErr  error
 	// capacity, when positive, bounds the basket: appends beyond it shed
 	// the oldest tuples (the paper's load-shedding requirement). shed
 	// counts the victims.
@@ -101,21 +100,6 @@ func (b *Basket) Schema() *catalog.Schema { return b.schema }
 
 // UserWidth returns the number of user columns (excluding ts).
 func (b *Basket) UserWidth() int { return b.schema.Len() - 1 }
-
-// OnAppend replaces all append listeners with the single given hook (or
-// none, when fn is nil). It predates Subscribe and is kept for callers
-// that want one broadcast hook; engine wiring uses Subscribe so each
-// downstream transition gets a targeted wake.
-func (b *Basket) OnAppend(fn func()) {
-	b.lisMu.Lock()
-	defer b.lisMu.Unlock()
-	if fn == nil {
-		b.listeners.Store(nil)
-		return
-	}
-	ls := []listener{{id: b.lisSeq.Add(1), fn: fn}}
-	b.listeners.Store(&ls)
-}
 
 // Subscribe registers an append listener and returns its id for
 // Unsubscribe. Listeners run outside the basket lock after every append;
@@ -179,21 +163,15 @@ func (b *Basket) SetFeed(f Feed) {
 	b.mu.Unlock()
 }
 
-// FeedErr returns the most recent feed admission error, if any.
-func (b *Basket) FeedErr() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.feedErr
-}
-
 // admitLocked drains staged batches into the table; the caller holds mu.
 func (b *Basket) admitLocked() {
 	if b.feed == nil || b.feed.Pending() == 0 {
 		return
 	}
-	if err := b.feed.Drain(b.feedEmit); err != nil {
-		b.feedErr = err
-	}
+	// A staged batch of the wrong shape is refused here as Append would
+	// refuse it; the Ingest that staged it has long returned, so there is
+	// no caller left to tell and the batch is dropped.
+	_ = b.feed.Drain(b.feedEmit)
 }
 
 // Len returns the number of buffered tuples.
@@ -234,14 +212,6 @@ func (b *Basket) Append(cols []*vector.Vector) error {
 	}
 	b.notify()
 	return nil
-}
-
-// LockedAppend is Append for a caller that already holds Lock — retained
-// for callers that append to several baskets under their locks at once.
-// The caller fires NotifyAppend after unlocking. (The engine's sharded
-// fan-out now stages through a Feed instead.)
-func (b *Basket) LockedAppend(cols []*vector.Vector) error {
-	return b.stampedAppendLocked(cols, b.clock.Now())
 }
 
 // stampedAppendLocked is the append core: stamp every tuple with the given
@@ -336,15 +306,6 @@ func (b *Basket) Snapshot() bat.View {
 	defer b.mu.Unlock()
 	b.admitLocked()
 	return b.table.Snapshot()
-}
-
-// SnapshotAt returns the chunked view, the head OID, and the length of
-// the current content in one consistent view.
-func (b *Basket) SnapshotAt() (view bat.View, hseq bat.OID, n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.admitLocked()
-	return b.table.Snapshot(), b.table.Hseq(), b.table.NumRows()
 }
 
 // Stats reports the physical layout of the basket: resident chunk count,
@@ -494,15 +455,11 @@ func (b *Basket) Readers() int {
 // of every resident column (including the implicit ts column) plus each
 // shared reader's mark relative to the content start. Part of the
 // checkpoint cut — the engine holds its consistency gate while calling.
-func (b *Basket) CaptureState() (cols []vector.Wire, marks map[string]int64) {
+func (b *Basket) CaptureState() (cols []*vector.Vector, marks map[string]int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.admitLocked() // staged arrivals are part of the cut
-	view := b.table.Snapshot()
-	cols = make([]vector.Wire, view.NumCols())
-	for i := range cols {
-		cols[i] = view.Column(i).Wire()
-	}
+	cols = b.table.Snapshot().CloneColumns()
 	hseq := b.table.Hseq()
 	n := int64(b.table.NumRows())
 	marks = make(map[string]int64, len(b.readers))
@@ -518,7 +475,7 @@ func (b *Basket) CaptureState() (cols []vector.Wire, marks map[string]int64) {
 // marks are re-applied for readers already registered — a mark for an
 // unknown reader is dropped, since an unregistered reader holds no
 // retention claim.
-func (b *Basket) RestoreState(cols []vector.Wire, marks map[string]int64) error {
+func (b *Basket) RestoreState(cols []*vector.Vector, marks map[string]int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.table.NumRows() != 0 {
@@ -527,7 +484,7 @@ func (b *Basket) RestoreState(cols []vector.Wire, marks map[string]int64) error 
 	if len(cols) != b.schema.Len() {
 		return fmt.Errorf("basket %s: restore image has %d columns, want %d", b.name, len(cols), b.schema.Len())
 	}
-	if err := b.table.AppendBatch(vector.ColumnsFromWire(cols)); err != nil {
+	if err := b.table.AppendBatch(cols); err != nil {
 		return err
 	}
 	hseq := b.table.Hseq()

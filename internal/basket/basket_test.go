@@ -72,7 +72,7 @@ func TestAppendArityError(t *testing.T) {
 func TestOnAppendHook(t *testing.T) {
 	b, _ := newB(t)
 	calls := 0
-	b.OnAppend(func() { calls++ })
+	b.Subscribe(func() { calls++ })
 	_ = b.AppendRows([][]vector.Value{{vector.NewInt(1), vector.NewFloat(1)}})
 	_ = b.AppendRows([][]vector.Value{{vector.NewInt(2), vector.NewFloat(2)}})
 	if calls != 2 {

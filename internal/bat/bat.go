@@ -24,14 +24,6 @@ type BAT struct {
 // New returns an empty BAT with head sequence starting at 0.
 func New(t vector.Type) *BAT { return &BAT{tail: vector.New(t)} }
 
-// NewWithSeq returns an empty BAT whose head sequence starts at hseq.
-func NewWithSeq(t vector.Type, hseq OID) *BAT {
-	return &BAT{hseq: hseq, tail: vector.New(t)}
-}
-
-// Wrap adopts an existing vector as the tail of a BAT with head base hseq.
-func Wrap(tail *vector.Vector, hseq OID) *BAT { return &BAT{hseq: hseq, tail: tail} }
-
 // Hseq returns the first OID of the (virtual) head column.
 func (b *BAT) Hseq() OID { return b.hseq }
 
@@ -148,21 +140,6 @@ func Union(a, b Candidates) Candidates {
 	}
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
-	return out
-}
-
-// Difference returns the positions in a that are not in b (both sorted).
-func Difference(a, b Candidates) Candidates {
-	out := make(Candidates, 0, len(a))
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j >= len(b) || b[j] != x {
-			out = append(out, x)
-		}
-	}
 	return out
 }
 

@@ -29,20 +29,6 @@ func TestAppendAndOIDs(t *testing.T) {
 	}
 }
 
-func TestNewWithSeq(t *testing.T) {
-	b := NewWithSeq(vector.Int64, 100)
-	b.AppendValue(vector.NewInt(1))
-	if b.OIDAt(0) != 100 {
-		t.Errorf("OIDAt(0) = %d, want 100", b.OIDAt(0))
-	}
-	if b.Pos(100) != 0 {
-		t.Errorf("Pos(100) = %d", b.Pos(100))
-	}
-	if b.Pos(99) != -1 || b.Pos(101) != -1 {
-		t.Error("Pos out of range should be -1")
-	}
-}
-
 func TestDropPrefixPreservesOIDs(t *testing.T) {
 	b := intsBAT(10, 20, 30, 40)
 	b.DropPrefix(2)
@@ -136,19 +122,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestDifference(t *testing.T) {
-	got := Difference(Candidates{1, 2, 3, 4}, Candidates{2, 4})
-	want := Candidates{1, 3}
-	if len(got) != len(want) {
-		t.Fatalf("Difference = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Difference = %v, want %v", got, want)
-		}
-	}
-}
-
 func normalize(raw []uint8) Candidates {
 	seen := map[int]bool{}
 	for _, r := range raw {
@@ -168,13 +141,8 @@ func TestPropCandidateSetAlgebra(t *testing.T) {
 		a, b := normalize(ra), normalize(rb)
 		inter := Intersect(a, b)
 		uni := Union(a, b)
-		diff := Difference(a, b)
 		// |A∪B| = |A| + |B| - |A∩B|
 		if len(uni) != len(a)+len(b)-len(inter) {
-			return false
-		}
-		// A\B and A∩B partition A.
-		if len(diff)+len(inter) != len(a) {
 			return false
 		}
 		// Union is sorted and deduplicated.

@@ -178,8 +178,8 @@ func (v View) colType(i int) vector.Type {
 }
 
 // Complement returns the positions in [lo, hi) absent from the sorted
-// list drop (whose entries share the same coordinate space) —
-// Difference(Range(lo, hi), drop) without materializing the range.
+// list drop (whose entries share the same coordinate space), without
+// materializing the range.
 func Complement(lo, hi int, drop Candidates) Candidates {
 	capHint := hi - lo - len(drop)
 	if capHint < 0 {

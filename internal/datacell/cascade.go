@@ -3,6 +3,7 @@ package datacell
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/adapters"
 	"repro/internal/algebra"
@@ -46,7 +47,7 @@ func (c *Cascade) Stages() int { return len(c.stages) }
 
 // Processed returns the number of tuples stage i examined — the quantity
 // the cascade strategy reduces for later stages.
-func (c *Cascade) Processed(i int) int64 { return c.stages[i].processed.Value() }
+func (c *Cascade) Processed(i int) int64 { return c.stages[i].processed.Load() }
 
 // cascadeStage is a custom transition: it selects its range from its input
 // basket, forwards the rest to the next stage's basket, and consumes
@@ -60,17 +61,8 @@ type cascadeStage struct {
 	out     *basket.Basket
 	sub     *Subscription
 
-	processed counter
+	processed atomic.Int64 // written by the firing worker, read by Processed
 }
-
-// counter is a tiny atomic-free counter guarded by the stage's single-fire
-// discipline (the scheduler never fires one transition concurrently with
-// itself); Value is approximate under concurrent readers, which is fine
-// for statistics.
-type counter struct{ n int64 }
-
-func (c *counter) Add(d int64)  { c.n += d }
-func (c *counter) Value() int64 { return c.n }
 
 // Name implements scheduler.Transition.
 func (s *cascadeStage) Name() string { return s.name }
@@ -134,19 +126,40 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("datacell: cascade needs at least one predicate")
 	}
-	key := strings.ToLower(name)
-	e.mu.Lock()
-	if _, dup := e.cascades[key]; dup {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: cascade %q", ErrDuplicateQuery, name)
-	}
-	s, ok := e.streams[strings.ToLower(streamName)]
-	e.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, streamName)
+	// Every side effect pushes its inverse before the next one runs, so a
+	// failure at any stage leaves nothing behind (Query.build's pattern).
+	var undo []func()
+	fail := func(err error) (*Cascade, error) {
+		for i := len(undo) - 1; i >= 0; i-- {
+			undo[i]()
+		}
+		return nil, err
 	}
 
+	// The claim comes first and is one e.mu hold: everything later is
+	// keyed by the name (catalog entries, transition names), so a losing
+	// concurrent registration must not get past it.
 	c := &Cascade{Name: name, stream: streamName}
+	key := strings.ToLower(name)
+	e.mu.Lock()
+	_, dup := e.cascades[key]
+	s, ok := e.streams[strings.ToLower(streamName)]
+	if !dup && ok {
+		e.cascades[key] = c
+	}
+	e.mu.Unlock()
+	switch {
+	case dup:
+		return nil, fmt.Errorf("%w: cascade %q", ErrDuplicateQuery, name)
+	case !ok:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, streamName)
+	}
+	undo = append(undo, func() {
+		e.mu.Lock()
+		delete(e.cascades, key)
+		e.mu.Unlock()
+	})
+
 	// Stage 0 reads a private replica of the stream; the paper's "extra
 	// basket between q1 and q2" connects consecutive stages.
 	head := basket.New(name+"_s0_in", s.schema, e.clock)
@@ -154,7 +167,7 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 	for i, p := range preds {
 		attrIdx := s.schema.Index(p.Attr)
 		if attrIdx < 0 {
-			return nil, fmt.Errorf("datacell: cascade attribute %q not in stream %s", p.Attr, streamName)
+			return fail(fmt.Errorf("datacell: cascade attribute %q not in stream %s", p.Attr, streamName))
 		}
 		var next *basket.Basket
 		if i+1 < len(preds) {
@@ -162,31 +175,29 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 		}
 		out := basket.New(fmt.Sprintf("%s_s%d_out", name, i), s.schema, e.clock)
 		if err := e.cat.Register(out.Name(), catalog.KindBasket, out); err != nil {
-			return nil, err
+			return fail(err)
 		}
+		undo = append(undo, func() { _ = e.cat.Drop(out.Name()) })
 		emitter := adapters.NewChannelEmitter(fmt.Sprintf("%s_s%d_emit", name, i), out, 64, adapters.BackpressureBlock)
-		stage := &cascadeStage{
+		sub := newSubscription(e, emitter)
+		undo = append(undo, func() { sub.closeWith(ErrSubscriptionClosed) })
+		c.stages = append(c.stages, &cascadeStage{
 			name:    fmt.Sprintf("%s_s%d", name, i),
 			pred:    p,
 			attrIdx: attrIdx,
 			in:      chain,
 			next:    next,
 			out:     out,
-			sub:     newSubscription(e, emitter),
-		}
-		c.stages = append(c.stages, stage)
+			sub:     sub,
+		})
 		chain = next
 	}
 
-	e.mu.Lock()
-	// Copy-on-write: see Query.attachInput.
-	s.replicas = append(append([]*basket.Basket(nil), s.replicas...), head)
-	e.cascades[key] = c
-	e.mu.Unlock()
-	// Cascades are Go-only (no DDL spelling) and therefore not journaled
-	// for recovery, but their firings are still gated so a checkpoint
-	// cut never splits one. Each stage wakes on appends to its input
-	// basket, each emitter on appends to its stage's output.
+	// Nothing below can fail. Cascades are Go-only (no DDL spelling) and
+	// therefore not journaled for recovery, but their firings are still
+	// gated so a checkpoint cut never splits one. Each stage wakes on
+	// appends to its input basket, each emitter on appends to its stage's
+	// output.
 	for _, st := range c.stages {
 		h := e.addTransition(st, 0)
 		st.in.Subscribe(h.Wake)
@@ -194,16 +205,9 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 		st.out.Subscribe(eh.Wake)
 		st.sub.scheduled(eh)
 	}
-	return c, nil
-}
-
-// Cascade returns a registered cascade by name.
-func (e *Engine) CascadeByName(name string) (*Cascade, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	c, ok := e.cascades[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("%w: cascade %q", ErrUnknownQuery, name)
-	}
+	// Copy-on-write: see Query.attachInput.
+	s.replicas = append(append([]*basket.Basket(nil), s.replicas...), head)
+	e.mu.Unlock()
 	return c, nil
 }

@@ -2,8 +2,7 @@
 // checkpoints, giving the engine crash recovery with exactly-once
 // resumption of continuous queries.
 //
-// The WAL records three kinds of events, in the fixed binary layout of
-// walcodec.go (checkpoint images, off the hot path, use gob):
+// The WAL records three kinds of events, framed by walcodec.go:
 //
 //   - 'S' statements: DDL (CREATE/DROP of baskets, tables, and continuous
 //     queries) and INSERTs into tables. DDL is additionally kept in an
@@ -27,7 +26,9 @@
 // pendings, per-query delivery counts, table contents, and the DDL
 // journal — is captured; the image is then encoded, fsynced, and
 // atomically installed outside the gate, after which the WAL prefix it
-// covers is pruned.
+// covers is pruned. Captures clone the columns they take, so the encoder
+// can run outside the gate; columns are encoded by the vector package's
+// column codec, the same bytes an 'I' record carries (see encodeImage).
 //
 // Recovery (Engine.Open with Config.DataDir) replays the newest valid
 // checkpoint whose sequence number is covered by the durable WAL prefix,
@@ -96,17 +97,6 @@ const (
 	defaultCheckpointInterval = 10 * time.Second
 )
 
-// walRecord is the on-log representation of one durable event. Exactly
-// the fields for its Kind are populated.
-type walRecord struct {
-	Kind   byte
-	Stmt   string        // 'S': statement text
-	Stream string        // 'I': target stream
-	Cols   []vector.Wire // 'I': batch columns (user schema, no ts)
-	Query  string        // 'F': query key (lower-cased name)
-	Count  int64         // 'F': cumulative delivered tuples
-}
-
 // durability is the engine-side state of the subsystem. Nil on a
 // non-durable engine; every method tolerates a nil receiver so call
 // sites need no guards.
@@ -154,7 +144,7 @@ func (d *durability) logStmt(ctx context.Context, text string, journal bool) err
 	if d.noWAL {
 		return nil
 	}
-	p, err := encodeRecord(&walRecord{Kind: recStmt, Stmt: text})
+	p, err := encodeRecord(nil, &walRecord{Kind: recStmt, Stmt: text})
 	if err != nil {
 		return err
 	}
@@ -178,7 +168,7 @@ func (d *durability) logIngest(ctx context.Context, stream string, cols []*vecto
 		return nil
 	}
 	bp := walBufPool.Get().(*[]byte)
-	p, err := appendIngestRecord((*bp)[:0], stream, cols)
+	p, err := encodeRecord((*bp)[:0], &walRecord{Kind: recIngest, Stream: stream, Cols: cols})
 	if err != nil {
 		walBufPool.Put(bp)
 		return err
@@ -206,7 +196,7 @@ func (d *durability) logFrontier(query string, delivered int64) {
 	}
 	d.delivered[query] = delivered
 	d.mu.Unlock()
-	if p, err := encodeRecord(&walRecord{Kind: recFrontier, Query: query, Count: delivered}); err == nil {
+	if p, err := encodeRecord(nil, &walRecord{Kind: recFrontier, Query: query, Count: delivered}); err == nil {
 		_, _ = d.wal.Append(p)
 	}
 }
@@ -256,7 +246,7 @@ func (e *Engine) addTransition(t scheduler.Transition, priority int) *scheduler.
 // basketImage is one basket's captured content plus shared-reader marks
 // (relative to the content start).
 type basketImage struct {
-	Cols  []vector.Wire
+	Cols  []*vector.Vector
 	Marks map[string]int64
 }
 
@@ -294,9 +284,23 @@ type ckptImage struct {
 	WALSeq  int64
 	Clean   bool // written by Stop after the scheduler quiesced
 	DDL     []string
-	Tables  map[string][]vector.Wire
+	Tables  map[string][]*vector.Vector
 	Streams map[string]ckptStream
 	Queries map[string]ckptQuery // durable queries only, keyed lower-cased
+}
+
+// encodeImage serializes an image: gob is the envelope for the structs,
+// maps and counters; every column inside is the vector codec's bytes,
+// which gob reaches through Vector.MarshalBinary.
+func encodeImage(img *ckptImage) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(img)
+	return buf.Bytes(), err
+}
+
+func decodeImage(payload []byte) (*ckptImage, error) {
+	img := &ckptImage{}
+	return img, gob.NewDecoder(bytes.NewReader(payload)).Decode(img)
 }
 
 // captureImage builds the checkpoint cut. Caller holds e.gate (write).
@@ -305,7 +309,7 @@ func (e *Engine) captureImage(clean bool) *ckptImage {
 	img := &ckptImage{
 		WALSeq:  d.wal.LastSeq(),
 		Clean:   clean,
-		Tables:  map[string][]vector.Wire{},
+		Tables:  map[string][]*vector.Vector{},
 		Streams: map[string]ckptStream{},
 		Queries: map[string]ckptQuery{},
 	}
@@ -326,12 +330,7 @@ func (e *Engine) captureImage(clean bool) *ckptImage {
 	e.mu.Unlock()
 
 	for name, tbl := range tables {
-		view := tbl.Snapshot()
-		cols := make([]vector.Wire, view.NumCols())
-		for i := range cols {
-			cols[i] = view.Column(i).Wire()
-		}
-		img.Tables[name] = cols
+		img.Tables[name] = tbl.Snapshot().CloneColumns()
 	}
 	for name, s := range streams {
 		cs := ckptStream{Ingested: ingested[name], Primary: captureBasket(s.primary)}
@@ -362,9 +361,8 @@ func (e *Engine) restoreImage(img *ckptImage) error {
 		if tbl == nil {
 			return mismatch("table %q in image but not in journal", name)
 		}
-		vs := vector.ColumnsFromWire(cols)
-		if len(vs) > 0 && vs[0].Len() > 0 {
-			if err := tbl.AppendBatch(vs); err != nil {
+		if len(cols) > 0 && cols[0].Len() > 0 {
+			if err := tbl.AppendBatch(cols); err != nil {
 				return mismatch("table %q: %v", name, err)
 			}
 		}
@@ -496,11 +494,11 @@ func (e *Engine) checkpoint(clean bool) error {
 	if err := d.wal.Sync(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+	payload, err := encodeImage(img)
+	if err != nil {
 		return err
 	}
-	if err := checkpoint.Write(d.ckptDir(), img.WALSeq, buf.Bytes()); err != nil {
+	if err := checkpoint.Write(d.ckptDir(), img.WALSeq, payload); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -561,8 +559,7 @@ func (e *Engine) recoverDurable() error {
 
 	var img *ckptImage
 	if payload != nil {
-		img = &ckptImage{}
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(img); err != nil {
+		if img, err = decodeImage(payload); err != nil {
 			return fmt.Errorf("%w: checkpoint %d undecodable: %v", ErrCheckpointMismatch, seq, err)
 		}
 		// Rebuild the catalog from the journal, then load operator state.
@@ -611,12 +608,11 @@ func (e *Engine) recoverDurable() error {
 				if err != nil {
 					return fmt.Errorf("datacell: recovery: %w", err)
 				}
-				cols := vector.ColumnsFromWire(rec.Cols)
 				rows := 0
-				if len(cols) > 0 {
-					rows = cols[0].Len()
+				if len(rec.Cols) > 0 {
+					rows = rec.Cols[0].Len()
 				}
-				if err := e.fanout(s, rows, cols); err != nil {
+				if err := e.fanout(s, rows, rec.Cols); err != nil {
 					return fmt.Errorf("datacell: recovery: replaying ingest into %q: %w", rec.Stream, err)
 				}
 			case recFrontier:

@@ -374,9 +374,6 @@ func TestCascadeStrategy(t *testing.T) {
 	if c.Processed(0) != 30 || c.Processed(1) != 20 || c.Processed(2) != 10 {
 		t.Errorf("processed = %d %d %d", c.Processed(0), c.Processed(1), c.Processed(2))
 	}
-	if _, err := e.CascadeByName("casc"); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestCascadeErrors(t *testing.T) {

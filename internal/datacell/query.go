@@ -171,6 +171,11 @@ func (q *Query) MergeLag() int {
 	return q.merge.Lag()
 }
 
+// Inputs returns the query's input places: the private replica(s) under
+// the separate strategy, the stream's shard baskets when partitioned, or
+// the shared basket(s) otherwise.
+func (q *Query) Inputs() []*basket.Basket { return q.inputs }
+
 // Shed returns the number of tuples load shedding evicted from this
 // query's private input basket(s).
 func (q *Query) Shed() int64 {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/factory"
 	"repro/internal/sql"
+	"repro/internal/vector"
 )
 
 // topoEngine builds the stream layouts the planner distinguishes: a flat
@@ -42,13 +43,13 @@ func topoEngine(t *testing.T) *Engine {
 // netFootprint is everything a registration may leave behind: catalog
 // entries, fan-out replicas, shard-routing switches, shared readers,
 // scheduler transitions, subscriptions, the tick's work sets, and claimed
-// query names.
+// query and cascade names.
 func netFootprint(e *Engine) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "catalog=%v transitions=%d", e.cat.Names(), len(e.sched.Transitions()))
 	fmt.Fprintf(&b, " windowed=%d rewakes=%d", len(e.windowed.list()), len(e.rewakes.list()))
 	e.mu.Lock()
-	fmt.Fprintf(&b, " queries=%d subs=%d", len(e.queries), len(e.subs))
+	fmt.Fprintf(&b, " queries=%d cascades=%d subs=%d", len(e.queries), len(e.cascades), len(e.subs))
 	var streams []*stream
 	for _, s := range e.streams {
 		streams = append(streams, s)
@@ -445,5 +446,91 @@ func TestRestoreShapeMismatch(t *testing.T) {
 		if !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("%s: err = %v, want ErrCheckpointMismatch", c.name, err)
 		}
+	}
+}
+
+// TestCascadeFailureLeavesNothing: a cascade that fails at stage i — an
+// attribute the stream lacks, or a <c>_s<i>_out name somebody holds — has
+// by then built stages 0..i-1; all of it (catalog entries, subscriptions,
+// the claimed name) must be gone, and the name reusable.
+func TestCascadeFailureLeavesNothing(t *testing.T) {
+	e := topoEngine(t)
+	if _, err := e.Exec(context.Background(), "CREATE BASKET c_s2_out (k INT)"); err != nil {
+		t.Fatal(err)
+	}
+	before := netFootprint(e)
+	stage := func(lo int64) CascadePredicate {
+		return CascadePredicate{Attr: "v", Lo: vector.NewInt(lo), Hi: vector.NewInt(lo + 10)}
+	}
+	for failAt := 0; failAt < 3; failAt++ {
+		preds := []CascadePredicate{stage(0), stage(10), stage(20)}
+		preds[failAt].Attr = "nosuch"
+		if _, err := e.RegisterCascade("bad", "f", preds); err == nil {
+			t.Fatalf("unknown attribute at stage %d: registration succeeded", failAt)
+		}
+		if after := netFootprint(e); after != before {
+			t.Errorf("unknown attribute at stage %d leaked state:\nbefore %s\nafter  %s", failAt, before, after)
+		}
+	}
+	if _, err := e.RegisterCascade("c", "f", []CascadePredicate{stage(0), stage(10), stage(20)}); err == nil {
+		t.Fatal("taken c_s2_out: registration succeeded")
+	}
+	if after := netFootprint(e); after != before {
+		t.Errorf("taken output name at stage 2 leaked state:\nbefore %s\nafter  %s", before, after)
+	}
+	if _, err := e.RegisterCascade("bad", "f", []CascadePredicate{stage(0)}); err != nil {
+		t.Fatalf("name of a failed cascade is not reusable: %v", err)
+	}
+	if netFootprint(e) == before {
+		t.Fatal("a successful cascade left no footprint; the probe is blind")
+	}
+}
+
+// TestConcurrentDuplicateCascade: of N concurrent registrations of one
+// cascade name exactly one wins, and what remains is that cascade's
+// footprint and nothing of the losers'.
+func TestConcurrentDuplicateCascade(t *testing.T) {
+	preds := []CascadePredicate{
+		{Attr: "v", Lo: vector.NewInt(0), Hi: vector.NewInt(10)},
+		{Attr: "v", Lo: vector.NewInt(10), Hi: vector.NewInt(20)},
+	}
+	lone := topoEngine(t)
+	if _, err := lone.RegisterCascade("dup", "f", preds); err != nil {
+		t.Fatal(err)
+	}
+	want := netFootprint(lone)
+
+	e := topoEngine(t)
+	if err := e.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer stopQuiet(e)
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	start := make(chan struct{})
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[i] = e.RegisterCascade("dup", "f", preds)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	winners := 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			winners++
+		case !errors.Is(err, ErrDuplicateQuery):
+			t.Errorf("loser failed with %v, want ErrDuplicateQuery", err)
+		}
+	}
+	if winners != 1 {
+		t.Fatalf("%d winners, want exactly 1", winners)
+	}
+	if got := netFootprint(e); got != want {
+		t.Errorf("race left more than one cascade's footprint:\ngot  %s\nwant %s", got, want)
 	}
 }

@@ -1,9 +1,8 @@
 package datacell
 
-// Hand-rolled binary codec for WAL records. The ingest record is on the
-// hot path of every durable Ingest call — gob's reflective encoding
-// costs more CPU per 4096-row batch than the entire volatile ingest
-// path, so records use a fixed little-endian layout instead:
+// Record framing for the WAL. The ingest record is on the hot path of
+// every durable Ingest call, so records use a fixed little-endian layout
+// rather than a reflective encoding:
 //
 //	[u8 format][u8 kind]
 //	'S': [str stmt]
@@ -11,16 +10,13 @@ package datacell
 //	'F': [str query][u64 count]
 //
 //	str    = [u32 len][len bytes]
-//	column = [u8 typ][i64s][f64s][bools][strs][bools]   (Wire field order)
-//	slices = [u32 n][n × payload]                       (strs: n × str)
+//	column = the vector package's column codec (vector.AppendColumn /
+//	         vector.DecodeColumn) — the same bytes a checkpoint image
+//	         holds for a column
 //
-// Int columns are zigzag-varint coded ([u32 n][n × varint]): group
-// commit is fsync-byte-bound, so shrinking the dominant column type
-// directly buys ingest throughput. Floats stay fixed 8-byte (varints
-// cannot compress high-entropy mantissa bits).
-//
-// Checkpoint images keep using gob — they are rare, large, and carry
-// nested maps the fixed layout would complicate for no hot-path gain.
+// This file knows the framing only; what a column looks like on disk is
+// the vector package's business. walFormatV1 names the pair: a change to
+// either layout takes a new format byte, so old logs keep replaying.
 
 import (
 	"encoding/binary"
@@ -33,28 +29,35 @@ import (
 
 const walFormatV1 byte = 0x01
 
-func encodeRecord(rec *walRecord) ([]byte, error) {
-	n := 2 + 4 + len(rec.Stmt) + 4 + len(rec.Stream) + 4 + len(rec.Query) + 8
-	for i := range rec.Cols {
-		w := &rec.Cols[i]
-		n += 1 + 5*4 + 3*len(w.Ints) + 8*len(w.Flts) + len(w.Bools) + len(w.Nulls)
-		for _, s := range w.Strs {
-			n += 4 + len(s)
-		}
-	}
-	b := make([]byte, 0, n)
-	b = append(b, walFormatV1, rec.Kind)
+// walRecord is the on-log representation of one durable event. Exactly
+// the fields for its Kind are populated.
+type walRecord struct {
+	Kind   byte
+	Stmt   string           // 'S': statement text
+	Stream string           // 'I': target stream
+	Cols   []*vector.Vector // 'I': batch columns (user schema, no ts)
+	Query  string           // 'F': query key (lower-cased name)
+	Count  int64            // 'F': cumulative delivered tuples
+}
+
+// encodeRecord appends rec's encoding to dst, straight from the live
+// vectors of an 'I' record. dst stays the caller's: with a reused buffer
+// the ingest path encodes without allocating — ingest throughput under
+// the WAL is fsync- and GC-bound, so every avoided per-batch allocation
+// is visible.
+func encodeRecord(dst []byte, rec *walRecord) ([]byte, error) {
+	b := append(dst, walFormatV1, rec.Kind)
 	switch rec.Kind {
 	case recStmt:
 		b = putStr(b, rec.Stmt)
 	case recIngest:
-		b = putStr(b, rec.Stream)
 		if len(rec.Cols) > math.MaxUint16 {
 			return nil, fmt.Errorf("wal record: %d columns", len(rec.Cols))
 		}
+		b = putStr(b, rec.Stream)
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(rec.Cols)))
-		for i := range rec.Cols {
-			b = putWire(b, &rec.Cols[i])
+		for _, c := range rec.Cols {
+			b = vector.AppendColumn(b, c)
 		}
 	case recFrontier:
 		b = putStr(b, rec.Query)
@@ -65,80 +68,14 @@ func encodeRecord(rec *walRecord) ([]byte, error) {
 	return b, nil
 }
 
-// appendIngestRecord encodes an 'I' record for cols directly from the
-// live vectors into dst, byte-identical to encodeRecord with
-// WireColumns(cols). The hot path uses this to skip the intermediate
-// Wire deep copy and, with a pooled dst, run allocation-free in steady
-// state — ingest throughput under the WAL is fsync- and GC-bound, not
-// CPU-bound, so every avoided per-batch allocation is visible.
-func appendIngestRecord(dst []byte, stream string, cols []*vector.Vector) ([]byte, error) {
-	b := append(dst, walFormatV1, recIngest)
-	b = putStr(b, stream)
-	if len(cols) > math.MaxUint16 {
-		return nil, fmt.Errorf("wal record: %d columns", len(cols))
-	}
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(cols)))
-	for _, c := range cols {
-		b = append(b, byte(c.Type()))
-		ints := c.Ints()
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(ints)))
-		for _, v := range ints {
-			b = binary.AppendVarint(b, v)
-		}
-		flts := c.Floats()
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(flts)))
-		for _, v := range flts {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-		b = putBools(b, c.Bools())
-		strs := c.Strings()
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(strs)))
-		for _, s := range strs {
-			b = putStr(b, s)
-		}
-		b = putBools(b, c.Nulls())
-	}
-	return b, nil
-}
-
 func putStr(b []byte, s string) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
 }
 
-func putWire(b []byte, w *vector.Wire) []byte {
-	b = append(b, byte(w.Typ))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(w.Ints)))
-	for _, v := range w.Ints {
-		b = binary.AppendVarint(b, v)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(w.Flts)))
-	for _, v := range w.Flts {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	b = putBools(b, w.Bools)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(w.Strs)))
-	for _, s := range w.Strs {
-		b = putStr(b, s)
-	}
-	return putBools(b, w.Nulls)
-}
-
-func putBools(b []byte, vs []bool) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(vs)))
-	for _, v := range vs {
-		if v {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return b
-}
-
-// walReader decodes the layout above with bounds checks on every read:
-// the WAL's CRC already rejects bit rot, so a short or oversized field
-// here means a record written by something that was not this codec.
+// walReader walks a record with bounds checks on every read. The WAL's
+// CRC rejects bit rot, but a record is still outside input: every
+// failure is ErrCorruptWAL, never a panic or an oversized allocation.
 type walReader struct {
 	p   []byte
 	off int
@@ -157,101 +94,16 @@ func (r *walReader) bytes(n int, what string) ([]byte, error) {
 	return b, nil
 }
 
-func (r *walReader) u32(what string) (uint32, error) {
-	b, err := r.bytes(4, what)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
 func (r *walReader) str(what string) (string, error) {
-	n, err := r.u32(what)
+	nb, err := r.bytes(4, what)
 	if err != nil {
 		return "", err
 	}
-	b, err := r.bytes(int(n), what)
+	b, err := r.bytes(int(binary.LittleEndian.Uint32(nb)), what)
 	if err != nil {
 		return "", err
 	}
 	return string(b), nil
-}
-
-func (r *walReader) bools(what string) ([]bool, error) {
-	n, err := r.u32(what)
-	if err != nil {
-		return nil, err
-	}
-	b, err := r.bytes(int(n), what)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) == 0 {
-		return nil, nil
-	}
-	out := make([]bool, len(b))
-	for i, v := range b {
-		out[i] = v != 0
-	}
-	return out, nil
-}
-
-func (r *walReader) wire(w *vector.Wire) error {
-	tb, err := r.bytes(1, "column type")
-	if err != nil {
-		return err
-	}
-	w.Typ = vector.Type(tb[0])
-	n, err := r.u32("int column")
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		if int(n) > len(r.p)-r.off { // each varint costs ≥ 1 byte
-			return r.corrupt("int column")
-		}
-		w.Ints = make([]int64, n)
-		for i := range w.Ints {
-			v, sz := binary.Varint(r.p[r.off:])
-			if sz <= 0 {
-				return r.corrupt("int column")
-			}
-			r.off += sz
-			w.Ints[i] = v
-		}
-	}
-	n, err = r.u32("float column")
-	if err != nil {
-		return err
-	}
-	if raw, err := r.bytes(int(n)*8, "float column"); err != nil {
-		return err
-	} else if n > 0 {
-		w.Flts = make([]float64, n)
-		for i := range w.Flts {
-			w.Flts[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
-	}
-	if w.Bools, err = r.bools("bool column"); err != nil {
-		return err
-	}
-	n, err = r.u32("string column")
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		if int(n) > len(r.p)-r.off { // each string costs ≥ 4 bytes of length
-			return r.corrupt("string column")
-		}
-		w.Strs = make([]string, n)
-		for i := range w.Strs {
-			if w.Strs[i], err = r.str("string column"); err != nil {
-				return err
-			}
-		}
-	}
-	w.Nulls, err = r.bools("null column")
-	return err
 }
 
 func decodeRecord(p []byte) (*walRecord, error) {
@@ -277,13 +129,19 @@ func decodeRecord(p []byte) (*walRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ncols := int(binary.LittleEndian.Uint16(nb)); ncols > 0 {
-			rec.Cols = make([]vector.Wire, ncols)
-			for i := range rec.Cols {
-				if err := r.wire(&rec.Cols[i]); err != nil {
-					return nil, err
-				}
+		ncols := int(binary.LittleEndian.Uint16(nb))
+		if ncols > len(p)-r.off { // a column is ≥ 1 byte
+			return nil, r.corrupt("columns")
+		}
+		if ncols > 0 {
+			rec.Cols = make([]*vector.Vector, ncols)
+		}
+		for i := range rec.Cols {
+			col, rest, err := vector.DecodeColumn(p[r.off:])
+			if err != nil {
+				return nil, fmt.Errorf("%w: column %d at offset %d: %w", wal.ErrCorruptWAL, i, r.off, err)
 			}
+			rec.Cols[i], r.off = col, len(p)-len(rest)
 		}
 	case recFrontier:
 		if rec.Query, err = r.str("query name"); err != nil {

@@ -511,7 +511,7 @@ func emptyRelation(schema *catalog.Schema) *storage.Relation {
 // timestamps, and the hash index are derived data and are rebuilt on
 // restore by re-running the insert path over the rows.
 type JoinSideState struct {
-	Cols      []vector.Wire
+	Cols      []*vector.Vector
 	Local     int64
 	ClockSeen int64
 }
@@ -541,7 +541,7 @@ func (sj *StreamJoin) Snapshot() *JoinState {
 func (s *joinSide) snapshot() *JoinSideState {
 	st := &JoinSideState{Local: s.local, ClockSeen: s.clockSeen}
 	if s.rel != nil {
-		st.Cols = vector.WireColumns(s.rel.Cols)
+		st.Cols = vector.CloneColumns(s.rel.Cols)
 	}
 	return st
 }
@@ -577,7 +577,7 @@ func (s *joinSide) restore(st *JoinSideState, schema *catalog.Schema, sj *Stream
 		if len(st.Cols) != schema.Len() {
 			return fmt.Errorf("exec: join restore image has %d columns, want %d", len(st.Cols), schema.Len())
 		}
-		rel := &storage.Relation{Schema: schema, Cols: vector.ColumnsFromWire(st.Cols)}
+		rel := &storage.Relation{Schema: schema, Cols: st.Cols}
 		s.insert(rel, sj.batchKeys(keyE, rel))
 	}
 	s.local = st.Local

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/basket"
 	"repro/internal/datacell"
 	"repro/internal/obs"
 	"repro/internal/vector"
@@ -144,15 +145,18 @@ func E1(scale Scale) (*Table, error) {
 	tbl := &Table{
 		ID:     "E1",
 		Title:  "separate vs shared baskets, N identical-stream range queries",
-		Header: []string{"queries", "separate tuples/s", "shared tuples/s", "shared/separate"},
-		Notes:  []string{"same filter per query; separate replicates the input N times"},
+		Header: []string{"queries", "separate tuples/s", "shared tuples/s", "shared/separate", "separate input copies", "shared input copies"},
+		Notes: []string{
+			"same filter per query; separate replicates the input N times",
+			"input copies: tuples appended across the queries' input baskets, per ingested tuple",
+		},
 	}
 	for _, nq := range []int{1, 2, 4, 8, 16, 32, 64} {
-		sep, err := e1Run(datacell.SeparateBaskets, nq, total)
+		sep, sepIn, err := e1Run(datacell.SeparateBaskets, nq, total)
 		if err != nil {
 			return nil, err
 		}
-		sh, err := e1Run(datacell.SharedBaskets, nq, total)
+		sh, shIn, err := e1Run(datacell.SharedBaskets, nq, total)
 		if err != nil {
 			return nil, err
 		}
@@ -163,22 +167,31 @@ func E1(scale Scale) (*Table, error) {
 			fmt.Sprintf("%.0f", sepRate),
 			fmt.Sprintf("%.0f", shRate),
 			fmt.Sprintf("%.2fx", shRate/sepRate),
+			fmt.Sprint(sepIn / int64(total)),
+			fmt.Sprint(shIn / int64(total)),
 		})
 	}
 	return tbl, nil
 }
 
-func e1Run(strategy datacell.Strategy, nq, total int) (time.Duration, error) {
+// e1Run returns the elapsed time and the number of tuples appended across
+// the queries' distinct input baskets — the copy work the strategies
+// differ in, which unlike the elapsed time does not depend on the host.
+func e1Run(strategy datacell.Strategy, nq, total int) (time.Duration, int64, error) {
 	eng := datacell.New(datacell.Config{})
 	if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	inputs := map[*basket.Basket]bool{}
 	for i := 0; i < nq; i++ {
-		_, err := eng.RegisterContinuous(fmt.Sprintf("q%d", i),
+		q, err := eng.RegisterContinuous(fmt.Sprintf("q%d", i),
 			"SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 100 AND x.v < 200",
 			datacell.WithStrategy(strategy), datacell.WithSQLPolling())
 		if err != nil {
-			return 0, err
+			return 0, 0, err
+		}
+		for _, b := range q.Inputs() {
+			inputs[b] = true
 		}
 	}
 	rows := intStream(total, 1000)
@@ -190,11 +203,17 @@ func e1Run(strategy datacell.Strategy, nq, total int) (time.Duration, error) {
 			end = total
 		}
 		if err := eng.Ingest(context.Background(), "s", rows[i:end]); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		eng.Drain()
 	}
-	return time.Since(start), nil
+	elapsed := time.Since(start)
+	var appended int64
+	for b := range inputs {
+		_, resident, consumed, _ := b.Stats()
+		appended += int64(resident) + consumed
+	}
+	return elapsed, appended, nil
 }
 
 // E2 compares DataCell's bulk processing against the tuple-at-a-time
@@ -230,8 +249,11 @@ func E2(scale Scale) (*Table, error) {
 	tbl := &Table{
 		ID:     "E2",
 		Title:  "bulk (DataCell) vs tuple-at-a-time (queued baseline), batch-size sweep",
-		Header: []string{"batch", "datacell tuples/s", "baseline tuples/s", "datacell/baseline"},
-		Notes:  []string{"baseline rate is batch-independent: every tuple takes the operator queue"},
+		Header: []string{"batch", "datacell tuples/s", "baseline tuples/s", "datacell/baseline", "datacell firings"},
+		Notes: []string{
+			"baseline rate is batch-independent: every tuple takes the operator queue",
+			"firings: plan executions for the whole input; the baseline runs its operator once per tuple",
+		},
 	}
 	for _, batch := range []int{1, 10, 100, 1_000, 10_000, 50_000} {
 		if batch > total {
@@ -241,9 +263,10 @@ func E2(scale Scale) (*Table, error) {
 		if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
 			return nil, err
 		}
-		if _, err := eng.RegisterContinuous("q",
+		q, err := eng.RegisterContinuous("q",
 			"SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 100 AND x.v < 200",
-			datacell.WithSQLPolling()); err != nil {
+			datacell.WithSQLPolling())
+		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
@@ -264,6 +287,7 @@ func E2(scale Scale) (*Table, error) {
 			fmt.Sprintf("%.0f", rate),
 			fmt.Sprintf("%.0f", bRate),
 			fmt.Sprintf("%.2fx", rate/bRate),
+			fmt.Sprint(q.Stats().Firings),
 		})
 	}
 	return tbl, nil

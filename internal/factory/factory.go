@@ -152,11 +152,6 @@ func WithMinTuples(n int) Option {
 	}
 }
 
-// WithOnResult registers a result callback.
-func WithOnResult(fn func(*storage.Relation, int64)) Option {
-	return func(f *Factory) { f.onResult = fn }
-}
-
 // SetResultHook chains fn onto the factory's result callback: fn runs
 // after any previously installed callback, for every non-empty result
 // batch, outside all basket locks. It must be called before the factory

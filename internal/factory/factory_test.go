@@ -181,11 +181,11 @@ func TestFactoryOnResultCallback(t *testing.T) {
 	var got int
 	var gotTS int64
 	f, _ := New("f", e.plan, e.cat,
-		[]Input{{Basket: e.in, Mode: Owned}}, nil,
-		WithOnResult(func(rel *storage.Relation, maxTS int64) {
-			got += rel.NumRows()
-			gotTS = maxTS
-		}), WithClock(e.clk))
+		[]Input{{Basket: e.in, Mode: Owned}}, nil, WithClock(e.clk))
+	f.SetResultHook(func(rel *storage.Relation, maxTS int64) {
+		got += rel.NumRows()
+		gotTS = maxTS
+	})
 	e.clk.Set(7777)
 	e.push(t, 1, 2)
 	_ = f.Fire()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/datacell"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/vector"
 	"repro/internal/window"
 )
@@ -30,7 +31,7 @@ type System struct {
 
 	// Latency tracks wall-clock time from batch ingest to quiescence —
 	// an upper bound on per-report response time in step-driven mode.
-	Latency *metrics.Histogram
+	Latency *obs.Histogram
 }
 
 // statsQuery computes the benchmark's per-minute segment statistics. The
@@ -90,7 +91,7 @@ func NewSystem() (*System, error) {
 	h := eng.Scheduler().Register(proc, 0)
 	posIn.Subscribe(h.Wake)
 	statsBasket.Subscribe(h.Wake)
-	return &System{eng: eng, clock: clock, proc: proc, Latency: metrics.NewHistogram()}, nil
+	return &System{eng: eng, clock: clock, proc: proc, Latency: obs.NewHistogram()}, nil
 }
 
 // Feed ingests the reports of one simulated second (all records must

@@ -1,12 +1,9 @@
-// Package metrics provides the small measurement kit used by the engine
-// and the benchmark harness: an injectable clock, latency histograms, and
-// throughput counters. Everything is safe for concurrent use.
+// Package metrics provides the injectable clock the engine and its
+// harnesses read time through. (Histograms and counters live in
+// internal/obs.) Everything is safe for concurrent use.
 package metrics
 
 import (
-	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -51,123 +48,4 @@ func (c *ManualClock) Set(ns int64) {
 	c.mu.Lock()
 	c.ns = ns
 	c.mu.Unlock()
-}
-
-// Histogram records int64 observations (typically latencies in
-// nanoseconds) and reports order statistics. It keeps every observation,
-// so it is exact-mode only: use it in bounded bench harnesses (Linear
-// Road, experiment tables) where exact quantiles make results
-// reproducible. Long-running engine hot paths must use obs.Histogram,
-// whose footprint is fixed.
-type Histogram struct {
-	mu   sync.Mutex
-	vals []int64
-	sum  int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	h.mu.Lock()
-	h.vals = append(h.vals, v)
-	h.sum += v
-	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.vals)
-}
-
-// Mean returns the average observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.vals) == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(len(h.vals))
-}
-
-// Quantile returns the q-th (0..1) order statistic, or 0 when empty.
-func (h *Histogram) Quantile(q float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.vals) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), h.vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// Max returns the largest observation, or 0 when empty.
-func (h *Histogram) Max() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var max int64
-	for _, v := range h.vals {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Reset discards all observations.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.vals = h.vals[:0]
-	h.sum = 0
-	h.mu.Unlock()
-}
-
-// Summary renders count/mean/p50/p99/max with the values interpreted as
-// nanoseconds.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%s p50=%s p99=%s max=%s",
-		h.Count(),
-		time.Duration(int64(h.Mean())),
-		time.Duration(h.Quantile(0.50)),
-		time.Duration(h.Quantile(0.99)),
-		time.Duration(h.Max()))
-}
-
-// Counter is a concurrency-safe monotonic counter.
-type Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) {
-	c.mu.Lock()
-	c.n += d
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Rate computes a throughput given a wall-time interval.
-func Rate(count int64, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(count) / elapsed.Seconds()
 }

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestManualClock(t *testing.T) {
 	c := NewManualClock(100)
@@ -27,90 +23,5 @@ func TestWallClockMonotonicEnough(t *testing.T) {
 	b := w.Now()
 	if b < a {
 		t.Errorf("wall clock went backwards: %d then %d", a, b)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("empty histogram should be all zeros")
-	}
-	for _, v := range []int64{10, 20, 30, 40} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if h.Mean() != 25 {
-		t.Errorf("Mean = %f", h.Mean())
-	}
-	if h.Max() != 40 {
-		t.Errorf("Max = %d", h.Max())
-	}
-	if got := h.Quantile(0.5); got != 20 {
-		t.Errorf("p50 = %d", got)
-	}
-	if got := h.Quantile(1.0); got != 40 {
-		t.Errorf("p100 = %d", got)
-	}
-	if got := h.Quantile(0.0); got != 10 {
-		t.Errorf("p0 = %d", got)
-	}
-	if h.Summary() == "" {
-		t.Error("Summary empty")
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(5)
-	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int64(0); i < 100; i++ {
-				h.Observe(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != 800 {
-		t.Errorf("Count = %d", h.Count())
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				c.Add(2)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 800 {
-		t.Errorf("Value = %d", c.Value())
-	}
-}
-
-func TestRate(t *testing.T) {
-	if got := Rate(100, time.Second); got != 100 {
-		t.Errorf("Rate = %f", got)
-	}
-	if got := Rate(100, 0); got != 0 {
-		t.Errorf("Rate at zero elapsed = %f", got)
 	}
 }

@@ -14,9 +14,8 @@ import (
 const numBuckets = 49
 
 // Histogram is a fixed-footprint log-scale histogram safe for
-// concurrent use. Unlike metrics.Histogram it does not retain
-// individual observations, so it can sit on hot paths of long-running
-// engines without growing. Quantiles are approximate: Quantile returns
+// concurrent use. It does not retain individual observations, so it can
+// sit on hot paths of long-running engines without growing. Quantiles are approximate: Quantile returns
 // the upper bound of the bucket containing the requested rank, so the
 // answer is at most 2x the true value (one power of two).
 type Histogram struct {
@@ -27,8 +26,7 @@ type Histogram struct {
 }
 
 // NewHistogram returns an empty histogram. A zero Histogram is also
-// ready to use; the constructor exists for call-site symmetry with
-// metrics.NewHistogram.
+// ready to use.
 func NewHistogram() *Histogram { return &Histogram{} }
 
 // bucketOf maps a value to its bucket index.

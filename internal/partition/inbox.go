@@ -9,7 +9,7 @@ import (
 )
 
 // Inbox is the lock-free ingest→shard handoff: the fan-out publishes one
-// batch's shard slices to per-shard SPSC rings with a single atomic epoch
+// batch's shard slices to per-shard SPSC queues with a single atomic epoch
 // store per batch, replacing the old discipline of locking every shard
 // basket at once.
 //
@@ -41,22 +41,16 @@ type inboxBatch struct {
 // InboxShard is one shard's staging queue; it implements basket.Feed.
 type InboxShard struct {
 	parent  *Inbox
-	ring    *ring.SPSC[inboxBatch]
+	q       *ring.Queue[inboxBatch]
 	pending atomic.Int64 // staged tuples
-	// Overflow preserves FIFO when the ring fills: once any item has gone
-	// to the overflow list, later items follow it until the consumer has
-	// drained the list (hasOverflow gates the producer's fast path).
-	hasOverflow atomic.Bool
-	ovMu        sync.Mutex
-	overflow    []inboxBatch
 }
 
-// NewInbox creates an inbox with one staging ring of the given capacity
-// (in batches) per shard.
+// NewInbox creates an inbox with one staging queue per shard whose
+// lock-free ring holds capacity batches.
 func NewInbox(shards, capacity int) *Inbox {
 	ib := &Inbox{shards: make([]*InboxShard, shards)}
 	for i := range ib.shards {
-		ib.shards[i] = &InboxShard{parent: ib, ring: ring.New[inboxBatch](capacity)}
+		ib.shards[i] = &InboxShard{parent: ib, q: ring.NewQueue[inboxBatch](capacity)}
 	}
 	return ib
 }
@@ -75,28 +69,12 @@ func (ib *Inbox) Publish(parts [][]*vector.Vector, ts int64) {
 		if len(part) == 0 || part[0].Len() == 0 {
 			continue
 		}
-		ib.shards[i].put(inboxBatch{epoch: ep, ts: ts, cols: part})
+		sh := ib.shards[i]
+		sh.q.Push(inboxBatch{epoch: ep, ts: ts, cols: part})
+		sh.pending.Add(int64(part[0].Len()))
 	}
 	ib.epoch.Store(ep) // release: all slices of epoch ep are now staged
 	ib.pmu.Unlock()
-}
-
-// put stages one slice; the caller holds pmu (single producer).
-func (sh *InboxShard) put(b inboxBatch) {
-	if sh.hasOverflow.Load() || !sh.ring.Push(b) {
-		sh.ovMu.Lock()
-		// The consumer may have drained the overflow (and cleared the
-		// flag) while we waited for the lock; retry the fast path so the
-		// ring is preferred again.
-		if !sh.hasOverflow.Load() && len(sh.overflow) == 0 && sh.ring.Push(b) {
-			sh.ovMu.Unlock()
-		} else {
-			sh.overflow = append(sh.overflow, b)
-			sh.hasOverflow.Store(true)
-			sh.ovMu.Unlock()
-		}
-	}
-	sh.pending.Add(int64(b.cols[0].Len()))
 }
 
 // Pending implements basket.Feed.
@@ -108,46 +86,14 @@ func (sh *InboxShard) Pending() int { return int(sh.pending.Load()) }
 func (sh *InboxShard) Drain(emit func(cols []*vector.Vector, ts int64) error) error {
 	ep := sh.parent.epoch.Load()
 	for {
-		b, ok := sh.ring.Peek()
+		b, ok := sh.q.Peek()
 		if !ok || b.epoch > ep {
-			break
+			return nil
 		}
-		sh.ring.Pop()
+		sh.q.PopN(1)
 		sh.pending.Add(-int64(b.cols[0].Len()))
 		if err := emit(b.cols, b.ts); err != nil {
 			return err
 		}
 	}
-	if !sh.hasOverflow.Load() {
-		return nil
-	}
-	sh.ovMu.Lock()
-	defer sh.ovMu.Unlock()
-	// Overflow items are strictly newer than anything left in the ring;
-	// if the ring still holds items (epoch > ep), the overflow does too,
-	// and the loop below stops immediately — FIFO is preserved.
-	i := 0
-	for ; i < len(sh.overflow); i++ {
-		b := sh.overflow[i]
-		if b.epoch > ep {
-			break
-		}
-		sh.pending.Add(-int64(b.cols[0].Len()))
-		if err := emit(b.cols, b.ts); err != nil {
-			i++
-			break
-		}
-	}
-	if i > 0 {
-		rest := len(sh.overflow) - i
-		copy(sh.overflow, sh.overflow[i:])
-		for j := rest; j < len(sh.overflow); j++ {
-			sh.overflow[j] = inboxBatch{}
-		}
-		sh.overflow = sh.overflow[:rest]
-	}
-	if len(sh.overflow) == 0 && sh.ring.Len() == 0 {
-		sh.hasOverflow.Store(false)
-	}
-	return nil
 }

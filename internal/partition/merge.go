@@ -274,17 +274,6 @@ func NewMerge(name, source string, tails []*Tail, out *basket.Basket, mergePlan 
 // Name implements scheduler.Transition.
 func (m *Merge) Name() string { return m.name }
 
-// SetWake attaches the merge's scheduler wake hook to every input tail,
-// so a shard emission wakes exactly this transition.
-func (m *Merge) SetWake(fn func()) {
-	for _, t := range m.tails {
-		t.SetWake(fn)
-	}
-}
-
-// Tails returns the merge's input tails (checkpoint capture).
-func (m *Merge) Tails() []*Tail { return m.tails }
-
 // Ready implements scheduler.Transition: fire when any shard emitted.
 // Pending is an atomic counter, so readiness costs no locks.
 func (m *Merge) Ready() bool {

@@ -12,12 +12,12 @@ import (
 	"repro/internal/vector"
 )
 
-// Tail is the shard-pipeline→merge handoff: a bounded SPSC ring of result
+// Tail is the shard-pipeline→merge handoff: an SPSC queue of result
 // batches that replaces the per-shard output basket on the partitioned
 // path. The shard factory is the producer (factories never fire
 // concurrently with themselves, so production is serialized by the
 // scheduler's claim machine); the merge transition is the consumer. A
-// producer-side append is one ring push plus one atomic add — no basket
+// producer-side append is one queue push plus one atomic add — no basket
 // lock, no timestamp-vector allocation on the merge's critical path.
 //
 // Tail implements catalog.Source so SHOW BASKETS and ad-hoc SELECTs keep
@@ -28,7 +28,7 @@ type Tail struct {
 	schema *catalog.Schema // result schema + implicit ts column
 	clock  metrics.Clock
 
-	ring    *ring.SPSC[tailItem]
+	q       *ring.Queue[tailItem]
 	pending atomic.Int64 // buffered tuples
 	drained atomic.Int64 // cumulative tuples handed to the merge
 
@@ -36,14 +36,9 @@ type Tail struct {
 	// is registered; atomic so early firings (before attachment) are safe.
 	wake atomic.Pointer[func()]
 
-	// Overflow preserves FIFO when the ring fills (same discipline as
-	// InboxShard). cmu serializes the consumer role: merge drains,
-	// snapshots, and checkpoint capture may come from different
-	// goroutines.
-	hasOverflow atomic.Bool
-	ovMu        sync.Mutex
-	overflow    []tailItem
-	cmu         sync.Mutex
+	// cmu serializes the queue's consumer role: merge drains, snapshots,
+	// and checkpoint capture may come from different goroutines.
+	cmu sync.Mutex
 }
 
 // tailItem is one produced result batch.
@@ -53,7 +48,7 @@ type tailItem struct {
 }
 
 // NewTail creates a tail for result batches of the given schema (without
-// the implicit ts column) and ring capacity in batches.
+// the implicit ts column) whose lock-free ring holds capacity batches.
 func NewTail(name string, schema *catalog.Schema, capacity int, clock metrics.Clock) *Tail {
 	if clock == nil {
 		clock = metrics.WallClock{}
@@ -62,7 +57,7 @@ func NewTail(name string, schema *catalog.Schema, capacity int, clock metrics.Cl
 		name:   name,
 		schema: schema.WithTimestamp(),
 		clock:  clock,
-		ring:   ring.New[tailItem](capacity),
+		q:      ring.NewQueue[tailItem](capacity),
 	}
 }
 
@@ -87,16 +82,8 @@ func (t *Tail) Pending() int { return int(t.pending.Load()) }
 // Drained returns the cumulative number of tuples consumed by the merge.
 func (t *Tail) Drained() int64 { return t.drained.Load() }
 
-// Batches returns the number of buffered batches (ring plus overflow).
-func (t *Tail) Batches() int {
-	n := t.ring.Len()
-	if t.hasOverflow.Load() {
-		t.ovMu.Lock()
-		n += len(t.overflow)
-		t.ovMu.Unlock()
-	}
-	return n
-}
+// Batches returns the number of buffered batches.
+func (t *Tail) Batches() int { return t.q.Len() }
 
 // AppendRelation accepts one result batch from the producing shard
 // factory (the factory output-sink interface). A trailing ts column, if
@@ -109,22 +96,16 @@ func (t *Tail) AppendRelation(r *storage.Relation) error {
 	if len(cols) == 0 || cols[0].Len() == 0 {
 		return nil
 	}
-	it := tailItem{cols: cols, ts: t.clock.Now()}
-	if t.hasOverflow.Load() || !t.ring.Push(it) {
-		t.ovMu.Lock()
-		if !t.hasOverflow.Load() && len(t.overflow) == 0 && t.ring.Push(it) {
-			t.ovMu.Unlock()
-		} else {
-			t.overflow = append(t.overflow, it)
-			t.hasOverflow.Store(true)
-			t.ovMu.Unlock()
-		}
-	}
-	t.pending.Add(int64(cols[0].Len()))
+	t.push(tailItem{cols: cols, ts: t.clock.Now()})
 	if w := t.wake.Load(); w != nil {
 		(*w)()
 	}
 	return nil
+}
+
+func (t *Tail) push(it tailItem) {
+	t.q.Push(it)
+	t.pending.Add(int64(it.cols[0].Len()))
 }
 
 // peekAll visits every buffered batch oldest-first without consuming;
@@ -132,51 +113,24 @@ func (t *Tail) AppendRelation(r *storage.Relation) error {
 // a subsequent discard(n) consumes.
 func (t *Tail) peekAll(fn func(it tailItem)) int {
 	n := 0
-	t.ring.Do(func(it tailItem) {
+	t.q.Do(func(it tailItem) {
 		fn(it)
 		n++
 	})
-	if t.hasOverflow.Load() {
-		t.ovMu.Lock()
-		for _, it := range t.overflow {
-			fn(it)
-			n++
-		}
-		t.ovMu.Unlock()
-	}
 	return n
 }
 
 // discard consumes the n oldest batches (previously visited by peekAll);
 // the caller holds cmu.
 func (t *Tail) discard(n int) {
-	rows := int64(0)
-	popped := 0
-	for popped < n {
-		it, ok := t.ring.Pop()
-		if !ok {
-			break
+	rows, i := int64(0), 0
+	t.q.Do(func(it tailItem) {
+		if i < n {
+			rows += int64(it.cols[0].Len())
 		}
-		rows += int64(it.cols[0].Len())
-		popped++
-	}
-	rest := n - popped
-	if rest > 0 {
-		t.ovMu.Lock()
-		for i := 0; i < rest && i < len(t.overflow); i++ {
-			rows += int64(t.overflow[i].cols[0].Len())
-		}
-		remain := len(t.overflow) - rest
-		copy(t.overflow, t.overflow[rest:])
-		for j := remain; j < len(t.overflow); j++ {
-			t.overflow[j] = tailItem{}
-		}
-		t.overflow = t.overflow[:remain]
-		if remain == 0 {
-			t.hasOverflow.Store(false)
-		}
-		t.ovMu.Unlock()
-	}
+		i++
+	})
+	t.q.PopN(n)
 	t.pending.Add(-rows)
 	t.drained.Add(rows)
 }
@@ -202,7 +156,7 @@ func (t *Tail) Snapshot() bat.View {
 // TailImage is a serializable snapshot of a tail's buffered batches —
 // part of the checkpoint cut.
 type TailImage struct {
-	Batches [][]vector.Wire
+	Batches [][]*vector.Vector
 	TS      []int64
 }
 
@@ -213,7 +167,7 @@ func (t *Tail) CaptureState() TailImage {
 	defer t.cmu.Unlock()
 	var img TailImage
 	t.peekAll(func(it tailItem) {
-		img.Batches = append(img.Batches, vector.WireColumns(it.cols))
+		img.Batches = append(img.Batches, vector.CloneColumns(it.cols))
 		img.TS = append(img.TS, it.ts)
 	})
 	return img
@@ -223,13 +177,8 @@ func (t *Tail) CaptureState() TailImage {
 func (t *Tail) RestoreState(img TailImage) error {
 	t.cmu.Lock()
 	defer t.cmu.Unlock()
-	for i, ws := range img.Batches {
-		it := tailItem{cols: vector.ColumnsFromWire(ws), ts: img.TS[i]}
-		if !t.ring.Push(it) {
-			t.overflow = append(t.overflow, it)
-			t.hasOverflow.Store(true)
-		}
-		t.pending.Add(int64(it.cols[0].Len()))
+	for i, cols := range img.Batches {
+		t.push(tailItem{cols: cols, ts: img.TS[i]})
 	}
 	return nil
 }

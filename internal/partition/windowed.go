@@ -221,7 +221,7 @@ func (m *WindowedMerge) Late() int64 { return atomic.LoadInt64(&m.late) }
 // counters. Pending windows hold tuples already drained from the shard
 // outs, so losing them would silently drop shard contributions.
 type WindowedMergeState struct {
-	Pending map[int64][]vector.Wire
+	Pending map[int64][]*vector.Vector
 	Rows    int
 	Merged  int64
 	Through int64
@@ -235,7 +235,7 @@ func (m *WindowedMerge) Snapshot() *WindowedMergeState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := &WindowedMergeState{
-		Pending: make(map[int64][]vector.Wire, len(m.pending)),
+		Pending: make(map[int64][]*vector.Vector, len(m.pending)),
 		Rows:    m.rows,
 		Merged:  m.merged,
 		Through: m.through,
@@ -243,7 +243,7 @@ func (m *WindowedMerge) Snapshot() *WindowedMergeState {
 		Late:    atomic.LoadInt64(&m.late),
 	}
 	for end, rel := range m.pending {
-		st.Pending[end] = vector.WireColumns(rel.Cols)
+		st.Pending[end] = vector.CloneColumns(rel.Cols)
 	}
 	return st
 }
@@ -258,7 +258,7 @@ func (m *WindowedMerge) Restore(st *WindowedMergeState) error {
 	}
 	schema := m.shardOuts[0].Schema()
 	for end, cols := range st.Pending {
-		m.pending[end] = &storage.Relation{Schema: schema, Cols: vector.ColumnsFromWire(cols)}
+		m.pending[end] = &storage.Relation{Schema: schema, Cols: cols}
 	}
 	m.rows = st.Rows
 	m.merged = st.Merged

@@ -293,8 +293,8 @@ func BuildWithEventTime(sel *sql.SelectStmt, cat *catalog.Catalog, tsCol string)
 	return Optimize(n), nil
 }
 
-// BuildUnoptimized plans without running the optimizer (used by tests and
-// the EXPLAIN path).
+// BuildUnoptimized plans without running the optimizer: the reference
+// plan the tests run Optimize's output against.
 func BuildUnoptimized(sel *sql.SelectStmt, cat *catalog.Catalog) (Node, error) {
 	n, _, err := build(sel, cat, "")
 	return n, err

@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -109,5 +111,63 @@ func TestConcurrentSPSC(t *testing.T) {
 	case v := <-errs:
 		t.Fatalf("out-of-order pop: got %d", v)
 	default:
+	}
+}
+
+// TestQueueConcurrentFIFO is the unbounded queue's one property: whatever
+// mix of ring and spill the items travel through, and however the
+// consumer interleaves Peek, Do and PopN with a racing producer, items
+// come out exactly once, in push order, and Do only ever shows a prefix.
+func TestQueueConcurrentFIFO(t *testing.T) {
+	const total = 200_000
+	q := NewQueue[int](8) // tiny ring: most items spill
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < total; i++ {
+			q.Push(i)
+			if i%1024 == 0 {
+				runtime.Gosched() // let the consumer catch up so the ring is used again
+			}
+		}
+	}()
+	rng := rand.New(rand.NewSource(1))
+	for want := 0; want < total; {
+		switch rng.Intn(3) {
+		case 0: // one at a time
+			v, ok := q.Peek()
+			if !ok {
+				runtime.Gosched()
+				continue
+			}
+			if v != want {
+				t.Fatalf("Peek = %d, want %d", v, want)
+			}
+			q.PopN(1)
+			want++
+		case 1: // everything visible
+			n := 0
+			q.Do(func(v int) {
+				if v != want+n {
+					t.Errorf("Do visited %d at position %d, want %d", v, n, want+n)
+				}
+				n++
+			})
+			if t.Failed() {
+				t.FailNow()
+			}
+			q.PopN(n)
+			want += n
+		default: // a strict prefix of what is visible, leaving a remainder behind
+			n := 0
+			q.Do(func(int) { n++ })
+			q.PopN(n / 2)
+			want += n / 2
+		}
+	}
+	wg.Wait()
+	if _, ok := q.Peek(); ok || q.Len() != 0 {
+		t.Fatalf("queue not empty after draining: len %d", q.Len())
 	}
 }

@@ -262,7 +262,7 @@ func TestProbeIsRowLevelConservative(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range bat.Difference(bat.All(n), rows[id]) {
+			for _, r := range bat.Complement(0, n, rows[id]) {
 				if !mask.IsNull(r) && mask.Bools()[r] {
 					t.Fatalf("round %d: row %d satisfies %v (anchor %s) but is not among its candidates %v",
 						round, r, p, Analyze(p).Describe(), rows[id])

@@ -311,12 +311,6 @@ func (s *Scheduler) Register(t Transition, priority int) *Handle {
 	return h
 }
 
-// Add registers a transition at priority 0.
-func (s *Scheduler) Add(t Transition) { s.Register(t, 0) }
-
-// AddWithPriority registers a transition at the given priority.
-func (s *Scheduler) AddWithPriority(t Transition, priority int) { s.Register(t, priority) }
-
 // Remove unregisters a transition by name and fences in-flight claims: it
 // does not return while a worker is firing the transition, so callers can
 // tear the transition's state down safely afterwards.

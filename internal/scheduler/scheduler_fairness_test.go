@@ -29,7 +29,7 @@ func TestRemoveFencesInFlightFiring(t *testing.T) {
 		},
 	}
 	s := New()
-	s.Add(tr)
+	s.Register(tr, 0)
 	s.Start(2)
 	defer s.Stop()
 
@@ -74,8 +74,8 @@ func TestLowPriorityNotStarved(t *testing.T) {
 		fire:  func() error { lowFired.Add(1); return nil },
 	}
 	s := New()
-	s.AddWithPriority(high, 10)
-	s.AddWithPriority(low, 0)
+	s.Register(high, 10)
+	s.Register(low, 0)
 	s.Start(1) // a single worker makes starvation possible if scheduling is unfair
 	deadline := time.After(5 * time.Second)
 	for lowFired.Load() < 100 {

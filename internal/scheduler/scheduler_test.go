@@ -32,8 +32,8 @@ func (t *tokenTransition) Fire() error {
 func TestStepFiresReadyTransitions(t *testing.T) {
 	s := New()
 	var a, b, c int64 = 5, 0, 0
-	s.Add(&tokenTransition{name: "t1", in: &a, out: &b, min: 1})
-	s.Add(&tokenTransition{name: "t2", in: &b, out: &c, min: 1})
+	s.Register(&tokenTransition{name: "t1", in: &a, out: &b, min: 1}, 0)
+	s.Register(&tokenTransition{name: "t2", in: &b, out: &c, min: 1}, 0)
 	// First pass: t1 fires (a→b); t2 fires too because it runs after t1.
 	fired := s.Step()
 	if fired != 2 {
@@ -50,7 +50,7 @@ func TestStepFiresReadyTransitions(t *testing.T) {
 func TestMinTokensGatesFiring(t *testing.T) {
 	s := New()
 	var a, b int64 = 3, 0
-	s.Add(&tokenTransition{name: "t", in: &a, out: &b, min: 5})
+	s.Register(&tokenTransition{name: "t", in: &a, out: &b, min: 5}, 0)
 	if s.Step() != 0 {
 		t.Error("transition below threshold fired")
 	}
@@ -67,7 +67,7 @@ func TestDrainChains(t *testing.T) {
 	var stages [5]int64
 	stages[0] = 7
 	for i := 0; i < 4; i++ {
-		s.Add(&tokenTransition{name: "t", in: &stages[i], out: &stages[i+1], min: 1})
+		s.Register(&tokenTransition{name: "t", in: &stages[i], out: &stages[i+1], min: 1}, 0)
 	}
 	total := s.Drain(100)
 	if stages[4] != 7 {
@@ -87,7 +87,7 @@ func TestErrorsRecordedAndReported(t *testing.T) {
 	var a, b int64 = 1, 0
 	var gotName string
 	s.OnError = func(name string, err error) { gotName = name }
-	s.Add(&tokenTransition{name: "bad", in: &a, out: &b, failWith: boom, min: 1})
+	s.Register(&tokenTransition{name: "bad", in: &a, out: &b, failWith: boom, min: 1}, 0)
 	s.Step()
 	if !errors.Is(s.Err(), boom) {
 		t.Errorf("Err = %v", s.Err())
@@ -100,7 +100,7 @@ func TestErrorsRecordedAndReported(t *testing.T) {
 func TestRemove(t *testing.T) {
 	s := New()
 	var a, b int64 = 1, 0
-	s.Add(&tokenTransition{name: "t1", in: &a, out: &b, min: 1})
+	s.Register(&tokenTransition{name: "t1", in: &a, out: &b, min: 1}, 0)
 	s.Remove("t1")
 	if len(s.Transitions()) != 0 {
 		t.Error("transition not removed")
@@ -152,7 +152,7 @@ func TestNoSelfOverlapInConcurrentMode(t *testing.T) {
 		},
 	}
 	s := New()
-	s.Add(tr)
+	s.Register(tr, 0)
 	s.Start(8)
 	time.Sleep(50 * time.Millisecond)
 	s.Stop()
@@ -184,11 +184,11 @@ func TestStartTwiceAndStopTwice(t *testing.T) {
 func TestStopInterruptsAlwaysReadyNet(t *testing.T) {
 	// A transition that is permanently ready must not prevent Stop.
 	s := New()
-	s.Add(&funcTransition{
+	s.Register(&funcTransition{
 		name:  "busy",
 		ready: func() bool { return true },
 		fire:  func() error { return nil },
-	})
+	}, 0)
 	s.Start(2)
 	time.Sleep(10 * time.Millisecond)
 	done := make(chan struct{})
@@ -218,10 +218,10 @@ func TestPriorityOrdering(t *testing.T) {
 			},
 		}
 	}
-	s.Add(mk("low1"))                 // prio 0
-	s.AddWithPriority(mk("high"), 10) // scanned first
-	s.AddWithPriority(mk("mid"), 5)   // between
-	s.Add(mk("low2"))                 // prio 0, after low1
+	s.Register(mk("low1"), 0)  // prio 0
+	s.Register(mk("high"), 10) // scanned first
+	s.Register(mk("mid"), 5)   // between
+	s.Register(mk("low2"), 0)  // prio 0, after low1
 	s.Step()
 	want := []string{"high", "mid", "low1", "low2"}
 	if len(order) != len(want) {

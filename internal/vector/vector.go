@@ -580,6 +580,16 @@ func (v *Vector) Clone() *Vector {
 	return out
 }
 
+// CloneColumns deep-copies a column set — what a checkpoint capture
+// takes of live state before the consistency gate is released.
+func CloneColumns(cols []*Vector) []*Vector {
+	out := make([]*Vector, len(cols))
+	for i, c := range cols {
+		out[i] = c.Clone()
+	}
+	return out
+}
+
 // Truncate shortens the vector to n elements.
 func (v *Vector) Truncate(n int) {
 	switch v.typ {

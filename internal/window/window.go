@@ -582,7 +582,7 @@ func (r *Runner) emitTime(end int64) (Result, bool, error) {
 // covers [WinStart, PaneStart) and the buffer still holds every tuple
 // at or past WinStart.
 type State struct {
-	Buf       []vector.Wire
+	Buf       []*vector.Vector
 	AbsBase   int64
 	AbsCount  int64
 	WinStart  int64
@@ -599,7 +599,7 @@ type State struct {
 // serialization the owning factory uses for Append/Flush.
 func (r *Runner) Snapshot() *State {
 	return &State{
-		Buf:       vector.WireColumns(r.buf.Cols),
+		Buf:       vector.CloneColumns(r.buf.Cols),
 		AbsBase:   r.absBase,
 		AbsCount:  r.absCount,
 		WinStart:  r.winStart,
@@ -625,7 +625,7 @@ func (r *Runner) Restore(st *State) error {
 	if len(st.Buf) != len(r.buf.Cols) {
 		return fmt.Errorf("window: restore image has %d columns, want %d", len(st.Buf), len(r.buf.Cols))
 	}
-	r.buf.Cols = vector.ColumnsFromWire(st.Buf)
+	r.buf.Cols = st.Buf
 	r.absBase = st.AbsBase
 	r.absCount = st.AbsCount
 	r.winStart = st.WinStart
