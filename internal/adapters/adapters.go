@@ -3,10 +3,19 @@
 // their structure, and forward them into baskets; emitters pick up result
 // tuples and deliver them to subscribed clients. The interchange format is
 // the paper's deliberately simple one — flat relational tuples as text
-// (comma-separated fields, one tuple per line).
+// (comma-separated fields, one tuple per line, no quoting).
+//
+// The package owns the tuple level of that format — how a line splits
+// into fields and a row joins into a line — in two shapes: AppendTuple and
+// AppendRow go between text and columns without building a row (the
+// daemon's two loops in internal/server), ParseTuple and FormatTuple
+// between text and a []Value (the embedding API, bench/'s probes). How one
+// field reads and prints is internal/vector's, and shared by both shapes.
+// ChannelEmitter is the emitter transition behind a Subscription.
 package adapters
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -20,31 +29,83 @@ import (
 
 // ParseTuple decodes one comma-separated line against a schema (which must
 // NOT include the implicit ts column — receptors never trust sender
-// timestamps).
+// timestamps). It is the row-shaped form of AppendTuple, with the same
+// accept/reject rules.
 func ParseTuple(schema *catalog.Schema, line string) ([]vector.Value, error) {
 	fields := strings.Split(line, ",")
 	if len(fields) != schema.Len() {
-		return nil, fmt.Errorf("adapters: tuple has %d fields, schema %s needs %d",
-			len(fields), schema, schema.Len())
+		return nil, fieldCountError(len(fields), schema)
 	}
 	out := make([]vector.Value, len(fields))
 	for i, f := range fields {
 		v, err := vector.Parse(schema.Columns[i].Type, f)
 		if err != nil {
-			return nil, fmt.Errorf("adapters: field %d (%s): %w", i, schema.Columns[i].Name, err)
+			return nil, fieldError(i, schema, err)
 		}
 		out[i] = v
 	}
 	return out, nil
 }
 
+// AppendTuple decodes one comma-separated line straight into column
+// builders: cols holds one vector per column of schema (the user schema,
+// as for ParseTuple) and gains one element each. A line with the wrong
+// number of fields or a field its column cannot parse is rejected and
+// leaves every column as it was. line is only read during the call —
+// VARCHAR fields are copied out of it — so it may be a view of a read
+// buffer.
+func AppendTuple(cols []*vector.Vector, schema *catalog.Schema, line []byte) error {
+	if n := bytes.Count(line, comma) + 1; n != len(cols) {
+		return fieldCountError(n, schema)
+	}
+	rows := cols[0].Len()
+	for i, c := range cols {
+		field := line
+		if j := bytes.IndexByte(line, ','); j >= 0 {
+			field, line = line[:j], line[j+1:]
+		}
+		if err := c.AppendField(field); err != nil {
+			for _, done := range cols[:i] {
+				done.Truncate(rows)
+			}
+			return fieldError(i, schema, err)
+		}
+	}
+	return nil
+}
+
+var comma = []byte{','}
+
+func fieldCountError(n int, schema *catalog.Schema) error {
+	return fmt.Errorf("adapters: tuple has %d fields, schema %s needs %d", n, schema, schema.Len())
+}
+
+func fieldError(i int, schema *catalog.Schema, err error) error {
+	return fmt.Errorf("adapters: field %d (%s): %w", i, schema.Columns[i].Name, err)
+}
+
 // FormatTuple encodes one row in the flat-text interchange format.
 func FormatTuple(row []vector.Value) string {
-	parts := make([]string, len(row))
+	buf := make([]byte, 0, 16*len(row))
 	for i, v := range row {
-		parts[i] = v.String()
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = v.AppendText(buf)
 	}
-	return strings.Join(parts, ",")
+	return string(buf)
+}
+
+// AppendRow appends row i of cols as one line of the interchange format:
+// what FormatTuple prints for that row, and a newline.
+func AppendRow(dst []byte, cols []*vector.Vector, i int) []byte {
+	for c, col := range cols {
+		if c > 0 {
+			dst = append(dst, ',')
+		}
+		dst = col.AppendText(dst, i)
+	}
+	return append(dst, '\n')
 }
 
 // Backpressure selects what a channel emitter does when its subscriber

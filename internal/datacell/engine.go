@@ -637,7 +637,17 @@ func (e *Engine) ingestRows(ctx context.Context, streamName string, rows [][]vec
 	return e.ingest(ctx, s, len(rows), cols)
 }
 
-// IngestColumns is the bulk variant of Ingest.
+// IngestColumns is the bulk variant of Ingest: one vector per user column
+// of the stream, all of one length.
+//
+// The vectors stay the caller's. Every target — the primary basket, each
+// separate-strategy replica, the shard inbox, the WAL record — takes a
+// copy of the values before the call returns and nothing keeps a
+// reference, so the caller may truncate and refill the same vectors for
+// its next batch (server.ServeIngest does). The engine may complete a
+// vector's lazily allocated null mask during the call; it changes no
+// value. TestIngestColumnsLeavesTheCallersVectorsAlone holds every target
+// to this.
 func (e *Engine) IngestColumns(ctx context.Context, streamName string, cols []*vector.Vector) error {
 	if err := e.guard(ctx); err != nil {
 		return err
@@ -717,6 +727,14 @@ func (e *Engine) fanout(s *stream, n int, cols []*vector.Vector) error {
 		parts, err := s.router.Split(cols)
 		if err != nil {
 			return err
+		}
+		for i, part := range parts {
+			if len(part) > 0 && part[0] == cols[0] {
+				// Split hands a one-shard batch through uncopied and the
+				// inbox holds its slices until the shard drains them; the
+				// vectors are the caller's to reuse (see IngestColumns).
+				parts[i] = vector.CloneColumns(cols)
+			}
 		}
 		// The whole batch must become visible to every shard atomically:
 		// shard window runners share a watermark group raised while

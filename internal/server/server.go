@@ -2,11 +2,21 @@
 // accept flat-text tuples into streams, emitter listeners deliver
 // continuous-query results to subscribers, and a control listener executes
 // one-time SQL — the adapter periphery of §2.1 as a network daemon.
+//
+// The two data loops are columnar: ServeIngest parses each line straight
+// into one vector per column and hands the engine batches
+// (Engine.IngestColumns), ServeResults prints rows straight from a result
+// relation's columns into its output buffer. Neither builds a row, a
+// string per line or a Value per field; the format itself is
+// internal/adapters' (tuples) and internal/vector's (fields), and is
+// described in the README ("Wire protocol").
 package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,6 +28,8 @@ import (
 	"repro/internal/adapters"
 	"repro/internal/catalog"
 	"repro/internal/sql"
+	"repro/internal/storage"
+	"repro/internal/vector"
 )
 
 // Server wires one engine to its listeners.
@@ -127,7 +139,24 @@ func (s *Server) Close() {
 	s.listeners = nil
 }
 
-// ServeIngest handles one receptor connection.
+// ingestBatchRows is how many accepted tuples ServeIngest collects before
+// it calls the engine. A batch is the unit every later stage works on —
+// one WAL record, one basket append, one firing of each reader — so the
+// constant trades low-rate latency (a tuple waits for its batch to fill)
+// against per-tuple cost; CHANGES.md (PR 18) records what shrinking it
+// costs.
+const ingestBatchRows = 128
+
+// resultChunk is the size at which ServeResults writes out what it has
+// formatted without waiting for the subscription to run dry.
+const resultChunk = 64 << 10
+
+// ServeIngest handles one receptor connection: every line is parsed
+// straight into one vector per column of the stream, and every
+// ingestBatchRows accepted tuples (and what is left at end of stream) go
+// to Engine.IngestColumns. A line that does not parse is logged and
+// skipped; a read error, or an engine that has stopped, is logged, reported
+// to the client as ERR and ends the connection.
 func (s *Server) ServeIngest(conn io.ReadWriteCloser) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
@@ -142,37 +171,64 @@ func (s *Server) ServeIngest(conn io.ReadWriteCloser) {
 		return
 	}
 	userSchema := &catalog.Schema{Columns: b.Schema().Columns[:b.UserWidth()]}
+	// The builders live as long as the connection: IngestColumns keeps no
+	// reference to its argument (docs/INVARIANTS.md), so they are emptied
+	// and filled again.
+	cols := make([]*vector.Vector, userSchema.Len())
+	for i, c := range userSchema.Columns {
+		cols[i] = vector.NewWithCap(c.Type, ingestBatchRows)
+	}
+	rows := 0
+	// flush hands the pending tuples to the engine and reports whether the
+	// connection should go on.
+	flush := func() bool {
+		if rows == 0 {
+			return true
+		}
+		err := s.eng.IngestColumns(context.Background(), streamName, cols)
+		for _, c := range cols {
+			c.Truncate(0)
+		}
+		rows = 0
+		if err == nil {
+			return true
+		}
+		s.logf("ingest %s: %v", streamName, err)
+		if errors.Is(err, datacell.ErrEngineStopped) || errors.Is(err, context.Canceled) {
+			fmt.Fprintf(conn, "ERR %v\n", err)
+			return false
+		}
+		return true
+	}
 
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 64*1024), 1024*1024)
-	var pending [][]datacell.Value
-	flush := func() {
-		if len(pending) > 0 {
-			if err := s.eng.Ingest(context.Background(), streamName, pending); err != nil {
-				s.logf("ingest %s: %v", streamName, err)
-			}
-			pending = pending[:0]
-		}
-	}
 	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" {
+		line := scanner.Bytes()
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		row, err := adapters.ParseTuple(userSchema, line)
-		if err != nil {
+		if err := adapters.AppendTuple(cols, userSchema, line); err != nil {
 			s.logf("ingest %s: %v", streamName, err)
 			continue
 		}
-		pending = append(pending, row)
-		if len(pending) >= 128 {
-			flush()
+		if rows++; rows >= ingestBatchRows && !flush() {
+			return
 		}
 	}
-	flush()
+	if !flush() {
+		return
+	}
+	if err := scanner.Err(); err != nil {
+		s.logf("ingest %s: %v", streamName, err)
+		fmt.Fprintf(conn, "ERR %v\n", err)
+	}
 }
 
-// ServeResults handles one subscriber connection.
+// ServeResults handles one subscriber connection: result rows are printed
+// from the relation's columns into one buffer, which is written when the
+// subscription has nothing more ready (or at resultChunk bytes) — one
+// write per batch while the client keeps up, fewer when it does not.
 func (s *Server) ServeResults(conn io.ReadWriteCloser) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
@@ -190,20 +246,40 @@ func (s *Server) ServeResults(conn io.ReadWriteCloser) {
 		fmt.Fprintf(conn, "ERR query %q has no subscription (polling mode)\n", q.Name)
 		return
 	}
-	w := bufio.NewWriter(conn)
-	for rel := range sub.C() {
-		userW := rel.Schema.Len()
-		if rel.Schema.Index(catalog.TimestampColumn) == userW-1 {
-			userW-- // strip the output basket's delivery timestamp
+	var out []byte
+	flush := func() bool {
+		if len(out) == 0 {
+			return true
 		}
-		for i := 0; i < rel.NumRows(); i++ {
-			row := rel.Row(i)
-			if _, err := fmt.Fprintln(w, adapters.FormatTuple(row[:userW])); err != nil {
+		_, err := conn.Write(out)
+		out = out[:0]
+		return err == nil
+	}
+	ch := sub.C()
+	for {
+		var rel *storage.Relation
+		var open bool
+		select {
+		case rel, open = <-ch:
+		default:
+			if !flush() {
 				return
 			}
+			rel, open = <-ch
 		}
-		if err := w.Flush(); err != nil {
+		if !open {
+			flush()
 			return
+		}
+		cols := rel.Cols
+		if rel.Schema.Index(catalog.TimestampColumn) == len(cols)-1 {
+			cols = cols[:len(cols)-1] // strip the output basket's delivery timestamp
+		}
+		for i, n := 0, rel.NumRows(); i < n; i++ {
+			out = adapters.AppendRow(out, cols, i)
+			if len(out) >= resultChunk && !flush() {
+				return
+			}
 		}
 	}
 }

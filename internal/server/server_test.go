@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,5 +229,157 @@ func TestContinuousDDLOverSQLPort(t *testing.T) {
 	fmt.Fprintln(ctl, "DROP CONTINUOUS QUERY cold")
 	if !r.Scan() || !strings.HasPrefix(r.Text(), "ERR") {
 		t.Errorf("double drop should ERR, got %q", r.Text())
+	}
+}
+
+// logSink collects a server's diagnostics.
+type logSink struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logSink) logf(format string, args ...interface{}) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+func (l *logSink) all() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.lines...)
+}
+
+// serveIngestPipe runs ServeIngest on one end of an in-memory connection
+// and returns the client's end and a channel closed when ServeIngest has
+// returned.
+func serveIngestPipe(t *testing.T, s *Server) (net.Conn, <-chan struct{}) {
+	t.Helper()
+	client, srv := net.Pipe()
+	t.Cleanup(func() { _ = client.Close() })
+	if err := client.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		s.ServeIngest(srv)
+	}()
+	return client, returned
+}
+
+// A line over the scanner's 1 MiB limit ends the connection. The tuples
+// before it are ingested, the reason is logged under the ingest prefix and
+// the client is told, instead of the rest of the stream vanishing.
+func TestIngestReadErrorIsLoggedAndReported(t *testing.T) {
+	s, eng := newServer(t)
+	var logs logSink
+	s.Logf = logs.logf
+	client, returned := serveIngestPipe(t, s)
+	go func() {
+		// Fails when the server hangs up mid-line, which is the point.
+		_, _ = client.Write(append([]byte("sensors\n1,35.5\n2,"), bytes.Repeat([]byte{'9'}, 2<<20)...))
+	}()
+	reply, err := bufio.NewReader(client).ReadString('\n')
+	if err != nil || !strings.HasPrefix(reply, "ERR ") || !strings.Contains(reply, "token too long") {
+		t.Fatalf("reply = %q, %v; want ERR ... token too long", reply, err)
+	}
+	<-returned
+	if got := eng.Ingested("sensors"); got != 1 {
+		t.Errorf("ingested %d tuples, want the 1 before the oversized line", got)
+	}
+	if lines := logs.all(); len(lines) != 1 || !strings.HasPrefix(lines[0], "ingest sensors: ") {
+		t.Errorf("log = %q, want one line starting %q", lines, "ingest sensors: ")
+	}
+}
+
+// Once the engine has stopped, the first batch handed to it ends the
+// connection with an ERR reply; the client is not left sending into a
+// server that logs every batch and drops it.
+func TestIngestHangsUpOnAStoppedEngine(t *testing.T) {
+	s, eng := newServer(t)
+	var logs logSink
+	s.Logf = logs.logf
+	client, returned := serveIngestPipe(t, s)
+	if err := eng.Stop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		w := bufio.NewWriter(client)
+		fmt.Fprintln(w, "sensors")
+		for i := 0; i < 10*128; i++ { // ten batches: the first must be the last
+			fmt.Fprintf(w, "%d,35.5\n", i)
+		}
+		_ = w.Flush()
+	}()
+	reply, err := bufio.NewReader(client).ReadString('\n')
+	if err != nil || !strings.HasPrefix(reply, "ERR ") || !strings.Contains(reply, "engine stopped") {
+		t.Fatalf("reply = %q, %v; want ERR ... engine stopped", reply, err)
+	}
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeIngest still serving a stopped engine")
+	}
+	if lines := logs.all(); len(lines) != 1 || !strings.HasPrefix(lines[0], "ingest sensors: ") {
+		t.Errorf("log = %q, want one line starting %q", lines, "ingest sensors: ")
+	}
+}
+
+// A rejected line costs only itself: the accepted rows on either side of
+// it, in the same 128-row batch and across batch boundaries, arrive in
+// order and exactly once. One bad line has the wrong field count, the
+// others fail in the second column, after the first column took its value.
+func TestBadLineInTheMiddleOfABatch(t *testing.T) {
+	s, _ := newServer(t)
+	var logs logSink
+	s.Logf = logs.logf
+	ingestAddr, err := s.ListenIngest("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultAddr, err := s.ListenResults("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := dial(t, resultAddr)
+	fmt.Fprintln(sub, "hot")
+
+	const rows = 300
+	bad := map[int]string{0: "x,1", 70: "70,abc", 127: "1,2,3", 128: "128,4e", 299: ",zz"}
+	in := dial(t, ingestAddr)
+	w := bufio.NewWriter(in)
+	fmt.Fprintln(w, "sensors")
+	for i := 0; i < rows; i++ {
+		if line, ok := bad[i]; ok {
+			fmt.Fprintln(w, line)
+		}
+		fmt.Fprintf(w, "%d,%d.5\r\n", i, 31+i)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_ = in.Close()
+
+	if err := sub.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	results := bufio.NewScanner(sub)
+	for i := 0; i < rows; i++ {
+		if !results.Scan() {
+			t.Fatalf("results ended after %d of %d rows: %v", i, rows, results.Err())
+		}
+		if want := fmt.Sprintf("%d,%d.5", i, 31+i); results.Text() != want {
+			t.Fatalf("result %d = %q, want %q", i, results.Text(), want)
+		}
+	}
+	if err := sub.SetReadDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if results.Scan() {
+		t.Errorf("extra result %q", results.Text())
+	}
+	if lines := logs.all(); len(lines) != len(bad) {
+		t.Errorf("%d lines logged, want one per rejected line (%d): %q", len(lines), len(bad), lines)
 	}
 }

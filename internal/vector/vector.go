@@ -5,7 +5,6 @@ package vector
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -129,29 +128,6 @@ func (v Value) AsInt() int64 {
 	}
 }
 
-// String renders the value in the flat-text interchange format used by the
-// receptors and emitters. NULL renders as the empty marker.
-func (v Value) String() string {
-	if v.Null {
-		return "NULL"
-	}
-	switch v.Typ {
-	case Int64, Timestamp:
-		return strconv.FormatInt(v.I, 10)
-	case Float64:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case Bool:
-		if v.B {
-			return "true"
-		}
-		return "false"
-	case String:
-		return v.S
-	default:
-		return "?"
-	}
-}
-
 // Compare orders two values of the same type: -1, 0, or +1. NULL sorts
 // before every non-NULL value; two NULLs compare equal.
 func Compare(a, b Value) int {
@@ -194,45 +170,6 @@ func Compare(a, b Value) int {
 		return strings.Compare(a.S, b.S)
 	default:
 		return 0
-	}
-}
-
-// Parse converts the flat-text representation of a value into a typed Value.
-// Empty strings and the literal "NULL" parse as NULL.
-func Parse(t Type, s string) (Value, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || strings.EqualFold(s, "null") {
-		return NullValue(t), nil
-	}
-	switch t {
-	case Int64:
-		i, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("vector: parse %q as BIGINT: %w", s, err)
-		}
-		return NewInt(i), nil
-	case Timestamp:
-		i, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("vector: parse %q as TIMESTAMP: %w", s, err)
-		}
-		return NewTimestamp(i), nil
-	case Float64:
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("vector: parse %q as DOUBLE: %w", s, err)
-		}
-		return NewFloat(f), nil
-	case Bool:
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return Value{}, fmt.Errorf("vector: parse %q as BOOLEAN: %w", s, err)
-		}
-		return NewBool(b), nil
-	case String:
-		return NewString(s), nil
-	default:
-		return Value{}, fmt.Errorf("vector: parse into unknown type")
 	}
 }
 
