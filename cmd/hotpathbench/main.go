@@ -1394,7 +1394,8 @@ func main() {
 			"batches, 4096 groups); shard scaling needs num_cpu >= shards to materialize — " +
 			"'partitioned_before_execution_core' is the same scenario before the sharded " +
 			"run-queue / targeted-wakeup / ring-handoff rework (on a 1-CPU container both " +
-			"sides only show the contention tax, not the speedup; see num_cpu). " +
+			"sides only show the contention tax, not the speedup; see num_cpu); 'current' lanes " +
+			"hand their emissions to the merge through ordinary sink baskets (q_out#i). " +
 			"'windowed' is an event-time tumbling-window GROUP BY aligned with the partition key " +
 			"(window 4096 ticks, lateness 512), flat vs sharded, with disorder_pct of the input " +
 			"displaced backward within the lateness bound — late_tuples must stay 0. " +

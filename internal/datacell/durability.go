@@ -269,12 +269,16 @@ type ckptStream struct {
 }
 
 // ckptQuery is one durable continuous query's captured state, in the
-// order the installed topology lists its places and transitions.
+// order the installed topology lists its places and transitions. Baskets
+// is deliberately not the name an earlier layout used for its
+// basket-or-tail union ("Places"): gob drops fields it does not know, so
+// such an image decodes to no baskets here and restoreState refuses it
+// instead of restoring empty lane sinks.
 type ckptQuery struct {
 	Delivered int64 // emitter's cumulative delivery count
-	Places    []placeImage
+	Baskets   []basketImage
 	Facts     []*factory.State
-	Merge     *partition.WindowedMergeState
+	Merge     *partition.MergeState
 	Routed    *routedImage
 }
 
@@ -406,14 +410,14 @@ func (q *Query) captureState() ckptQuery {
 	if q.sub != nil {
 		st.Delivered = q.sub.em.Delivered()
 	}
-	for _, p := range q.places {
-		st.Places = append(st.Places, p.capture())
+	for _, b := range q.places {
+		st.Baskets = append(st.Baskets, captureBasket(b))
 	}
 	for _, f := range q.facts {
 		st.Facts = append(st.Facts, f.CaptureState())
 	}
-	if wm, ok := q.merge.(*partition.WindowedMerge); ok {
-		st.Merge = wm.Snapshot()
+	if q.merge != nil {
+		st.Merge = q.merge.Snapshot()
 	}
 	if q.routed != nil {
 		img := q.routed.CaptureState()
@@ -425,11 +429,11 @@ func (q *Query) captureState() ckptQuery {
 // restoreState is captureState's inverse over the same walk; an image
 // taken from a differently shaped topology is an error.
 func (q *Query) restoreState(st *ckptQuery) error {
-	if len(st.Places) != len(q.places) {
-		return fmt.Errorf("%d places, image has %d", len(q.places), len(st.Places))
+	if len(st.Baskets) != len(q.places) {
+		return fmt.Errorf("%d places, image has %d", len(q.places), len(st.Baskets))
 	}
-	for i, img := range st.Places {
-		if err := q.places[i].restore(img); err != nil {
+	for i, img := range st.Baskets {
+		if err := restoreBasket(q.places[i], img); err != nil {
 			return err
 		}
 	}
@@ -444,12 +448,11 @@ func (q *Query) restoreState(st *ckptQuery) error {
 			return err
 		}
 	}
-	wm, windowed := q.merge.(*partition.WindowedMerge)
-	if (st.Merge != nil) != windowed || (st.Routed != nil) != (q.routed != nil) {
-		return fmt.Errorf("image and query disagree on windowed-merge or routed state")
+	if (st.Merge != nil) != (q.merge != nil) || (st.Routed != nil) != (q.routed != nil) {
+		return fmt.Errorf("image and query disagree on merge or routed state")
 	}
-	if windowed {
-		if err := wm.Restore(st.Merge); err != nil {
+	if q.merge != nil {
+		if err := q.merge.Restore(st.Merge); err != nil {
 			return err
 		}
 	}

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/checkpoint"
 )
 
 // copyTree clones a durability data directory, simulating the on-disk
@@ -234,6 +238,58 @@ func TestDurableOptOutQuery(t *testing.T) {
 	defer e2.Stop(ctx)
 	if _, err := e2.Query("eph"); err != nil {
 		t.Fatalf("DDL replay lost the query: %v", err)
+	}
+}
+
+// TestDurableConcurrentStop: datacelld's context watchers and its main
+// all call Stop on SIGTERM, and the process exits when main's returns. So
+// whichever call returns first, the shutdown must be complete by then: the
+// clean-shutdown image installed, nothing half-written beside it.
+func TestDurableConcurrentStop(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	e := openDurable(t, dir)
+	if _, err := e.Exec(ctx, "CREATE BASKET R (a INT, b INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RegisterContinuous("q", "SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 200; i++ {
+		ingestPairs(t, e, "R", [][2]int64{{i, i}})
+	}
+	ckptDir := filepath.Join(dir, ckptSubdir)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := e.Stop(ctx); err != nil {
+				t.Errorf("Stop %d: %v", i, err)
+			}
+			_, payload, err := checkpoint.Latest(ckptDir, math.MaxInt64)
+			if err != nil || payload == nil {
+				t.Errorf("Stop %d returned with no checkpoint installed: %v", i, err)
+				return
+			}
+			if img, err := decodeImage(payload); err != nil || !img.Clean {
+				t.Errorf("Stop %d returned before the clean-shutdown image: clean=%v err=%v", i, img != nil && img.Clean, err)
+			}
+			if tmp, _ := filepath.Glob(filepath.Join(ckptDir, "*.tmp")); len(tmp) != 0 {
+				t.Errorf("Stop %d returned with a checkpoint half-written: %v", i, tmp)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Once the shutdown is complete Stop is a no-op, whatever its context.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := e.Stop(cancelled); err != nil {
+		t.Errorf("Stop after shutdown completed = %v, want nil", err)
 	}
 }
 

@@ -135,7 +135,8 @@ type Engine struct {
 	workers    int
 	state      int
 	flushStop  chan struct{}
-	// done is closed exactly once, on Stop; context watchers select on it.
+	// done is closed exactly once, as the last act of the Stop that shut
+	// the engine down; context watchers and every other Stop wait on it.
 	done chan struct{}
 
 	// The tick's work list — everything the passage of time, rather than
@@ -225,11 +226,7 @@ type stream struct {
 
 // inboxRingBatches sizes each shard's ingest staging ring (in batches);
 // bursts beyond it spill to an unbounded FIFO overflow list.
-// tailRingBatches does the same for the shard-pipeline→merge tails.
-const (
-	inboxRingBatches = 256
-	tailRingBatches  = 256
-)
+const inboxRingBatches = 256
 
 // New creates an engine. Prefer Open, which validates the configuration
 // and ties the engine's lifetime to a context.
@@ -379,12 +376,28 @@ func (e *Engine) Start(ctx context.Context) error {
 // Stop shuts the engine down: the window ticker stops, in-flight work is
 // drained gracefully (bounded by ctx), the scheduler pool terminates, and
 // every subscription closes with ErrEngineStopped. Stop is idempotent and
-// safe before Start; once stopped, the engine rejects further work.
+// safe before Start; once stopped, the engine rejects further work. Every
+// call returns only once the shutdown has completed — the clean-shutdown
+// checkpoint included — or its own ctx ends, whichever caller performs it.
 func (e *Engine) Stop(ctx context.Context) error {
 	e.mu.Lock()
 	if e.state == stateStopped {
 		e.mu.Unlock()
-		return nil
+		var cancelled <-chan struct{}
+		if ctx != nil {
+			cancelled = ctx.Done()
+		}
+		select {
+		case <-e.done: // a completed shutdown is success whatever ctx says
+			return nil
+		default:
+		}
+		select {
+		case <-e.done:
+			return nil
+		case <-cancelled:
+			return ctx.Err()
+		}
 	}
 	wasRunning := e.state == stateRunning
 	e.state = stateStopped
@@ -410,13 +423,13 @@ func (e *Engine) Stop(ctx context.Context) error {
 		}
 	}
 	e.stopMetricsServer()
-	close(e.done)
 	e.mu.Lock()
 	subs := append([]*Subscription(nil), e.subs...)
 	e.mu.Unlock()
 	for _, s := range subs {
 		s.closeWith(ErrEngineStopped)
 	}
+	close(e.done)
 	return drainErr
 }
 
@@ -976,38 +989,21 @@ func (e *Engine) show(what sql.ShowKind) (*storage.Relation, error) {
 			catalog.Column{Name: "dropped", Type: vector.Int64},
 			catalog.Column{Name: "shed", Type: vector.Int64},
 		))
-		for _, name := range e.cat.Names() {
-			entry, err := e.cat.Lookup(name)
-			if err != nil || entry.Kind != catalog.KindBasket {
-				continue
-			}
+		e.eachBasket(func(name string, shardIdx int, b *basket.Basket) {
 			shard := vector.NullValue(vector.Int64)
-			if entry.Shard >= 0 {
-				shard = vector.NewInt(int64(entry.Shard))
+			if shardIdx >= 0 {
+				shard = vector.NewInt(int64(shardIdx))
 			}
-			var chunks, resident int
-			var dropped, shed int64
-			switch src := entry.Source.(type) {
-			case *basket.Basket:
-				chunks, resident, dropped, shed = src.Stats()
-			case *partition.Tail:
-				// Shard-pipeline tails report buffered batches as chunks
-				// and drained tuples as consumed; they never shed.
-				resident = src.Pending()
-				chunks = src.Batches()
-				dropped = src.Drained()
-			default:
-				continue
-			}
+			chunks, resident, dropped, shed := b.Stats()
 			rel.AppendRow([]vector.Value{
-				vector.NewString(entry.Name),
+				vector.NewString(name),
 				shard,
 				vector.NewInt(int64(resident)),
 				vector.NewInt(int64(chunks)),
 				vector.NewInt(dropped),
 				vector.NewInt(shed),
 			})
-		}
+		})
 		return rel, nil
 	case sql.ShowScheduler:
 		// Execution-core introspection: one row per transition with its

@@ -13,7 +13,7 @@ import (
 
 // explainAnalyze renders a continuous query's live pipeline topology as
 // a relation: one row per operator (inputs, shard factories with their
-// compiled plan nodes, merge stage, tails, output basket, emitter),
+// compiled plan nodes, merge stage, lane sinks, output basket, emitter),
 // annotated with cumulative tuple counters. The row order follows the
 // dataflow: source streams, then shard pipelines, then recombination,
 // then delivery.
@@ -119,23 +119,15 @@ func (e *Engine) explainAnalyze(name string) (*storage.Relation, error) {
 		}
 	}
 
-	// Recombination: the merge transition and the lane sinks feeding it
-	// (SPSC tails, or baskets under a windowed merge).
+	// Recombination: the merge transition and the lane sinks feeding it.
 	if q.merge != nil {
 		lag, merged := q.merge.Lag(), n(q.merge.Merged())
 		row("merge", q.merge.Name(), nullInt, fmt.Sprintf("lag=%d", lag), merged, merged, nullInt, n(int64(lag)))
 	}
-	for _, p := range q.places {
-		switch {
-		case p.shard < 0: // not a lane sink
-		case p.t != nil:
-			row("tail", p.t.Name(), n(int64(p.shard)), "",
-				nullInt, n(p.t.Drained()), nullInt, n(int64(p.t.Pending())))
-		default:
-			_, resident, dropped, _ := p.b.Stats()
-			row("tail", p.b.Name(), n(int64(p.shard)), "basket",
-				nullInt, n(dropped), nullInt, n(int64(resident)))
-		}
+	for lane, b := range q.sinks {
+		chunks, resident, dropped, _ := b.Stats()
+		row("tail", b.Name(), n(int64(lane)), fmt.Sprintf("chunks=%d", chunks),
+			nullInt, n(dropped), nullInt, n(int64(resident)))
 	}
 
 	// Delivery: output basket and (when subscribed) the emitter.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/factory"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/scheduler"
 	"repro/internal/storage"
 )
@@ -151,21 +150,15 @@ func newEngineObs(e *Engine) *engineObs {
 	})
 
 	// Basket physical depths, the metric twin of SHOW BASKETS: shard
-	// baskets and pipeline tails appear with their shard index.
-	reg.CollectGauge("dc_basket_tuples", "Resident tuples per basket (shard baskets and tails included).", func() []obs.Sample {
-		return basketSamples(e, func(resident int, dropped, shed int64, pending int) float64 {
-			return float64(resident + pending)
-		})
+	// baskets and lane sinks appear with their shard index.
+	reg.CollectGauge("dc_basket_tuples", "Resident tuples per basket (shard baskets and lane sinks included).", func() []obs.Sample {
+		return basketSamples(e, func(resident int, dropped, shed int64) float64 { return float64(resident) })
 	})
 	reg.CollectCounter("dc_basket_dropped_total", "Tuples consumed or dropped per basket.", func() []obs.Sample {
-		return basketSamples(e, func(resident int, dropped, shed int64, pending int) float64 {
-			return float64(dropped)
-		})
+		return basketSamples(e, func(resident int, dropped, shed int64) float64 { return float64(dropped) })
 	})
 	reg.CollectCounter("dc_basket_shed_total", "Tuples shed under overload per basket.", func() []obs.Sample {
-		return basketSamples(e, func(resident int, dropped, shed int64, pending int) float64 {
-			return float64(shed)
-		})
+		return basketSamples(e, func(resident int, dropped, shed int64) float64 { return float64(shed) })
 	})
 
 	queryGauge := func(name, help string, fn func(q *Query) float64) {
@@ -246,28 +239,33 @@ func newEngineObs(e *Engine) *engineObs {
 	return o
 }
 
-// basketSamples walks the catalog like SHOW BASKETS and projects one
-// value per basket/tail via pick(resident, dropped, shed, pending).
-func basketSamples(e *Engine, pick func(resident int, dropped, shed int64, pending int) float64) []obs.Sample {
+// basketSamples projects one value per basket SHOW BASKETS lists, via
+// pick(resident, dropped, shed).
+func basketSamples(e *Engine, pick func(resident int, dropped, shed int64) float64) []obs.Sample {
 	var out []obs.Sample
+	e.eachBasket(func(name string, shard int, b *basket.Basket) {
+		labels := obs.Labels{"basket": name}
+		if shard >= 0 {
+			labels["shard"] = fmt.Sprint(shard)
+		}
+		_, resident, dropped, shed := b.Stats()
+		out = append(out, obs.Sample{Labels: labels, Value: pick(resident, dropped, shed)})
+	})
+	return out
+}
+
+// eachBasket visits every basket the catalog lists, in name order, with
+// its shard index (-1 for an unsharded basket).
+func (e *Engine) eachBasket(visit func(name string, shard int, b *basket.Basket)) {
 	for _, name := range e.cat.Names() {
 		entry, err := e.cat.Lookup(name)
 		if err != nil || entry.Kind != catalog.KindBasket {
 			continue
 		}
-		labels := obs.Labels{"basket": entry.Name}
-		if entry.Shard >= 0 {
-			labels["shard"] = fmt.Sprint(entry.Shard)
-		}
-		switch src := entry.Source.(type) {
-		case *basket.Basket:
-			_, resident, dropped, shed := src.Stats()
-			out = append(out, obs.Sample{Labels: labels, Value: pick(resident, dropped, shed, 0)})
-		case *partition.Tail:
-			out = append(out, obs.Sample{Labels: labels, Value: pick(0, src.Drained(), 0, src.Pending())})
+		if b, ok := entry.Source.(*basket.Basket); ok {
+			visit(entry.Name, entry.Shard, b)
 		}
 	}
-	return out
 }
 
 // observeStage arms the scheduler observer of one pipeline-stage handle:

@@ -14,22 +14,12 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/factory"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/plan"
-	"repro/internal/scheduler"
 	"repro/internal/sql"
 	"repro/internal/vector"
 	"repro/internal/window"
 )
-
-// mergeStage is the recombination transition of a partitioned query:
-// the plain concat/re-aggregation Merge, or the window-aligned
-// WindowedMerge for sharded time windows.
-type mergeStage interface {
-	scheduler.Transition
-	Lag() int
-	Merged() int64
-	Late() int64
-}
 
 // Query is a registered continuous query: the installed form of its
 // topology. On a partitioned stream a partitionable query runs as N lane
@@ -49,9 +39,10 @@ type Query struct {
 	undo []func() // inverse of every install side effect, in install order
 
 	inputs  []*basket.Basket // input places, query-owned (replicas) or not
-	places  []place          // query-owned places: <q>_out, replicas, lane sinks
+	places  []*basket.Basket // query-owned places: <q>_out, replicas, lane sinks
+	sinks   []*basket.Basket // lane sinks <q>_out#i, by lane; empty without a merge
 	facts   []*factory.Factory
-	merge   mergeStage // nil when unpartitioned
+	merge   *partition.Merge // nil when unpartitioned
 	out     *basket.Basket
 	sub     *Subscription // nil when the query polls via SQL
 	routed  *routedQuery  // routed strategy only (shared-scan attachment)

@@ -55,16 +55,16 @@ type inputSpec struct {
 	basket *basket.Basket // inChained only
 }
 
-// mergeKind is the recombination stage between the lanes and <q>_out. It
-// also fixes the lane sink: without a merge the single lane appends
-// straight to <q>_out, a plain merge drains per-lane SPSC tails, a
-// windowed merge buckets per-lane baskets by window end.
+// mergeKind says whether a partition.Merge stands between the lanes and
+// <q>_out, and whether it is window-aligned. Without a merge the single
+// lane appends straight to <q>_out; with one every lane appends to its
+// own sink basket <q>_out#i.
 type mergeKind uint8
 
 const (
 	mergeNone     mergeKind = iota
-	mergePlain              // partition.Merge: concat, or mergePlan over the union
-	mergeWindowed           // partition.WindowedMerge over wend-tagged partials
+	mergePlain              // concat, or mergePlan over the union, per firing
+	mergeWindowed           // lanes tag partials with their window end; merged per window
 )
 
 // topology is the planner's verdict on one CREATE CONTINUOUS QUERY:
@@ -333,66 +333,6 @@ func (e *Engine) planStreamStream(t *topology, sel *sql.SelectStmt) error {
 	return nil
 }
 
-// place is one Petri-net place the query owns: a basket (<q>_out, a
-// private replica <q>_in, a lane sink <q>_out#i under a windowed merge),
-// or the SPSC tail that is a lane sink under a plain merge. Exactly one
-// of b and t is set.
-type place struct {
-	shard int // lane index of a lane sink, -1 otherwise
-	b     *basket.Basket
-	t     *partition.Tail
-}
-
-// store is the place as the catalog (a readable source) and a factory
-// (a sink) see it.
-func (p place) store() interface {
-	catalog.Source
-	factory.Sink
-} {
-	if p.t != nil {
-		return p.t
-	}
-	return p.b
-}
-
-// onAppend wakes a transition whenever the place receives tuples and
-// returns the detach hook. A tail has one consumer, so its hook is a
-// plain slot; baskets keep a listener list.
-func (p place) onAppend(wake func()) (detach func()) {
-	if p.t != nil {
-		p.t.SetWake(wake)
-		return func() { p.t.SetWake(nil) }
-	}
-	id := p.b.Subscribe(wake)
-	return func() { p.b.Unsubscribe(id) }
-}
-
-// placeImage is a place's checkpoint image; the set field mirrors which
-// of place.b / place.t is.
-type placeImage struct {
-	Basket *basketImage
-	Tail   *partition.TailImage
-}
-
-func (p place) capture() placeImage {
-	if p.t != nil {
-		img := p.t.CaptureState()
-		return placeImage{Tail: &img}
-	}
-	img := captureBasket(p.b)
-	return placeImage{Basket: &img}
-}
-
-func (p place) restore(img placeImage) error {
-	switch {
-	case p.t != nil && img.Tail != nil:
-		return p.t.RestoreState(*img.Tail)
-	case p.b != nil && img.Basket != nil:
-		return restoreBasket(p.b, *img.Basket)
-	}
-	return fmt.Errorf("place %s: image holds a different kind of place", p.store().Name())
-}
-
 // install creates the topology's places and transitions. Every side
 // effect pushes its inverse on the query's undo stack before the next one
 // runs, so a failure at any step unwinds exactly what was done; the same
@@ -445,7 +385,7 @@ func (q *Query) build() error {
 	})
 
 	q.out = basket.New(name+"_out", t.plan.Schema(), e.clock)
-	if err := q.expose(place{shard: -1, b: q.out}); err != nil {
+	if err := q.expose(q.out, -1); err != nil {
 		return err
 	}
 
@@ -460,13 +400,10 @@ func (q *Query) build() error {
 	if t.lanes > 1 {
 		latency = obs.NewHistogram() // shared, so it is the whole query's distribution
 	}
-	var sinks []place
 	for lane := 0; lane < t.lanes; lane++ {
-		sink, err := q.addLane(lane, latency)
-		if err != nil {
+		if err := q.addLane(lane, latency); err != nil {
 			return err
 		}
-		sinks = append(sinks, sink)
 	}
 	// Shard routing starts only once the lanes' readers are registered,
 	// so shard baskets never accumulate tuples nobody will consume.
@@ -483,21 +420,14 @@ func (q *Query) build() error {
 		}
 	}
 
-	switch t.merge {
-	case mergePlain:
-		tails := make([]*partition.Tail, len(sinks))
-		for i, p := range sinks {
-			tails[i] = p.t
+	if t.merge != mergeNone {
+		var frontiers []func() int64
+		if t.merge == mergeWindowed {
+			for _, f := range q.facts {
+				frontiers = append(frontiers, f.WindowFrontier)
+			}
 		}
-		q.merge = partition.NewMerge(name+"_merge", t.mergeSource, tails, q.out, t.mergePlan, e.cat)
-	case mergeWindowed:
-		shardOuts := make([]*basket.Basket, len(sinks))
-		frontiers := make([]func() int64, len(sinks))
-		for i, p := range sinks {
-			shardOuts[i], frontiers[i] = p.b, q.facts[i].WindowFrontier
-		}
-		q.merge = partition.NewWindowedMerge(name+"_merge", t.mergeSource, shardOuts, q.out,
-			t.mergePlan, e.cat, t.lanePlan.Schema().Len(), frontiers)
+		q.merge = partition.NewMerge(name+"_merge", t.mergeSource, q.sinks, q.out, t.mergePlan, e.cat, frontiers)
 	}
 
 	if cfg.subDepth > 0 {
@@ -518,20 +448,16 @@ func (q *Query) build() error {
 	// synchronized with firings once a transition is registered.
 	e.armQueryObservers(q)
 	for _, f := range q.facts {
-		var wakeOn []place
-		for _, b := range f.InputBaskets() {
-			wakeOn = append(wakeOn, place{b: b})
-		}
-		q.schedule(f, stageFire, factoryDelta(f), wakeOn)
+		q.schedule(f, stageFire, factoryDelta(f), f.InputBaskets())
 	}
 	if q.merge != nil {
-		h := q.schedule(q.merge, stageMerge, counterDelta(q.merge.Merged), sinks)
+		h := q.schedule(q.merge, stageMerge, counterDelta(q.merge.Merged), q.sinks)
 		if t.merge == mergeWindowed {
 			q.onUndo(e.tickRewake(h, q.merge.Ready))
 		}
 	}
 	if q.sub != nil {
-		q.sub.scheduled(q.schedule(q.sub.em, stageDeliver, counterDelta(q.sub.em.Delivered), []place{{b: q.out}}))
+		q.sub.scheduled(q.schedule(q.sub.em, stageDeliver, counterDelta(q.sub.em.Delivered), []*basket.Basket{q.out}))
 	}
 	// Last, so the tick flushes only fully scheduled pipelines, and first
 	// to go on a drop.
@@ -553,45 +479,43 @@ func (q *Query) build() error {
 }
 
 // expose registers a query-owned place in the catalog (SHOW BASKETS,
-// one-time SELECTs over <q>_out).
-func (q *Query) expose(p place) error {
-	cat, pname := q.engine.cat, p.store().Name()
+// one-time SELECTs over <q>_out); lane is the index of a lane sink, -1
+// for <q>_out itself.
+func (q *Query) expose(b *basket.Basket, lane int) error {
+	cat, pname := q.engine.cat, b.Name()
 	var err error
-	if p.shard < 0 {
-		err = cat.Register(pname, catalog.KindBasket, p.store())
+	if lane < 0 {
+		err = cat.Register(pname, catalog.KindBasket, b)
 	} else {
-		err = cat.RegisterShard(pname, catalog.KindBasket, p.store(), q.Name+"_out", p.shard)
+		err = cat.RegisterShard(pname, catalog.KindBasket, b, q.Name+"_out", lane)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %q", ErrDuplicateName, pname)
 	}
-	q.places = append(q.places, p)
+	q.places = append(q.places, b)
 	q.onUndo(func() { _ = cat.Drop(pname) })
 	return nil
 }
 
 // addLane builds one pipeline: its sink place (when a merge follows),
 // its input places, its operator state, and the factory transition.
-func (q *Query) addLane(lane int, latency *obs.Histogram) (place, error) {
+func (q *Query) addLane(lane int, latency *obs.Histogram) error {
 	e, t, cfg := q.engine, q.topo, q.topo.cfg
-	laneName := q.Name
-	sink := place{shard: -1, b: q.out}
+	laneName, sink := q.Name, q.out
 	if t.merge != mergeNone {
 		laneName = fmt.Sprintf("%s#%d", q.Name, lane)
-		sink = place{shard: lane}
-		sinkName := fmt.Sprintf("%s_out#%d", q.Name, lane)
-		if t.merge == mergePlain {
-			sink.t = partition.NewTail(sinkName, t.lanePlan.Schema(), tailRingBatches, e.clock)
-		} else {
+		schema := t.lanePlan.Schema()
+		if t.merge == mergeWindowed {
 			// Partials carry the window end so the merge can align pane
 			// grids across shards.
-			schema := t.lanePlan.Schema().Clone()
+			schema = schema.Clone()
 			schema.Columns = append(schema.Columns, catalog.Column{Name: partition.WindowEndColumn, Type: vector.Timestamp})
-			sink.b = basket.New(sinkName, schema, e.clock)
 		}
-		if err := q.expose(sink); err != nil {
-			return sink, err
+		sink = basket.New(fmt.Sprintf("%s_out#%d", q.Name, lane), schema, e.clock)
+		if err := q.expose(sink, lane); err != nil {
+			return err
 		}
+		q.sinks = append(q.sinks, sink)
 	}
 	ins := make([]factory.Input, len(t.inputs))
 	for i, spec := range t.inputs {
@@ -605,7 +529,7 @@ func (q *Query) addLane(lane int, latency *obs.Histogram) (place, error) {
 	if t.window != nil {
 		runner, err := t.window()
 		if err != nil {
-			return sink, err
+			return err
 		}
 		fopts = append(fopts, factory.WithWindow(runner))
 		if t.merge == mergeWindowed {
@@ -615,19 +539,19 @@ func (q *Query) addLane(lane int, latency *obs.Histogram) (place, error) {
 	if t.join != nil {
 		sj, err := t.join()
 		if err != nil {
-			return sink, err
+			return err
 		}
 		fopts = append(fopts, factory.WithStreamJoin(sj))
 	}
-	f, err := factory.New(laneName, t.lanePlan, e.cat, ins, []factory.Sink{sink.store()}, fopts...)
+	f, err := factory.New(laneName, t.lanePlan, e.cat, ins, []*basket.Basket{sink}, fopts...)
 	if err != nil {
-		return sink, err
+		return err
 	}
 	q.facts = append(q.facts, f)
 	// Close releases shared-reader watermarks, so shared (or shard)
 	// baskets compact tuples only this query was retaining.
 	q.onUndo(f.Close)
-	return sink, nil
+	return nil
 }
 
 // attachInput resolves one input spec for a lane, creating and
@@ -656,7 +580,7 @@ func (q *Query) attachInput(spec inputSpec, lane, idx int) factory.Input {
 		e.mu.Lock()
 		s.replicas = append(slices.Clone(s.replicas), r)
 		e.mu.Unlock()
-		q.places = append(q.places, place{shard: -1, b: r})
+		q.places = append(q.places, r)
 		q.onUndo(func() {
 			e.mu.Lock()
 			s.replicas = slices.DeleteFunc(slices.Clone(s.replicas), func(x *basket.Basket) bool { return x == r })
@@ -674,17 +598,17 @@ func (q *Query) attachInput(spec inputSpec, lane, idx int) factory.Input {
 // transitions it can enable instead of rescanning the net. The undo
 // detaches the wake-ups first, so nothing re-enqueues the transition
 // while Remove fences its last firing.
-func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int64, int64), wakeOn []place) *scheduler.Handle {
+func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int64, int64), wakeOn []*basket.Basket) *scheduler.Handle {
 	e := q.engine
 	h := e.addTransition(t, q.topo.cfg.priority)
 	e.observeStage(q.trace, h, stage, t.Name(), delta)
-	detach := make([]func(), len(wakeOn))
-	for i, p := range wakeOn {
-		detach[i] = p.onAppend(h.Wake)
+	ids := make([]uint64, len(wakeOn))
+	for i, b := range wakeOn {
+		ids[i] = b.Subscribe(h.Wake)
 	}
 	q.onUndo(func() {
-		for _, d := range detach {
-			d()
+		for i, b := range wakeOn {
+			b.Unsubscribe(ids[i])
 		}
 		e.sched.Remove(t.Name())
 	})

@@ -1,15 +1,20 @@
 package datacell
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/checkpoint"
 	"repro/internal/exec"
 	"repro/internal/factory"
 	"repro/internal/sql"
@@ -424,21 +429,26 @@ func TestRestoreShapeMismatch(t *testing.T) {
 	}
 	flat := reg("flat", "SELECT * FROM [SELECT * FROM f] AS x")
 	routed := reg("routed", "SELECT * FROM [SELECT * FROM f] AS x WHERE x.v > 1", WithStrategy(RoutedScan))
-	tails := reg("tails", "SELECT * FROM [SELECT * FROM s] AS x")
+	lanes := reg("lanes", "SELECT * FROM [SELECT * FROM s] AS x")
 	buckets := reg("buckets", "SELECT SUM(x.v) AS sv FROM [SELECT * FROM s] AS x WINDOW RANGE 100")
 	beyond, flatAsRouted := routed.captureState(), flat.captureState()
 	beyond.Routed = &routedImage{Consumed: 5, Join: 0} // the restored basket holds no rows
 	flatAsRouted.Routed = &routedImage{}
+	strayBuckets, noMerge := lanes.captureState(), lanes.captureState()
+	strayBuckets.Merge.Pending = map[int64][]*vector.Vector{100: {vector.New(vector.Int64)}}
+	noMerge.Merge = nil
 	for _, c := range []struct {
 		name string
 		into *Query
 		img  ckptQuery
 	}{
-		{"sharded image into a flat query", flat, tails.captureState()},
-		{"flat image into a sharded query", tails, flat.captureState()},
-		{"tail images into basket sinks", buckets, tails.captureState()},
-		{"basket-sink images into tails", tails, buckets.captureState()},
-		{"no routed state for a routed query", routed, ckptQuery{Places: routed.captureState().Places}},
+		{"sharded image into a flat query", flat, lanes.captureState()},
+		{"flat image into a sharded query", lanes, flat.captureState()},
+		{"untagged lane sinks into window-tagged ones", buckets, lanes.captureState()},
+		{"window-tagged lane sinks into untagged ones", lanes, buckets.captureState()},
+		{"window buckets for a merge that keeps none", lanes, strayBuckets},
+		{"no merge state for a sharded query", lanes, noMerge},
+		{"no routed state for a routed query", routed, ckptQuery{Baskets: routed.captureState().Baskets}},
 		{"routed state for a flat query", flat, flatAsRouted},
 		{"routed frontier beyond the restored content", routed, beyond},
 	} {
@@ -446,6 +456,90 @@ func TestRestoreShapeMismatch(t *testing.T) {
 		if !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("%s: err = %v, want ErrCheckpointMismatch", c.name, err)
 		}
+	}
+}
+
+// TestEarlierImageLayoutRefused: an image written before lane sinks became
+// baskets lists a query's places as a basket-or-tail union under "Places".
+// gob drops fields the receiving struct lacks, so such an image decodes
+// without complaint; Open must refuse it rather than restore the query
+// with empty places.
+func TestEarlierImageLayoutRefused(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	e := openDurable(t, dir)
+	for _, stmt := range []string{
+		"CREATE BASKET s (k INT, v INT) WITH (partitions = 2, partition_by = k)",
+		"CREATE CONTINUOUS QUERY q AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.v > 0",
+	} {
+		if _, err := e.Exec(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingestPairs(t, e, "s", [][2]int64{{1, 1}, {2, 2}, {3, 3}})
+	e.Drain()
+	if err := e.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ckptDir := filepath.Join(dir, ckptSubdir)
+	seq, payload, err := checkpoint.Latest(ckptDir, math.MaxInt64)
+	if err != nil || payload == nil {
+		t.Fatalf("no clean-shutdown image: %v", err)
+	}
+	img, err := decodeImage(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same image in the earlier layout (field names are what gob
+	// matches on; the type names are free).
+	type tailImage struct {
+		Batches [][]*vector.Vector
+		TS      []int64
+	}
+	type placeImage struct {
+		Basket *basketImage
+		Tail   *tailImage
+	}
+	type earlierQuery struct {
+		Delivered int64
+		Places    []placeImage
+		Facts     []*factory.State
+		Routed    *routedImage
+	}
+	type earlierImage struct {
+		WALSeq  int64
+		Clean   bool
+		DDL     []string
+		Tables  map[string][]*vector.Vector
+		Streams map[string]ckptStream
+		Queries map[string]earlierQuery
+	}
+	old := earlierImage{WALSeq: img.WALSeq, Clean: img.Clean, DDL: img.DDL, Tables: img.Tables, Streams: img.Streams,
+		Queries: map[string]earlierQuery{}}
+	for name, cq := range img.Queries {
+		eq := earlierQuery{Delivered: cq.Delivered, Facts: cq.Facts}
+		for i := range cq.Baskets {
+			if i == 0 { // <q>_out; the rest were tails
+				eq.Places = append(eq.Places, placeImage{Basket: &cq.Baskets[i]})
+			} else {
+				eq.Places = append(eq.Places, placeImage{Tail: &tailImage{}})
+			}
+		}
+		old.Queries[name] = eq
+	}
+	if len(old.Queries["q"].Places) != 3 {
+		t.Fatalf("image lists %d places for q, want <q>_out and two lane sinks", len(old.Queries["q"].Places))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Write(ckptDir, seq, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(ctx, Config{DataDir: dir, CheckpointInterval: -1}); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("Open over an earlier-layout image: err = %v, want ErrCheckpointMismatch", err)
 	}
 }
 

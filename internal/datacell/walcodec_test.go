@@ -257,7 +257,7 @@ func BenchmarkEncodeIngestRecord(b *testing.B) {
 }
 
 // TestImageColumnsRoundTrip: a checkpoint image carries columns in every
-// container gob has to walk — slices, slices of slices, maps, behind
+// container gob has to walk — slices, slices of structs, maps, behind
 // pointers — and each must come back through the vector codec unchanged,
 // empty and NULL-bearing columns included.
 func TestImageColumnsRoundTrip(t *testing.T) {
@@ -284,15 +284,12 @@ func TestImageColumnsRoundTrip(t *testing.T) {
 		Streams: map[string]ckptStream{"s": {Ingested: 5, Primary: golden, Shards: []basketImage{emptyB, basketOf(nulls)}}},
 		Queries: map[string]ckptQuery{"q": {
 			Delivered: 3,
-			Places: []placeImage{
-				{Basket: &golden},
-				{Tail: &partition.TailImage{Batches: [][]*vector.Vector{goldenCols(), nulls}, TS: []int64{1, 2}}},
-			},
+			Baskets:   []basketImage{golden, basketOf(nulls)},
 			Facts: []*factory.State{{
 				Window: &window.State{Buf: goldenCols()},
 				Join:   &exec.JoinState{Symmetric: true, Left: &exec.JoinSideState{Cols: nulls}, Right: &exec.JoinSideState{}},
 			}},
-			Merge: &partition.WindowedMergeState{Pending: map[int64][]*vector.Vector{100: goldenCols(), 200: nulls}},
+			Merge: &partition.MergeState{Pending: map[int64][]*vector.Vector{100: goldenCols(), 200: nulls}},
 		}},
 	}
 	payload, err := encodeImage(img)
@@ -315,9 +312,8 @@ func TestImageColumnsRoundTrip(t *testing.T) {
 	same("shard 0", got.Streams["s"].Shards[0].Cols, empty)
 	same("shard 1", got.Streams["s"].Shards[1].Cols, nulls)
 	q := got.Queries["q"]
-	same("basket place", q.Places[0].Basket.Cols, goldenCols())
-	same("tail batch 0", q.Places[1].Tail.Batches[0], goldenCols())
-	same("tail batch 1", q.Places[1].Tail.Batches[1], nulls)
+	same("output basket", q.Baskets[0].Cols, goldenCols())
+	same("lane sink", q.Baskets[1].Cols, nulls)
 	same("window buffer", q.Facts[0].Window.Buf, goldenCols())
 	same("join side", q.Facts[0].Join.Left.Cols, nulls)
 	same("merge pending 100", q.Merge.Pending[100], goldenCols())

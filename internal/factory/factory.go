@@ -43,14 +43,6 @@ const (
 	Shared
 )
 
-// Sink receives a factory's result batches. Baskets are sinks; so are the
-// SPSC tails that hand a partitioned query's shard emissions to its merge
-// transition without a basket lock.
-type Sink interface {
-	Name() string
-	AppendRelation(*storage.Relation) error
-}
-
 // Input binds one plan scan source to a basket.
 type Input struct {
 	Basket *basket.Basket
@@ -90,7 +82,7 @@ type Factory struct {
 	clock   metrics.Clock
 
 	inputs  []Input
-	outputs []Sink
+	outputs []*basket.Basket
 
 	// minTuples is the firing threshold (§2.4: "the system may explicitly
 	// require a basket to have a minimum of n tuples").
@@ -214,7 +206,7 @@ func WithLatency(h *obs.Histogram) Option {
 }
 
 // New builds a factory around a compiled plan.
-func New(name string, p plan.Node, cat *catalog.Catalog, inputs []Input, outputs []Sink, opts ...Option) (*Factory, error) {
+func New(name string, p plan.Node, cat *catalog.Catalog, inputs []Input, outputs []*basket.Basket, opts ...Option) (*Factory, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("factory %s: needs at least one input basket", name)
 	}

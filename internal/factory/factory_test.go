@@ -63,7 +63,7 @@ func TestFactoryBasicLoop(t *testing.T) {
 	e := newEnv(t, "SELECT * FROM [SELECT * FROM s] AS S WHERE S.v > 10")
 	f, err := New("f", e.plan, e.cat,
 		[]Input{{Basket: e.in, Mode: Owned}},
-		[]Sink{e.out}, WithClock(e.clk))
+		[]*basket.Basket{e.out}, WithClock(e.clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFactoryBasicLoop(t *testing.T) {
 func TestFactoryPredicateWindowRetainsTuples(t *testing.T) {
 	e := newEnv(t, "SELECT * FROM [SELECT * FROM s WHERE v < 100] AS S")
 	f, err := New("f", e.plan, e.cat,
-		[]Input{{Basket: e.in, Mode: Owned}}, []Sink{e.out}, WithClock(e.clk))
+		[]Input{{Basket: e.in, Mode: Owned}}, []*basket.Basket{e.out}, WithClock(e.clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFactoryPredicateWindowRetainsTuples(t *testing.T) {
 func TestFactoryMinTuples(t *testing.T) {
 	e := newEnv(t, "SELECT COUNT(*) AS n FROM [SELECT * FROM s] AS S")
 	f, err := New("f", e.plan, e.cat,
-		[]Input{{Basket: e.in, Mode: Owned}}, []Sink{e.out},
+		[]Input{{Basket: e.in, Mode: Owned}}, []*basket.Basket{e.out},
 		WithMinTuples(5), WithClock(e.clk))
 	if err != nil {
 		t.Fatal(err)
@@ -144,10 +144,10 @@ func TestFactoryMinTuples(t *testing.T) {
 func TestFactorySharedWatermarkNoDuplicates(t *testing.T) {
 	e := newEnv(t, "SELECT * FROM [SELECT * FROM s] AS S")
 	f1, _ := New("f1", e.plan, e.cat,
-		[]Input{{Basket: e.in, Mode: Shared}}, []Sink{e.out}, WithClock(e.clk))
+		[]Input{{Basket: e.in, Mode: Shared}}, []*basket.Basket{e.out}, WithClock(e.clk))
 	out2 := basket.New("out2", e.plan.Schema(), e.clk)
 	f2, _ := New("f2", e.plan, e.cat,
-		[]Input{{Basket: e.in, Mode: Shared}}, []Sink{out2}, WithClock(e.clk))
+		[]Input{{Basket: e.in, Mode: Shared}}, []*basket.Basket{out2}, WithClock(e.clk))
 
 	e.push(t, 1, 2, 3)
 	_ = f1.Fire()
@@ -200,7 +200,7 @@ func TestFactoryOnResultCallback(t *testing.T) {
 func TestFactoryLatencyObserved(t *testing.T) {
 	e := newEnv(t, "SELECT * FROM [SELECT * FROM s] AS S")
 	f, _ := New("f", e.plan, e.cat,
-		[]Input{{Basket: e.in, Mode: Owned}}, []Sink{e.out}, WithClock(e.clk))
+		[]Input{{Basket: e.in, Mode: Owned}}, []*basket.Basket{e.out}, WithClock(e.clk))
 	e.clk.Set(1000)
 	e.push(t, 1)
 	e.clk.Set(1500)
@@ -226,7 +226,7 @@ func TestFactoryWindowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := New("f", e.plan, e.cat,
-		[]Input{{Basket: e.in, Mode: Owned}}, []Sink{e.out},
+		[]Input{{Basket: e.in, Mode: Owned}}, []*basket.Basket{e.out},
 		WithWindow(runner), WithClock(e.clk))
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestFactoryErrors(t *testing.T) {
 		catalog.Column{Name: "b", Type: vector.String},
 	), e.clk)
 	f, _ := New("f", e.plan, e.cat,
-		[]Input{{Basket: e.in, Mode: Owned}}, []Sink{wrong}, WithClock(e.clk))
+		[]Input{{Basket: e.in, Mode: Owned}}, []*basket.Basket{wrong}, WithClock(e.clk))
 	e.push(t, 1)
 	if err := f.Fire(); err == nil {
 		t.Error("type-mismatched output should fail")

@@ -1,12 +1,15 @@
 // Plan analysis and the merge transition: Analyze decides whether a
 // continuous query can run as N shard pipelines and what recombination
 // its emissions need; Merge is the Petri-net transition that drains the
-// shard output baskets into the query's final output basket.
+// lane sink baskets into the query's final output basket.
 package partition
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/algebra"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/storage"
+	"repro/internal/vector"
 )
 
 // MergeMode selects how shard emissions recombine.
@@ -175,8 +179,8 @@ func aligned(agg *plan.Aggregate, sc *plan.Scan, partitionBy string) bool {
 }
 
 // partialScan builds the merge plan's scan over the union of drained
-// shard emissions. Shard pipelines hand the merge bare partial columns
-// (no implicit ts — the SPSC tail carries batches, not basket rows), so
+// lane emissions. The merge hands its plan the bare partial columns (it
+// cuts the lane baskets' window-end tag and implicit ts off the view), so
 // the scan reads the partial schema directly.
 func partialScan(partial *catalog.Schema, source string) *plan.Scan {
 	cols := make([]int, partial.Len())
@@ -248,147 +252,313 @@ func reaggMergePlan(p plan.Node, agg *plan.Aggregate, source string) (plan.Node,
 	return root, nil
 }
 
-// Merge is the transition that recombines shard emissions into the
-// query's final output basket. Shard pipelines hand it result batches
-// over per-shard SPSC tails; firing drains the tails in shard order —
-// preserving each shard's emission order — and either appends the union
-// directly (concat) or runs the merge plan over it (global distinct /
-// re-aggregation). It implements scheduler.Transition; the scheduler's
-// claim machine keeps firings serial, so merged batches never interleave.
+// Merge is the transition that recombines lane emissions into the query's
+// output basket. Every lane sink is a basket. A firing snapshots each lane
+// under its lock, in lane order — each lane's emission order is kept —
+// applies the recombination (the merge plan over the union, or plain
+// concatenation), appends the result to out, and only then drops the
+// consumed prefixes: a failed firing leaves its inputs in place for the
+// retry, losing and duplicating nothing. Tuples a lane appends during the
+// firing stay for the next one (the append wakes the merge again).
+//
+// Lanes of a sharded time window whose groups span shards tag every
+// partial with its window end. The merge then buckets the drained
+// partials by that tag and applies the recombination window by window,
+// each only once every lane's delivered frontier has passed it — so no
+// lane can still be sitting on partials for that window.
+//
+// It implements scheduler.Transition; the scheduler's claim machine keeps
+// firings serial, so merged batches never interleave.
 type Merge struct {
 	name   string
 	source string // merge-plan scan override key
-	tails  []*Tail
+	lanes  []*basket.Basket
 	out    *basket.Basket
 	plan   plan.Node // nil = concat
 	cat    *catalog.Catalog
-	merged int64 // atomic: partial tuples drained so far
+	// frontiers report each lane factory's delivered window frontier; nil
+	// when the lanes do not tag a window end.
+	frontiers []func() int64
+	// width is the number of payload columns in a lane's schema: what
+	// precedes the window-end tag (when tagged) and the implicit ts.
+	width int
+
+	mu      sync.Mutex
+	pending map[int64][]*vector.Vector // window end → buffered payload columns
+	through int64                      // highest window end merged
+
+	merged atomic.Int64 // lane tuples drained so far
+	late   atomic.Int64 // partials that arrived after their window merged
 }
 
-// NewMerge builds the merge transition. mergePlan may be nil for plain
-// concatenation; source must match the Analysis' MergeSource.
-func NewMerge(name, source string, tails []*Tail, out *basket.Basket, mergePlan plan.Node, cat *catalog.Catalog) *Merge {
-	return &Merge{name: name, source: source, tails: tails, out: out, plan: mergePlan, cat: cat}
+// NewMerge builds the merge transition over the lane sinks. mergePlan may
+// be nil for plain concatenation; source must match the Analysis'
+// MergeSource. A non-nil frontiers (one per lane) says the lanes' last
+// user column is the WindowEndColumn tag and makes the merge
+// window-aligned.
+func NewMerge(name, source string, lanes []*basket.Basket, out *basket.Basket,
+	mergePlan plan.Node, cat *catalog.Catalog, frontiers []func() int64) *Merge {
+	width := lanes[0].UserWidth()
+	if frontiers != nil {
+		width--
+	}
+	return &Merge{
+		name: name, source: strings.ToLower(source), lanes: lanes, out: out, plan: mergePlan, cat: cat,
+		frontiers: frontiers, width: width,
+		pending: map[int64][]*vector.Vector{}, through: math.MinInt64,
+	}
 }
 
 // Name implements scheduler.Transition.
 func (m *Merge) Name() string { return m.name }
 
-// Ready implements scheduler.Transition: fire when any shard emitted.
-// Pending is an atomic counter, so readiness costs no locks.
+// minFrontier is the window boundary every lane has delivered up to.
+func (m *Merge) minFrontier() int64 {
+	min := int64(math.MaxInt64)
+	for _, f := range m.frontiers {
+		if v := f(); v < min {
+			min = v
+		}
+	}
+	return min
+}
+
+// Ready implements scheduler.Transition: fire when a lane emitted, or a
+// buffered window fell behind every lane's frontier.
 func (m *Merge) Ready() bool {
-	for _, t := range m.tails {
-		if t.Pending() > 0 {
+	for _, b := range m.lanes {
+		if b.Len() > 0 {
+			return true
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.pending) == 0 {
+		return false
+	}
+	minF := m.minFrontier()
+	for end := range m.pending {
+		if end <= minF {
 			return true
 		}
 	}
 	return false
 }
 
-// Lag returns the number of shard-emitted tuples not yet merged — the
-// merge backlog surfaced by SHOW QUERIES.
+// Lag returns the number of lane-emitted tuples not yet merged into the
+// output basket (in the lane sinks plus buffered per window) — the merge
+// backlog surfaced by SHOW QUERIES.
 func (m *Merge) Lag() int {
 	n := 0
-	for _, t := range m.tails {
-		n += t.Pending()
+	for _, b := range m.lanes {
+		n += b.Len()
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, cols := range m.pending {
+		n += cols[0].Len()
 	}
 	return n
 }
 
-// Merged returns the cumulative number of partial tuples drained.
-func (m *Merge) Merged() int64 { return atomic.LoadInt64(&m.merged) }
+// Merged returns the cumulative number of lane tuples drained.
+func (m *Merge) Merged() int64 { return m.merged.Load() }
 
-// Late is always 0: a plain merge has no window boundary an emission
-// could arrive behind (the windowed merge's counterpart counts them).
-func (m *Merge) Late() int64 { return 0 }
+// Late returns the number of partial rows dropped because their window
+// had already been merged when they surfaced — only possible outside the
+// stream's declared lateness bound, and only for a window-aligned merge.
+func (m *Merge) Late() int64 { return m.late.Load() }
 
-// Fire implements scheduler.Transition. It peeks every tail's buffered
-// batches without consuming, appends one merged batch to the output
-// basket, and only then discards the peeked prefix — the factory
-// convention: a failed firing leaves its inputs in place for retry,
-// losing nothing. Batches pushed concurrently with the firing stay
-// buffered for the next one (the push wakes the merge again).
-func (m *Merge) Fire() error {
-	counts := make([]int, len(m.tails))
-	var chunks []bat.Chunk
-	total := 0
-	for i, t := range m.tails {
-		t.cmu.Lock()
-		counts[i] = t.peekAll(func(it tailItem) {
-			chunks = append(chunks, bat.Chunk{Cols: it.cols})
-			total += it.cols[0].Len()
-		})
-		t.cmu.Unlock()
+// MergeState is the serializable image of a Merge for checkpoints: the
+// per-window buffered partials plus the progress counters. Pending
+// windows hold tuples already dropped from the lane sinks, so losing them
+// would silently drop lane contributions. An untagged merge buffers
+// nothing between firings; its image is the counters.
+type MergeState struct {
+	Pending map[int64][]*vector.Vector
+	Through int64
+	Merged  int64
+	Late    int64
+}
+
+// Snapshot captures the merge state. The engine holds its consistency
+// gate while calling, so no Fire is in flight.
+func (m *Merge) Snapshot() *MergeState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := &MergeState{
+		Pending: make(map[int64][]*vector.Vector, len(m.pending)),
+		Through: m.through,
+		Merged:  m.merged.Load(),
+		Late:    m.late.Load(),
 	}
-	if total == 0 {
-		return nil
+	for end, cols := range m.pending {
+		st.Pending[end] = vector.CloneColumns(cols)
 	}
-	if m.plan == nil {
-		// Plain concat: hand each ring batch to the output basket
-		// chunk-wise under one lock — the basket's tail chunk absorbs
-		// them without the per-firing union materialization a single
-		// concatenated relation would cost.
-		m.out.Lock()
-		appended := 0
-		var appendErr error
-		for _, ch := range chunks {
-			if err := m.out.LockedAppendRelation(&storage.Relation{Schema: m.out.Schema(), Cols: ch.Cols}); err != nil {
-				appendErr = fmt.Errorf("merge %s: %w", m.name, err)
-				break
-			}
-			appended++
-		}
-		m.out.Unlock()
-		if appended > 0 {
-			m.out.NotifyAppend()
-		}
-		if appendErr != nil {
-			// Ack only the appended prefix: downstream listeners were
-			// already notified of it, so the retry must not re-append it;
-			// the failed chunk and everything after it stay buffered in
-			// the shard tails for the next firing.
-			total = 0
-			for _, ch := range chunks[:appended] {
-				total += ch.Cols[0].Len()
-			}
-			rem := appended
-			for i := range counts {
-				if counts[i] > rem {
-					counts[i] = rem
-				}
-				rem -= counts[i]
-			}
-			m.ack(counts, total)
-			return appendErr
-		}
-	} else {
-		// The union in shard order: the partial-aggregate input for a
-		// merge plan, evaluated over the chunks without copying them.
-		union := bat.View{Chunks: chunks}
-		ctx := exec.NewContext(m.cat)
-		ctx.Overrides[strings.ToLower(m.source)] = union
-		rel, err := exec.Run(m.plan, ctx)
-		if err != nil {
-			return fmt.Errorf("merge %s: %w", m.name, err)
-		}
-		if err := m.out.AppendRelation(rel); err != nil {
-			return fmt.Errorf("merge %s: %w", m.name, err)
-		}
+	return st
+}
+
+// Restore loads a snapshot into a freshly built merge.
+func (m *Merge) Restore(st *MergeState) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.pending) != 0 {
+		return fmt.Errorf("merge %s: restore into non-empty merge", m.name)
 	}
-	m.ack(counts, total)
+	for end, cols := range st.Pending {
+		if m.frontiers == nil || len(cols) != m.width {
+			return fmt.Errorf("merge %s: image holds a window bucket of %d columns this merge cannot have buffered", m.name, len(cols))
+		}
+		m.pending[end] = cols
+	}
+	m.through = st.Through
+	m.merged.Store(st.Merged)
+	m.late.Store(st.Late)
 	return nil
 }
 
-// ack discards the consumed prefix from each shard tail and credits the
-// merged-row counter.
-func (m *Merge) ack(counts []int, total int) {
-	for i, t := range m.tails {
-		if counts[i] == 0 {
+// Fire implements scheduler.Transition.
+func (m *Merge) Fire() error {
+	// The frontier read MUST precede the drain: a frontier is published
+	// only after the lane's partials are appended, so every window at or
+	// below this reading is fully contained in what the drain below picks
+	// up. A reading taken after the drain could cover partials delivered
+	// in between — merging on it would drop a lane's contribution and
+	// mislabel it late on the next firing.
+	minF := m.minFrontier()
+
+	taken := make([]int, len(m.lanes)) // rows this firing consumes per lane
+	var union bat.View
+	for i, b := range m.lanes {
+		b.Lock()
+		view, n := b.LockedSnapshot()
+		b.Unlock()
+		taken[i] = n
+		if n > 0 {
+			union.Chunks = append(union.Chunks, view.Chunks...)
+		}
+	}
+
+	var err error
+	if m.frontiers != nil {
+		m.bucket(union) // copies: the partials outlive the prefixes dropped below
+	} else if len(union.Chunks) > 0 {
+		var done int
+		done, err = m.emit(union)
+		for i := range taken {
+			taken[i] = min(taken[i], done)
+			done -= taken[i]
+		}
+	}
+	for i, b := range m.lanes {
+		if taken[i] > 0 {
+			b.Lock()
+			b.LockedDropPrefix(taken[i])
+			b.Unlock()
+			m.merged.Add(int64(taken[i]))
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return m.release(minF)
+}
+
+// emit applies the recombination to one union of lane emissions (only
+// the payload columns are read) and appends the result to out. It reports
+// how many of the union's leading rows out now accounts for: all of them,
+// or — when a concatenation fails part-way — those of the chunks appended
+// before the failure, which downstream has been notified of and a retry
+// must not append again.
+func (m *Merge) emit(union bat.View) (int, error) {
+	for i := range union.Chunks {
+		union.Chunks[i].Cols = union.Chunks[i].Cols[:m.width]
+	}
+	if m.plan != nil {
+		ctx := exec.NewContext(m.cat)
+		ctx.Overrides[m.source] = union
+		rel, err := exec.Run(m.plan, ctx)
+		if err == nil {
+			err = m.out.AppendRelation(rel)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("merge %s: %w", m.name, err)
+		}
+		return union.NumRows(), nil
+	}
+	// Plain concat: hand each chunk to the output basket under one lock —
+	// its tail chunk absorbs them without materializing the union first.
+	var err error
+	done := 0
+	m.out.Lock()
+	for _, ch := range union.Chunks {
+		if err = m.out.LockedAppendRelation(&storage.Relation{Cols: ch.Cols}); err != nil {
+			err = fmt.Errorf("merge %s: %w", m.name, err)
+			break
+		}
+		done += ch.Len()
+	}
+	m.out.Unlock()
+	if done > 0 {
+		m.out.NotifyAppend()
+	}
+	return done, err
+}
+
+// bucket files drained partials under their window end. A partial whose
+// window is already merged and delivered can only be counted, not applied.
+func (m *Merge) bucket(union bat.View) {
+	if len(union.Chunks) == 0 {
+		return
+	}
+	wend := union.Column(m.width)
+	byEnd := map[int64]bat.Candidates{}
+	for i := 0; i < wend.Len(); i++ {
+		e := wend.Get(i).I
+		byEnd[e] = append(byEnd[e], i)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for end, pos := range byEnd {
+		if end <= m.through {
+			m.late.Add(int64(len(pos)))
 			continue
 		}
-		t.cmu.Lock()
-		t.discard(counts[i])
-		t.cmu.Unlock()
+		acc, ok := m.pending[end]
+		if !ok {
+			acc = make([]*vector.Vector, m.width)
+			m.pending[end] = acc
+		}
+		for c := range acc {
+			part := union.TakeColumn(c, pos)
+			if ok {
+				acc[c].AppendVector(part)
+			} else {
+				acc[c] = part
+			}
+		}
 	}
-	atomic.AddInt64(&m.merged, int64(total))
+}
+
+// release merges every buffered window at or below minF, in boundary
+// order; a window whose merge fails stays buffered for the retry.
+func (m *Merge) release(minF int64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var due []int64
+	for end := range m.pending {
+		if end <= minF {
+			due = append(due, end)
+		}
+	}
+	slices.Sort(due)
+	for _, end := range due {
+		cols := m.pending[end]
+		if _, err := m.emit(bat.ViewOf(cols...)); err != nil {
+			return err
+		}
+		delete(m.pending, end)
+		m.through = max(m.through, end)
+	}
+	return nil
 }
