@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-tool lint fmt size bench bench-go bench-profile bench-sched check FORCE
+.PHONY: build test race vet vet-tool lint fmt size bench bench-profile bench-sched check FORCE
 
 build:
 	$(GO) build ./...
@@ -51,13 +51,11 @@ fmt:
 size:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | grep -cvE '^\s*(//.*)?$$'
 
-# bench measures the ingest→fire→emit hot path, the storage-level
-# consumption primitives at several basket depths, and the partitioned
-# single-query throughput at GOMAXPROCS 1/2/4 and 1/2/4 shards, writing
-# the perf trajectory (with the pre-chunking baseline) to
-# BENCH_results.json.
+# bench runs the repository's benchmark, the command BENCHMARK.json names:
+# socket to socket against a child datacelld, every workload (see
+# bench/README.md).
 bench:
-	$(GO) run ./cmd/hotpathbench -o BENCH_results.json
+	$(GO) run ./bench
 
 # bench-<scenario> runs one hotpathbench scenario at full size and prints
 # the report to stdout; bench-<scenario>-smoke is its CI sanity run (tiny
@@ -87,15 +85,11 @@ bench-%: FORCE
 # search); depending on FORCE makes them always run instead.
 FORCE:
 
-# bench-go runs the paper-experiment testing.B benchmarks once each.
-bench-go:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
 # bench-profile reruns the partitioned scenario with CPU, allocation,
 # mutex-contention, and blocking profiles armed, for hunting hot-path
 # contention (inspect with `go tool pprof cpu.pprof` etc.). Profiling
 # biases the timings, so the numbers printed here are not comparable to
-# `make bench` output.
+# `make bench-partitioned` output.
 bench-profile:
 	$(GO) run ./cmd/hotpathbench -scenario partitioned -cpus 1,4 -o - \
 		-cpuprofile cpu.pprof -memprofile mem.pprof \

@@ -66,8 +66,6 @@
 //
 // # Migrating from the pre-session API
 //
-//   - datacell.New(cfg) still works but Open(ctx, cfg) is preferred: it
-//     validates the configuration and stops the engine when ctx ends.
 //   - Engine.Exec, Ingest, IngestColumns, Start, and Stop now take a
 //     context.Context as their first argument.
 //   - Engine.RegisterContinuous remains as the Go-level twin of CREATE
@@ -248,12 +246,6 @@ const (
 // Open creates an engine whose lifetime is bounded by ctx: when ctx ends,
 // the engine stops as if Stop had been called.
 func Open(ctx context.Context, cfg Config) (*Engine, error) { return idc.Open(ctx, cfg) }
-
-// New creates an engine without a bounding context.
-//
-// Deprecated: prefer Open, which validates the configuration and ties the
-// engine lifetime to a context.
-func New(cfg Config) *Engine { return idc.New(cfg) }
 
 // NewManualClock returns a manually advanced clock starting at ns.
 func NewManualClock(ns int64) *ManualClock { return metrics.NewManualClock(ns) }

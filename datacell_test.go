@@ -9,6 +9,16 @@ import (
 	datacell "repro"
 )
 
+// open returns a volatile engine whose lifetime the caller owns.
+func open(t *testing.T, cfg datacell.Config) *datacell.Engine {
+	t.Helper()
+	eng, err := datacell.Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	clk := datacell.NewManualClock(0)
@@ -52,7 +62,7 @@ func TestPublicAPIValueHelpers(t *testing.T) {
 
 func TestPublicAPISchemaHelpers(t *testing.T) {
 	ctx := context.Background()
-	eng := datacell.New(datacell.Config{})
+	eng := open(t, datacell.Config{})
 	s := datacell.NewSchema(
 		datacell.Col("a", datacell.Int64),
 		datacell.Col("b", datacell.String),
@@ -71,7 +81,7 @@ func TestPublicAPISchemaHelpers(t *testing.T) {
 
 func TestPublicAPIWindowModes(t *testing.T) {
 	ctx := context.Background()
-	eng := datacell.New(datacell.Config{Clock: datacell.NewManualClock(0)})
+	eng := open(t, datacell.Config{Clock: datacell.NewManualClock(0)})
 	datacell.MustExec(eng, "CREATE BASKET m (v INT)")
 	datacell.MustExec(eng, `CREATE CONTINUOUS QUERY re WITH (window_mode = reeval) AS
 		SELECT SUM(S.v) AS total FROM [SELECT * FROM m] AS S WINDOW ROWS 2 SLIDE 2`)
@@ -94,7 +104,7 @@ func TestPublicAPIWindowModes(t *testing.T) {
 
 func TestPublicAPICascade(t *testing.T) {
 	ctx := context.Background()
-	eng := datacell.New(datacell.Config{Clock: datacell.NewManualClock(0)})
+	eng := open(t, datacell.Config{Clock: datacell.NewManualClock(0)})
 	datacell.MustExec(eng, "CREATE BASKET s (v INT)")
 	c, err := eng.RegisterCascade("c", "s", []datacell.CascadePredicate{
 		{Attr: "v", Lo: datacell.Int(0), Hi: datacell.Int(10)},
@@ -118,7 +128,7 @@ func TestMustExecPanics(t *testing.T) {
 			t.Error("MustExec should panic on bad SQL")
 		}
 	}()
-	eng := datacell.New(datacell.Config{})
+	eng := open(t, datacell.Config{})
 	datacell.MustExec(eng, "NOT SQL AT ALL")
 }
 
@@ -126,7 +136,7 @@ func TestMustExecPanics(t *testing.T) {
 
 func TestTypedErrorsUnknownAndDuplicate(t *testing.T) {
 	ctx := context.Background()
-	eng := datacell.New(datacell.Config{})
+	eng := open(t, datacell.Config{})
 	if err := eng.Ingest(ctx, "nosuch", nil); !errors.Is(err, datacell.ErrUnknownStream) {
 		t.Errorf("Ingest unknown stream: %v", err)
 	}
@@ -157,7 +167,7 @@ func TestTypedErrorsUnknownAndDuplicate(t *testing.T) {
 
 func TestTypedErrorEngineStoppedAndIdempotentStop(t *testing.T) {
 	ctx := context.Background()
-	eng := datacell.New(datacell.Config{})
+	eng := open(t, datacell.Config{})
 	datacell.MustExec(eng, "CREATE BASKET s (v INT)")
 	// Stop before Start is safe, and Stop is idempotent.
 	if err := eng.Stop(ctx); err != nil {
@@ -178,7 +188,7 @@ func TestTypedErrorEngineStoppedAndIdempotentStop(t *testing.T) {
 }
 
 func TestTypedErrorParsePosition(t *testing.T) {
-	eng := datacell.New(datacell.Config{})
+	eng := open(t, datacell.Config{})
 	_, err := eng.Exec(context.Background(), "SELECT *\nFROM WHERE")
 	if err == nil {
 		t.Fatal("expected parse error")
@@ -193,7 +203,7 @@ func TestTypedErrorParsePosition(t *testing.T) {
 }
 
 func TestContextCancellation(t *testing.T) {
-	eng := datacell.New(datacell.Config{})
+	eng := open(t, datacell.Config{})
 	datacell.MustExec(eng, "CREATE BASKET s (v INT)")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -231,7 +241,7 @@ func TestOpenBoundsEngineLifetime(t *testing.T) {
 
 func TestSubscriptionRecvAndClose(t *testing.T) {
 	ctx := context.Background()
-	eng := datacell.New(datacell.Config{Clock: datacell.NewManualClock(0)})
+	eng := open(t, datacell.Config{Clock: datacell.NewManualClock(0)})
 	datacell.MustExec(eng, "CREATE BASKET s (v INT)")
 	datacell.MustExec(eng, "CREATE CONTINUOUS QUERY q AS SELECT * FROM [SELECT * FROM s] AS x")
 	q, _ := eng.Query("q")
@@ -278,7 +288,7 @@ func TestSubscriptionRecvAndClose(t *testing.T) {
 
 func TestBackpressureDropOldest(t *testing.T) {
 	ctx := context.Background()
-	eng := datacell.New(datacell.Config{Clock: datacell.NewManualClock(0)})
+	eng := open(t, datacell.Config{Clock: datacell.NewManualClock(0)})
 	datacell.MustExec(eng, "CREATE BASKET s (v INT)")
 	datacell.MustExec(eng, `CREATE CONTINUOUS QUERY q
 		WITH (depth = 1, backpressure = drop_oldest) AS

@@ -26,14 +26,14 @@ import (
 )
 
 // Feed is an out-of-lock staging area for arriving tuples — the engine's
-// ingest fan-out publishes shard slices to an SPSC ring (see
+// ingest fan-out stages shard slices on a per-shard list (see
 // partition.Inbox) instead of taking every shard basket's lock. The basket
 // admits staged batches lazily: every code path that enters the basket
 // lock first drains the feed, so feed content is indistinguishable from
 // appended content to readers, factories, and checkpoint capture.
 //
 // Drain is only called with the basket lock held, making the basket the
-// single consumer the SPSC contract requires.
+// feed's single consumer.
 type Feed interface {
 	// Pending returns the number of staged tuples (cheap; lock-free).
 	Pending() int

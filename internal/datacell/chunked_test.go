@@ -114,7 +114,7 @@ func TestMultiChunkScanThroughSQL(t *testing.T) {
 // consuming query and a one-time SELECT repeatedly snapshots the output
 // basket. Totals must balance exactly.
 func TestConcurrentIngestAndFiringStress(t *testing.T) {
-	e := New(Config{Workers: 4})
+	e := newCore(Config{Workers: 4})
 	ctx := context.Background()
 	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT)"); err != nil {
 		t.Fatal(err)

@@ -151,7 +151,7 @@ func newCrashEngine(t *testing.T, dir string, arrangement int) (*Engine, error) 
 	ctx := context.Background()
 	var e *Engine
 	if dir == "" {
-		e = New(Config{})
+		e = newCore(Config{})
 	} else {
 		var err error
 		e, err = Open(ctx, Config{DataDir: dir, CheckpointInterval: -1})
@@ -442,7 +442,7 @@ func shardedCrashProperty(t *testing.T, query string) {
 		if got, ok := refMemo[p]; ok {
 			return got
 		}
-		flat := New(Config{})
+		flat := newCore(Config{})
 		defer stopQuiet(flat)
 		exec(flat, "CREATE BASKET S (a INT, et INT)")
 		exec(flat, query)

@@ -80,8 +80,7 @@ type Config struct {
 	// are written to a segmented WAL under it, operator state is
 	// checkpointed periodically, and Open replays the log tail so a
 	// crashed engine resumes without losing acknowledged batches or
-	// re-emitting delivered results. Only Open honors DataDir; New
-	// ignores it.
+	// re-emitting delivered results.
 	DataDir string
 	// CheckpointInterval paces the background checkpointer (default 10s;
 	// negative disables it, leaving only Stop's final checkpoint).
@@ -91,7 +90,7 @@ type Config struct {
 	// MetricsAddr, when non-empty, serves the observability HTTP
 	// endpoint (/metrics Prometheus text, /healthz, /debug/pprof/) on
 	// the given listen address. ":0" picks a free port (see
-	// Engine.MetricsAddr). Only Open honors it; New ignores it.
+	// Engine.MetricsAddr).
 	MetricsAddr string
 	// DisableMetrics turns the metrics registry and all hot-path
 	// instrumentation off (used by benchmarks to measure the
@@ -215,22 +214,18 @@ type stream struct {
 	// Partitioned streams only. shardReaders counts the registered
 	// partitioned queries; routing is skipped while it is zero so shard
 	// baskets do not accumulate unread tuples. The inbox is the
-	// ingest→shard handoff: the fan-out publishes each batch's shard
-	// slices with a single atomic epoch store instead of locking every
-	// shard basket; each shard basket drains its inbox feed on demand.
+	// ingest→shard handoff: the fan-out stages each batch's shard slices
+	// under one inbox mutex instead of locking every shard basket; each
+	// shard basket drains its inbox feed on demand.
 	router       *partition.Router
 	shards       []*basket.Basket
 	inbox        *partition.Inbox
 	shardReaders int
 }
 
-// inboxRingBatches sizes each shard's ingest staging ring (in batches);
-// bursts beyond it spill to an unbounded FIFO overflow list.
-const inboxRingBatches = 256
-
-// New creates an engine. Prefer Open, which validates the configuration
-// and ties the engine's lifetime to a context.
-func New(cfg Config) *Engine {
+// newCore builds the volatile engine; Open adds the durability and
+// metrics-endpoint halves of cfg on top of it.
+func newCore(cfg Config) *Engine {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = metrics.WallClock{}
@@ -269,7 +264,7 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("datacell: negative worker count %d", cfg.Workers)
 	}
-	e := New(cfg)
+	e := newCore(cfg)
 	if cfg.DataDir != "" {
 		if err := e.initDurability(cfg); err != nil {
 			return nil, err
@@ -530,7 +525,7 @@ func (e *Engine) createPartitionedStream(name string, schema *catalog.Schema, sp
 	}
 	s := &stream{name: name, schema: schema, primary: b, router: router}
 	if router != nil {
-		s.inbox = partition.NewInbox(spec.Shards, inboxRingBatches)
+		s.inbox = partition.NewInbox(spec.Shards)
 		for i := 0; i < spec.Shards; i++ {
 			sh := basket.New(fmt.Sprintf("%s#%d", name, i), schema, e.clock)
 			sh.SetFeed(s.inbox.Shard(i))

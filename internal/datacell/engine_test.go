@@ -16,7 +16,7 @@ import (
 func newEngine(t *testing.T) (*Engine, *metrics.ManualClock) {
 	t.Helper()
 	clk := metrics.NewManualClock(1_000_000)
-	e := New(Config{Clock: clk})
+	e := newCore(Config{Clock: clk})
 	if _, err := e.Exec(context.Background(), "CREATE BASKET R (a INT, b INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestRegisterErrors(t *testing.T) {
 }
 
 func TestConcurrentModeEndToEnd(t *testing.T) {
-	e := New(Config{Workers: 4}) // wall clock for realistic latency
+	e := newCore(Config{Workers: 4}) // wall clock for realistic latency
 	if err := e.CreateStream("s", catalog.NewSchema(
 		catalog.Column{Name: "v", Type: vector.Int64})); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // tests control the join clock deterministically.
 func joinEngine(t *testing.T, partitions int) *Engine {
 	t.Helper()
-	e := New(Config{})
+	e := newCore(Config{})
 	ctx := context.Background()
 	with := ""
 	if partitions > 1 {
@@ -552,7 +552,7 @@ func TestJoinTeardown(t *testing.T) {
 // pairs whose arrival timestamps are close enough match.
 func TestOneTimeJoinWithin(t *testing.T) {
 	clk := metrics.NewManualClock(0)
-	e := New(Config{Clock: clk})
+	e := newCore(Config{Clock: clk})
 	ctx := context.Background()
 	for _, ddl := range []string{
 		"CREATE BASKET a (x INT)",

@@ -111,7 +111,7 @@ func TestMetricsEndpointServes(t *testing.T) {
 
 func TestMetricsDisabled(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Clock: metrics.NewManualClock(1), DisableMetrics: true})
+	e := newCore(Config{Clock: metrics.NewManualClock(1), DisableMetrics: true})
 	if e.MetricsHandler() != nil {
 		t.Fatal("MetricsHandler non-nil with DisableMetrics")
 	}
@@ -145,7 +145,7 @@ func TestMetricsDisabled(t *testing.T) {
 
 func TestShowTrace(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (a INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func explainOps(t *testing.T, e *Engine, query string) ([]string, *storage.Relat
 
 func TestExplainAnalyzeFlat(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (a INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestExplainAnalyzeFlat(t *testing.T) {
 
 func TestExplainAnalyzePartitioned(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	if _, err := e.Exec(ctx,
 		"CREATE BASKET s (k INT, v INT) WITH (partitions = 4, partition_by = k)"); err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestExplainAnalyzePartitioned(t *testing.T) {
 func TestExplainAnalyzeWindowed(t *testing.T) {
 	ctx := context.Background()
 	clock := metrics.NewManualClock(1_000)
-	e := New(Config{Clock: clock})
+	e := newCore(Config{Clock: clock})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (a INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestExplainAnalyzeWindowed(t *testing.T) {
 
 func TestExplainAnalyzeJoin(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	for _, ddl := range []string{
 		"CREATE BASKET l (k INT, v INT)",
 		"CREATE BASKET r (k INT, w INT)",
@@ -361,7 +361,7 @@ func TestExplainAnalyzeJoin(t *testing.T) {
 // still a join, and a ' JOIN ' string literal in a filter is not one.
 func TestExplainShapeFromTopology(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	for _, ddl := range []string{
 		"CREATE BASKET l (k INT, v INT)",
 		"CREATE BASKET r (k INT, w INT)",

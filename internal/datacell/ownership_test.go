@@ -98,7 +98,7 @@ func TestIngestColumnsLeavesTheCallersVectorsAlone(t *testing.T) {
 	}
 	for _, tc := range targets {
 		t.Run(tc.name, func(t *testing.T) {
-			e := New(Config{})
+			e := newCore(Config{})
 			defer stopQuiet(e)
 			setUp(t, e, tc.basketOpts, tc.queryOpts)
 			ingestThenScribble(t, e, tc.keys)

@@ -27,8 +27,8 @@ import (
 func newPartitionedPair(t *testing.T) (part, flat *Engine) {
 	t.Helper()
 	ctx := context.Background()
-	part = New(Config{Clock: metrics.NewManualClock(1_000_000)})
-	flat = New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	part = newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
+	flat = newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	if _, err := part.Exec(ctx, "CREATE BASKET s (k INT, v INT) WITH (partitions = 4, partition_by = k)"); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestPartitionedShow(t *testing.T) {
 // rejected with typed errors and register nothing.
 func TestPartitionedCreateErrors(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{})
+	e := newCore(Config{})
 	for _, ddl := range []string{
 		"CREATE BASKET s (k INT) WITH (partitions = 4, partition_by = nope)",
 		"CREATE BASKET s (k INT) WITH (bogus = 1)",
@@ -403,7 +403,7 @@ func TestPartitionedCreateErrors(t *testing.T) {
 // once.
 func TestPartitionedConcurrentIngest(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Workers: 4})
+	e := newCore(Config{Workers: 4})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (k INT, v INT) WITH (partitions = 4, partition_by = k)"); err != nil {
 		t.Fatal(err)
 	}

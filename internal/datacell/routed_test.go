@@ -486,7 +486,7 @@ func TestRoutedRowRoutingDifferential(t *testing.T) {
 func routedDifferential(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
-	e := New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	if _, err := e.Exec(ctx, "CREATE BASKET D (seq INT, i INT, f DOUBLE, s VARCHAR, b BOOLEAN)"); err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +617,7 @@ func firstDiff(a, b []int64) int {
 func TestRoutedFiringCostIsLinearInRows(t *testing.T) {
 	const eqGroups, rangeGroups, keys = 1000, 10, 2000
 	ctx := context.Background()
-	e := New(Config{Clock: metrics.NewManualClock(1_000_000), DisableMetrics: true})
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000), DisableMetrics: true})
 	if _, err := e.Exec(ctx, "CREATE BASKET ev (seq INT, k INT, v INT)"); err != nil {
 		t.Fatal(err)
 	}

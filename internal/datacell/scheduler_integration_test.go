@@ -22,7 +22,7 @@ import (
 // current firing finishes) and the surviving query must keep producing.
 func TestDropQueryUnderConcurrentIngest(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Workers: 4})
+	e := newCore(Config{Workers: 4})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (k INT, v INT) WITH (partitions = 4, partition_by = k)"); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDropQueryUnderConcurrentIngest(t *testing.T) {
 // per-transition fired counters and per-worker clocks.
 func TestShowScheduler(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Workers: 2})
+	e := newCore(Config{Workers: 2})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // tick's re-wake set is the only thing that can deliver them.
 func TestBlockedEmitterResumesWhenConsumerDrains(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Workers: 2})
+	e := newCore(Config{Workers: 2})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestTimeWindowClosesWithoutArrivals(t *testing.T) {
 	for _, basketOpts := range []string{"", " WITH (partitions = 4, partition_by = k)"} {
 		t.Run("basket"+basketOpts, func(t *testing.T) {
 			ctx := context.Background()
-			e := New(Config{Workers: 2})
+			e := newCore(Config{Workers: 2})
 			if _, err := e.Exec(ctx, "CREATE BASKET s (k INT, g INT, v INT)"+basketOpts); err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +290,7 @@ func TestTimeWindowClosesWithoutArrivals(t *testing.T) {
 // leave again when their query drops.
 func TestTickVisitsOnlyTimeDrivenTransitions(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{})
+	e := newCore(Config{})
 	for _, ddl := range []string{
 		"CREATE BASKET s (k INT, g INT, v INT)",
 		"CREATE BASKET p (k INT, g INT, v INT) WITH (partitions = 4, partition_by = k)",

@@ -80,7 +80,7 @@ func TestPriorityQueryFiresFirst(t *testing.T) {
 func TestAutoFlushClosesTimeWindows(t *testing.T) {
 	// Wall-clock engine: a RANGE window must close via the Start ticker
 	// even though no further tuples arrive.
-	e := New(Config{Workers: 2})
+	e := newCore(Config{Workers: 2})
 	if err := e.CreateStream("m", catalog.NewSchema(
 		catalog.Column{Name: "v", Type: vector.Int64})); err != nil {
 		t.Fatal(err)

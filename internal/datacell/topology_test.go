@@ -27,7 +27,7 @@ import (
 // lookup table ref, and a polling upstream query up for chained reads.
 func topoEngine(t *testing.T) *Engine {
 	t.Helper()
-	e := New(Config{})
+	e := newCore(Config{})
 	for _, ddl := range []string{
 		"CREATE BASKET f (k INT, g INT, v INT, et INT)",
 		"CREATE BASKET s (k INT, g INT, v INT, et INT) WITH (partitions = 4, partition_by = k)",

@@ -25,8 +25,8 @@ import (
 func newWindowedPair(t *testing.T) (part, flat *Engine) {
 	t.Helper()
 	ctx := context.Background()
-	part = New(Config{Clock: metrics.NewManualClock(1_000_000)})
-	flat = New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	part = newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
+	flat = newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	if _, err := part.Exec(ctx, "CREATE BASKET s (k INT, g INT, v INT, et INT) WITH (partitions = 4, partition_by = k)"); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestPartitionedWindowedFallbacks(t *testing.T) {
 // watermark.
 func TestWindowedLateSurfaced(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Clock: metrics.NewManualClock(1_000_000)})
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT, et INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestWindowedLateSurfaced(t *testing.T) {
 // rejected with typed errors.
 func TestWindowedOptionErrors(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{})
+	e := newCore(Config{})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT, et INT, name VARCHAR)"); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestWindowedOptionErrors(t *testing.T) {
 // everything and stop cleanly.
 func TestPartitionedWindowedConcurrentIngest(t *testing.T) {
 	ctx := context.Background()
-	e := New(Config{Workers: 4})
+	e := newCore(Config{Workers: 4})
 	if _, err := e.Exec(ctx, "CREATE BASKET s (k INT, g INT, v INT, et INT) WITH (partitions = 4, partition_by = k)"); err != nil {
 		t.Fatal(err)
 	}

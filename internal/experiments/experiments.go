@@ -100,8 +100,8 @@ func F1(scale Scale) (*Table, error) {
 	if batch > total {
 		batch = total
 	}
-	eng := datacell.New(datacell.Config{})
-	if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
+	eng, err := openS(datacell.Config{})
+	if err != nil {
 		return nil, err
 	}
 	q, err := eng.RegisterContinuous("f1",
@@ -178,8 +178,8 @@ func E1(scale Scale) (*Table, error) {
 // the queries' distinct input baskets — the copy work the strategies
 // differ in, which unlike the elapsed time does not depend on the host.
 func e1Run(strategy datacell.Strategy, nq, total int) (time.Duration, int64, error) {
-	eng := datacell.New(datacell.Config{})
-	if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
+	eng, err := openS(datacell.Config{})
+	if err != nil {
 		return 0, 0, err
 	}
 	inputs := map[*basket.Basket]bool{}
@@ -259,8 +259,8 @@ func E2(scale Scale) (*Table, error) {
 		if batch > total {
 			break
 		}
-		eng := datacell.New(datacell.Config{})
-		if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
+		eng, err := openS(datacell.Config{})
+		if err != nil {
 			return nil, err
 		}
 		q, err := eng.RegisterContinuous("q",
@@ -293,9 +293,16 @@ func E2(scale Scale) (*Table, error) {
 	return tbl, nil
 }
 
-func mustSQL(eng *datacell.Engine, stmt string) error {
-	_, err := eng.Exec(context.Background(), stmt)
-	return err
+// openS opens a volatile engine holding the one stream every experiment
+// reads, s (v INT).
+func openS(cfg datacell.Config) (*datacell.Engine, error) {
+	ctx := context.Background()
+	eng, err := datacell.Open(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	_, err = eng.Exec(ctx, "CREATE BASKET s (v INT)")
+	return eng, err
 }
 
 // ParseLatency summarizes a histogram as (p50, p99, max) strings.

@@ -27,8 +27,8 @@ func E3(scale Scale) (*Table, error) {
 	}
 
 	for _, strategy := range []datacell.Strategy{datacell.SeparateBaskets, datacell.SharedBaskets} {
-		eng := datacell.New(datacell.Config{})
-		if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
+		eng, err := openS(datacell.Config{})
+		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < k; i++ {
@@ -57,8 +57,8 @@ func E3(scale Scale) (*Table, error) {
 	}
 
 	// Cascade.
-	eng := datacell.New(datacell.Config{})
-	if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
+	eng, err := openS(datacell.Config{})
+	if err != nil {
 		return nil, err
 	}
 	preds := make([]datacell.CascadePredicate, k)
@@ -122,8 +122,8 @@ func E4(scale Scale) (*Table, error) {
 }
 
 func e4Run(mode window.Mode, w, slide, total int) (time.Duration, error) {
-	eng := datacell.New(datacell.Config{})
-	if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
+	eng, err := openS(datacell.Config{})
+	if err != nil {
 		return 0, err
 	}
 	q := fmt.Sprintf(`SELECT SUM(x.v) AS s, AVG(x.v) AS a, MIN(x.v) AS lo, MAX(x.v) AS hi
@@ -223,8 +223,8 @@ func E6(scale Scale) (*Table, error) {
 }
 
 func e6Run(rate int) ([]string, error) {
-	eng := datacell.New(datacell.Config{Workers: 2})
-	if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
+	eng, err := openS(datacell.Config{Workers: 2})
+	if err != nil {
 		return nil, err
 	}
 	q, err := eng.RegisterContinuous("q",
@@ -288,8 +288,8 @@ func E7(scale Scale) (*Table, error) {
 	}
 
 	mk := func(query string) (*datacell.Engine, *datacell.Query, error) {
-		eng := datacell.New(datacell.Config{})
-		if err := mustSQL(eng, "CREATE BASKET s (v INT)"); err != nil {
+		eng, err := openS(datacell.Config{})
+		if err != nil {
 			return nil, nil, err
 		}
 		q, err := eng.RegisterContinuous("q", query, datacell.WithSQLPolling())

@@ -47,7 +47,10 @@ WINDOW RANGE 60000000000 SLIDE 60000000000`
 // NewSystem assembles the Linear Road pipeline.
 func NewSystem() (*System, error) {
 	clock := metrics.NewManualClock(0)
-	eng := datacell.New(datacell.Config{Clock: clock})
+	eng, err := datacell.Open(context.Background(), datacell.Config{Clock: clock})
+	if err != nil {
+		return nil, err
+	}
 	schema := catalog.NewSchema(
 		catalog.Column{Name: "time", Type: vector.Int64},
 		catalog.Column{Name: "vid", Type: vector.Int64},
@@ -63,7 +66,7 @@ func NewSystem() (*System, error) {
 	}
 	// Segment statistics: registered first so the scheduler fires it
 	// before the toll processor within a pass.
-	_, err := eng.RegisterContinuous("segstats", statsQuery,
+	_, err = eng.RegisterContinuous("segstats", statsQuery,
 		datacell.WithStrategy(datacell.SeparateBaskets),
 		datacell.WithWindowMode(window.Incremental),
 		datacell.WithSQLPolling())

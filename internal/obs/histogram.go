@@ -68,9 +68,6 @@ func (h *Histogram) Observe(v int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Max returns the largest observed value (0 if empty).
 func (h *Histogram) Max() int64 { return h.maxValue.Load() }
 

@@ -24,7 +24,7 @@ func TestHistogramBasics(t *testing.T) {
 	if got := h.Count(); got != 7 {
 		t.Fatalf("count = %d, want 7", got)
 	}
-	if got := h.Sum(); got != 1106 { // -5 clamps to 0
+	if got := h.sum.Load(); got != 1106 { // -5 clamps to 0
 		t.Fatalf("sum = %d, want 1106", got)
 	}
 	if got := h.Max(); got != 1000 {

@@ -126,15 +126,8 @@ func hashString(s string) uint64 {
 	return mix64(h)
 }
 
-// ShardOf maps one partition-key value to its shard. NULLs hash to shard
-// 0 so every tuple has exactly one home.
-func (r *Router) ShardOf(v vector.Value) int {
-	if r.keyIdx < 0 {
-		return int(atomic.AddUint64(&r.rr, 1)-1) % r.spec.Shards
-	}
-	return r.shardOfValue(v)
-}
-
+// shardOfValue maps one partition-key value to its shard. NULLs hash to
+// shard 0 so every tuple has exactly one home.
 func (r *Router) shardOfValue(v vector.Value) int {
 	if v.Null {
 		return 0

@@ -102,10 +102,6 @@ func (h *Handle) Name() string { return h.t.Name() }
 // Fired returns the number of times this transition has fired.
 func (h *Handle) Fired() int64 { return h.fired.Load() }
 
-// Misses returns the number of times the transition was dequeued but
-// found not ready (wasted scans).
-func (h *Handle) Misses() int64 { return h.misses.Load() }
-
 // Coalesced returns the number of wakes absorbed without a new enqueue.
 func (h *Handle) Coalesced() int64 { return h.coalesced.Load() }
 

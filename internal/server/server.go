@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 
@@ -84,29 +83,6 @@ func (s *Server) ListenResults(addr string) (net.Addr, error) {
 // ListenSQL starts the one-time SQL listener (one statement per line).
 func (s *Server) ListenSQL(addr string) (net.Addr, error) {
 	return s.listen(addr, s.ServeSQL)
-}
-
-// ListenMetrics starts the observability HTTP listener (/metrics
-// Prometheus text, /healthz, /debug/pprof/) on addr. It errors when the
-// engine was opened with DisableMetrics. Alternatively, setting
-// Config.MetricsAddr serves the same handler from the engine itself;
-// this helper exists for front ends that manage all listeners in one
-// place.
-func (s *Server) ListenMetrics(addr string) (net.Addr, error) {
-	h := s.eng.MetricsHandler()
-	if h == nil {
-		return nil, fmt.Errorf("server: engine metrics are disabled")
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.listeners = append(s.listeners, ln)
-	s.mu.Unlock()
-	srv := &http.Server{Handler: h}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr(), nil
 }
 
 func (s *Server) listen(addr string, handle func(io.ReadWriteCloser)) (net.Addr, error) {

@@ -51,7 +51,10 @@ func dial(t *testing.T, addr net.Addr) net.Conn {
 
 func TestRunScriptErrors(t *testing.T) {
 	ctx := context.Background()
-	eng := datacell.New(datacell.Config{})
+	eng, err := datacell.Open(ctx, datacell.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(eng)
 	if err := s.RunScript(ctx, "CREATE CONTINUOUS QUERY justaname"); err == nil {
 		t.Error("CREATE CONTINUOUS QUERY without AS select should fail")

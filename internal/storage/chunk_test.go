@@ -256,7 +256,7 @@ func TestPropChunkedMatchesFlatModel(t *testing.T) {
 }
 
 // TestStressSnapshotStability is the -race stress for the consumption
-// contract: snapshots taken before DropPrefix/Retain keep reading correct
+// contract: snapshots taken before DropPrefix/Remove keep reading correct
 // values while appends and consumption run concurrently. Every row's
 // value is its OID, so any view is self-checking against the head OID of
 // the moment it was taken.

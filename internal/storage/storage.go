@@ -92,7 +92,7 @@ func (r *Relation) String() string {
 // DefaultChunkTarget is the sealing threshold: the active tail chunk is
 // frozen once it reaches this many rows. It bounds both the granularity
 // of O(1) consumption (DropPrefix releases whole sealed chunks) and the
-// work Retain redoes when a chunk is partially rewritten.
+// work Remove redoes when a chunk is partially rewritten.
 const DefaultChunkTarget = 4096
 
 // sealedChunk is one frozen run of rows. Its vectors are never mutated
@@ -307,11 +307,6 @@ func (t *Table) Snapshot() bat.View {
 	return bat.View{Hseq: bat.OID(t.dropped), Chunks: chunks}
 }
 
-// SnapshotRelation bundles the snapshot's columns with the schema.
-func (t *Table) SnapshotRelation() *Relation {
-	return &Relation{Schema: t.schema, Cols: t.Snapshot().Columns()}
-}
-
 // DropPrefix removes the first n tuples (consumed stream data). Whole
 // sealed chunks are released in O(1); only the boundary chunk is trimmed
 // (by re-windowing — still no copying). Snapshots taken before the call
@@ -358,46 +353,6 @@ func (t *Table) DropPrefix(n int) {
 	t.dropped += int64(n)
 }
 
-// Retain keeps only the rows at the given sorted positions — the basket
-// expression's "remove everything I referenced" side effect inverted.
-// Chunks with no removals are shared untouched; chunks losing rows are
-// rewritten in isolation, so prior snapshots stay valid and the cost is
-// proportional to the chunks touched, not the table depth.
-func (t *Table) Retain(pos []int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.version++
-	n := t.rows
-	newSealed := t.sealed[:0:0]
-	i, base := 0, 0
-	for _, c := range t.sealed {
-		// Fast path: the chunk's whole position range is present (positions
-		// are sorted and unique, so checking the two endpoints suffices).
-		if i+c.n <= len(pos) && pos[i] == base && pos[i+c.n-1] == base+c.n-1 {
-			newSealed = append(newSealed, c)
-			i, base = i+c.n, base+c.n
-			continue
-		}
-		j := i
-		for j < len(pos) && pos[j] < base+c.n {
-			j++
-		}
-		if kept := j - i; kept > 0 {
-			newSealed = append(newSealed, sealedChunk{cols: takeCols(c.cols, pos[i:j], base), n: kept})
-		}
-		i, base = j, base+c.n
-	}
-	t.sealed = newSealed
-	// The tail is rewritten (into fresh, still-appendable vectors) only
-	// when it loses rows.
-	if kept := len(pos) - i; kept != t.tailRows {
-		t.tail = takeCols(t.tail, pos[i:], base)
-		t.tailRows = kept
-	}
-	t.rows = len(pos)
-	t.dropped += int64(n - len(pos))
-}
-
 // takeCols gathers the rows at the given global positions (shifted down
 // by base) out of every column into fresh vectors.
 func takeCols(cols []*vector.Vector, pos []int, base int) []*vector.Vector {
@@ -409,10 +364,12 @@ func takeCols(cols []*vector.Vector, pos []int, base int) []*vector.Vector {
 	return out
 }
 
-// Remove deletes the rows at the given sorted positions. It is the dual
-// of Retain driven by the (usually much shorter) drop list: chunks with
-// no dropped rows are shared untouched, so the cost is proportional to
-// the drop list and the chunks it lands in — not the table depth.
+// Remove deletes the rows at the given sorted positions — the basket
+// expression's "remove everything I referenced" side effect. Chunks with
+// no dropped rows are shared untouched and chunks losing rows are
+// rewritten in isolation, so prior snapshots stay valid and the cost is
+// proportional to the drop list and the chunks it lands in — not the
+// table depth.
 func (t *Table) Remove(pos []int) {
 	if len(pos) == 0 {
 		return

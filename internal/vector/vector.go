@@ -283,9 +283,6 @@ func (v *Vector) Bools() []bool { return v.bools }
 // Strings exposes the backing string slice (String vectors).
 func (v *Vector) Strings() []string { return v.strs }
 
-// Nulls exposes the backing null mask (nil when no null was ever set).
-func (v *Vector) Nulls() []bool { return v.nulls }
-
 // AppendInt appends an int64 (Int64/Timestamp vectors).
 func (v *Vector) AppendInt(x int64) {
 	v.ints = append(v.ints, x)
@@ -560,29 +557,6 @@ func (v *Vector) DropPrefix(n int) {
 	if v.nulls != nil {
 		v.nulls = append(v.nulls[:0], v.nulls[n:]...)
 	}
-}
-
-// Retain keeps only the elements at the given sorted positions, in place.
-// Baskets use it to remove a consumed subset (predicate windows).
-func (v *Vector) Retain(pos []int) {
-	w := 0
-	for _, p := range pos {
-		switch v.typ {
-		case Int64, Timestamp:
-			v.ints[w] = v.ints[p]
-		case Float64:
-			v.flts[w] = v.flts[p]
-		case Bool:
-			v.bools[w] = v.bools[p]
-		case String:
-			v.strs[w] = v.strs[p]
-		}
-		if v.nulls != nil {
-			v.nulls[w] = v.nulls[p]
-		}
-		w++
-	}
-	v.Truncate(w)
 }
 
 // String renders a short preview for debugging.

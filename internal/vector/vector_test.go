@@ -233,30 +233,6 @@ func TestDropPrefix(t *testing.T) {
 	}
 }
 
-func TestRetain(t *testing.T) {
-	v := FromInts([]int64{10, 20, 30, 40, 50})
-	v.Retain([]int{0, 2, 4})
-	if v.Len() != 3 {
-		t.Fatalf("Retain len = %d", v.Len())
-	}
-	for i, want := range []int64{10, 30, 50} {
-		if v.Get(i).I != want {
-			t.Errorf("Retain[%d] = %d, want %d", i, v.Get(i).I, want)
-		}
-	}
-}
-
-func TestRetainWithNulls(t *testing.T) {
-	v := New(String)
-	v.AppendString("a")
-	v.AppendNull()
-	v.AppendString("c")
-	v.Retain([]int{1, 2})
-	if !v.Get(0).Null || v.Get(1).S != "c" {
-		t.Errorf("RetainWithNulls: %v", v)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	v := FromInts([]int64{1, 2, 3})
 	c := v.Clone()

@@ -102,15 +102,15 @@ func TestTimeWindowLateCounted(t *testing.T) {
 			t.Fatalf("%s: late = %d before any late arrival", r.Mode(), r.Late())
 		}
 		// [0,100) is emitted; ts 50 now trails the frontier.
-		buffered := r.Buffered()
+		buffered := r.buf.NumRows()
 		if _, err := r.Append(batch([]int64{9}, []string{"x"}, []int64{50})); err != nil {
 			t.Fatal(err)
 		}
 		if r.Late() != 1 {
 			t.Errorf("%s: late = %d, want 1", r.Mode(), r.Late())
 		}
-		if r.Buffered() != buffered {
-			t.Errorf("%s: late tuple was buffered (%d -> %d)", r.Mode(), buffered, r.Buffered())
+		if r.buf.NumRows() != buffered {
+			t.Errorf("%s: late tuple was buffered (%d -> %d)", r.Mode(), buffered, r.buf.NumRows())
 		}
 		// The late tuple must not leak into the next window.
 		results, err := r.Append(batch([]int64{4}, []string{"x"}, []int64{230}))
@@ -141,8 +141,8 @@ func TestTimeWindowShuffledBoundedBuffer(t *testing.T) {
 		feed(t, r, rng, shuffled)
 		// Retained suffix: at most window size + lateness worth of tuples
 		// (1 tuple per ts unit here), with slack for batch boundaries.
-		if max := int(spec.Size + lateness + 64); r.Buffered() > max {
-			t.Errorf("%s: buffered = %d after %d tuples, want <= %d", r.Mode(), r.Buffered(), n, max)
+		if max := int(spec.Size + lateness + 64); r.buf.NumRows() > max {
+			t.Errorf("%s: buffered = %d after %d tuples, want <= %d", r.Mode(), r.buf.NumRows(), n, max)
 		}
 		if r.Late() != 0 {
 			t.Errorf("%s: late = %d under bounded disorder", r.Mode(), r.Late())

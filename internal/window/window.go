@@ -215,9 +215,6 @@ func (r *Runner) Mode() Mode { return r.mode }
 // Spec returns the window specification.
 func (r *Runner) Spec() Spec { return r.spec }
 
-// Buffered returns the number of pending tuples.
-func (r *Runner) Buffered() int { return r.buf.NumRows() }
-
 // Started reports whether a time-based runner has seen any tuple.
 func (r *Runner) Started() bool { return r.started }
 

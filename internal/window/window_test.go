@@ -126,8 +126,8 @@ func TestCountTumblingSum(t *testing.T) {
 		if got := results[1].Rel.Cols[0].Get(0).I; got != 22 {
 			t.Errorf("%s: w1 sum = %d", r.Mode(), got)
 		}
-		if r.Buffered() != 2 {
-			t.Errorf("%s: buffered = %d", r.Mode(), r.Buffered())
+		if r.buf.NumRows() != 2 {
+			t.Errorf("%s: buffered = %d", r.Mode(), r.buf.NumRows())
 		}
 	}
 }
