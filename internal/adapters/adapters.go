@@ -132,24 +132,29 @@ func (b Backpressure) String() string {
 
 // ChannelEmitter delivers result batches to a Go channel instead of a
 // writer — the embedding API's subscription mechanism. It implements
-// scheduler.Transition.
+// scheduler.Transition, and has a second caller besides the scheduler:
+// Offer, through which the routed shared scan hands a member's rows over
+// during the firing that derived them. Both send through deliver.
 type ChannelEmitter struct {
 	name   string
 	source *basket.Basket
 	policy Backpressure
 	ch     chan *storage.Relation
 
-	// done unblocks an in-flight blocking send when the emitter closes;
-	// sendMu serializes senders against Close so ch is never closed while
-	// a send is in flight.
-	done    chan struct{}
-	once    sync.Once
+	// sendMu serializes every sender (Fire, Offer) against each other and
+	// against Close: a sender checks for room and sends under it, so no
+	// send blocks and ch is never closed while a send is in flight. Fire
+	// drains source under it too, so Offer cannot overtake rows Fire has
+	// taken but not yet sent.
 	sendMu  sync.Mutex
-	closed  bool
+	closed  atomic.Bool // written under sendMu; Ready reads it without
 	dropped int64
-	// parked records that Ready declined a firing because the channel was
+	// parked records that a firing was declined because the channel was
 	// full (blocking policy); see Unparked.
 	parked atomic.Bool
+	// handoffs and overflows count Offer's outcomes: batches handed to the
+	// subscriber, and batches its caller appended to source instead.
+	handoffs, overflows atomic.Int64
 
 	// Durability hooks (guarded by sendMu). delivered counts rows handed
 	// to the subscriber since the query registered; after a restart the
@@ -206,7 +211,6 @@ func NewChannelEmitter(name string, source *basket.Basket, depth int, policy Bac
 		source: source,
 		policy: policy,
 		ch:     make(chan *storage.Relation, depth),
-		done:   make(chan struct{}),
 	}
 }
 
@@ -221,19 +225,22 @@ func (e *ChannelEmitter) Policy() Backpressure { return e.policy }
 // back-pressure instead of dropping results; under drop-oldest it is ready
 // whenever results wait.
 func (e *ChannelEmitter) Ready() bool {
-	if e.source.Len() == 0 {
+	if e.source.Len() == 0 || e.closed.Load() {
 		return false
 	}
-	select {
-	case <-e.done:
-		return false
-	default:
-	}
-	if e.policy == BackpressureDropOldest || len(e.ch) < cap(e.ch) {
+	if e.room() {
 		return true
 	}
 	e.parked.Store(true)
 	return false
+}
+
+// room reports whether a send would not block: always under drop-oldest
+// (deliver evicts), while the channel has a free slot under blocking.
+// Only senders fill the channel and they all hold sendMu, so a true
+// answer under sendMu holds until the lock is released.
+func (e *ChannelEmitter) room() bool {
+	return e.policy == BackpressureDropOldest || len(e.ch) < cap(e.ch)
 }
 
 // Unparked reports, once per episode, that the emitter declined a firing
@@ -250,14 +257,20 @@ func (e *ChannelEmitter) C() <-chan *storage.Relation { return e.ch }
 // Dropped returns the number of batches evicted under drop-oldest.
 func (e *ChannelEmitter) Dropped() int64 { return atomic.LoadInt64(&e.dropped) }
 
-// Close terminates delivery: any blocked send is released, the channel is
-// closed, and later firings discard their batches. Safe to call more than
-// once and concurrently with Fire.
+// Dispositions returns how many batches Offer handed to the subscriber
+// (handoff) and how many it declined, leaving them to the output basket
+// (overflow).
+func (e *ChannelEmitter) Dispositions() (handoff, overflow int64) {
+	return e.handoffs.Load(), e.overflows.Load()
+}
+
+// Close terminates delivery: the channel is closed, and later firings and
+// offers leave their rows in the output basket. Safe to call more than
+// once and concurrently with Fire and Offer.
 func (e *ChannelEmitter) Close() {
-	e.once.Do(func() { close(e.done) })
 	e.sendMu.Lock()
-	if !e.closed {
-		e.closed = true
+	if !e.closed.Load() {
+		e.closed.Store(true)
 		close(e.ch)
 	}
 	e.sendMu.Unlock()
@@ -298,61 +311,82 @@ func (e *ChannelEmitter) OnDeliver(fn func(delivered int64)) {
 	e.sendMu.Unlock()
 }
 
-// Fire implements scheduler.Transition.
+// Fire implements scheduler.Transition: everything the output basket
+// holds becomes one relation for the subscriber. On a full blocking
+// channel (an Offer may have filled it since Ready) the rows stay in the
+// basket and the emitter parks.
 func (e *ChannelEmitter) Fire() error {
+	e.sendMu.Lock()
+	defer e.sendMu.Unlock()
+	if e.closed.Load() {
+		return nil
+	}
+	if !e.room() {
+		e.parked.Store(true)
+		return nil
+	}
 	e.source.Lock()
 	view, n := e.source.LockedSnapshot()
 	e.source.LockedDropPrefix(n)
 	e.source.Unlock()
-	if n == 0 {
-		return nil
+	if n > 0 {
+		e.deliver(&storage.Relation{Schema: e.source.Schema(), Cols: view.Columns()}, n)
 	}
-	e.sendMu.Lock()
+	return nil
+}
+
+// Offer is the routed shared scan's hand-off: rel (n rows, in the output
+// basket's schema) goes to the subscriber now, or Offer returns false and
+// the caller appends it to the output basket as before. It never blocks,
+// and declines whenever delivering could wait or overtake older rows: the
+// emitter is closed, sendMu is busy, the output basket still holds rows,
+// or a blocking channel is full. rel's vectors may be shared with other
+// subscribers; nobody writes them after the call.
+func (e *ChannelEmitter) Offer(rel *storage.Relation, n int) bool {
+	if !e.sendMu.TryLock() {
+		e.overflows.Add(1)
+		return false
+	}
 	defer e.sendMu.Unlock()
-	if e.closed {
-		return nil
+	if e.closed.Load() || !e.room() || e.source.Len() > 0 {
+		e.overflows.Add(1)
+		return false
 	}
+	e.deliver(rel, n)
+	e.handoffs.Add(1)
+	return true
+}
+
+// deliver hands n rows to the subscriber: it trims what recovery
+// suppresses, evicts the oldest batch under drop-oldest, sends and
+// advances the frontier. The caller holds sendMu and has checked room,
+// so the send cannot block.
+func (e *ChannelEmitter) deliver(rel *storage.Relation, n int) {
 	if e.suppress > 0 {
-		k := int(e.suppress)
-		if k > n {
-			k = n
-		}
+		k := int(min(e.suppress, int64(n)))
 		e.suppress -= int64(k)
 		e.delivered += int64(k)
-		view = view.Slice(k, n)
-		n -= k
-		if n == 0 {
+		if n -= k; n == 0 {
 			if e.onDeliver != nil {
 				e.onDeliver(e.delivered)
 			}
-			return nil
+			return
+		}
+		cols := make([]*vector.Vector, len(rel.Cols))
+		for i, c := range rel.Cols {
+			cols[i] = c.Window(k, k+n)
+		}
+		rel = &storage.Relation{Schema: rel.Schema, Cols: cols}
+	}
+	for e.policy == BackpressureDropOldest && len(e.ch) == cap(e.ch) {
+		select {
+		case <-e.ch:
+			atomic.AddInt64(&e.dropped, 1)
+		default: // the subscriber took it first
 		}
 	}
-	rel := &storage.Relation{Schema: e.source.Schema(), Cols: view.Columns()}
-	if e.policy == BackpressureDropOldest {
-		for {
-			select {
-			case e.ch <- rel:
-				e.markDelivered(n)
-				return nil
-			default:
-				select {
-				case <-e.ch:
-					atomic.AddInt64(&e.dropped, 1)
-				default:
-				}
-			}
-		}
-	}
-	// Blocking policy: Ready() said there was room, but a concurrent firing
-	// may have filled it; requeue by re-appending would reorder, so block
-	// until the subscriber catches up (or the emitter closes).
-	select {
-	case e.ch <- rel:
-		e.markDelivered(n)
-	case <-e.done:
-	}
-	return nil
+	e.ch <- rel
+	e.markDelivered(n)
 }
 
 // markDelivered advances the delivered counter and publishes the new

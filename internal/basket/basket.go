@@ -142,6 +142,15 @@ func (b *Basket) Unsubscribe(id uint64) {
 	b.listeners.Store(&next)
 }
 
+// Listeners returns the number of append listeners: the transitions that
+// consume the basket (one lock-free load).
+func (b *Basket) Listeners() int {
+	if p := b.listeners.Load(); p != nil {
+		return len(*p)
+	}
+	return 0
+}
+
 // notify invokes every append listener (outside the basket lock).
 func (b *Basket) notify() {
 	if p := b.listeners.Load(); p != nil {

@@ -135,9 +135,15 @@ func (e *Engine) explainAnalyze(name string) (*storage.Relation, error) {
 	row("output", q.out.Name(), nullInt, "", nullInt, n(dropped), nullInt, n(int64(resident)))
 	if q.sub != nil {
 		em := q.sub.em
-		row("deliver", em.Name(), nullInt,
-			fmt.Sprintf("policy=%s dropped_batches=%d", em.Policy(), em.Dropped()),
-			nullInt, n(em.Delivered()), nullInt, nullInt)
+		detail := fmt.Sprintf("policy=%s dropped_batches=%d", em.Policy(), em.Dropped())
+		if q.routed != nil {
+			// Batches the scan handed straight to the subscription, and
+			// batches that went through <q>_out and the emitter instead.
+			handoff, overflow := em.Dispositions()
+			detail += fmt.Sprintf(" handoff=%d overflow=%d", handoff, overflow)
+		}
+		row("deliver", em.Name(), nullInt, detail,
+			nullInt, n(em.Delivered()), n(q.sub.h.Fired()), nullInt)
 	}
 	return rel, nil
 }

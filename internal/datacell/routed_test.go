@@ -341,13 +341,15 @@ func TestRoutedChurnUnderIngest(t *testing.T) {
 		close(stop)
 	}()
 	wg.Wait()
-	// The churn may outpace the ingest goroutine entirely; a final
-	// deterministic batch proves the scan survived the churn intact.
+	// The churn may outpace the ingest goroutine entirely; a final batch
+	// proves the scan survived the churn intact. The pool may be mid-way
+	// through the firing that routes it, so wait for the scan's counters
+	// rather than for Drain.
 	ingestPairs(t, e, "R", [][2]int64{{7, -1}})
-	e.Drain()
-	if stable.Stats().TuplesOut == 0 {
-		t.Error("stable query delivered nothing through the churn")
-	}
+	sc := stable.routed.scan
+	waitFor(t, "the scan to route every tuple", func() bool {
+		return sc.rows.Load() == e.Ingested("R") && stable.Stats().TuplesOut > 0
+	})
 	// Dropping the last member tears the scan down and a new registration
 	// rebuilds it.
 	if err := e.UnregisterContinuous("stable"); err != nil {
@@ -359,9 +361,10 @@ func TestRoutedChurnUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestPairs(t, e, "R", [][2]int64{{3, 1}})
-	e.Drain()
-	if q2.Stats().TuplesOut != 1 {
-		t.Errorf("rebuilt scan delivered %d tuples, want 1", q2.Stats().TuplesOut)
+	got := 0
+	waitFor(t, "the rebuilt scan to deliver", func() bool { got += countRows(collect(q2)); return got > 0 })
+	if got != 1 || q2.Stats().TuplesOut != 1 {
+		t.Errorf("rebuilt scan delivered %d tuples (TuplesOut %d), want 1", got, q2.Stats().TuplesOut)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/adapters"
 	"repro/internal/basket"
 	"repro/internal/bat"
 	"repro/internal/exec"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/scheduler"
 	"repro/internal/storage"
+	"repro/internal/vector"
 )
 
 // sharedScan is the shared routing layer of the routed-scan strategy:
@@ -25,8 +27,9 @@ import (
 // suffix, advances the single shared reader frontier (so the basket
 // compacts at O(one reader) instead of O(queries)), pushes the batch
 // through the predicate index, and evaluates each matched plan group
-// once — fanning the group's result out to its member queries' output
-// baskets. Queries whose predicates cannot match the batch cost nothing.
+// once — handing the group's result to each member's subscription, or,
+// when the emitter declines it, appending it to the member's output
+// basket. Queries whose predicates cannot match the batch cost nothing.
 //
 // Concurrency: regMu serializes membership changes (attach/detach and
 // predicate-index writes); fireMu serializes firings and doubles as the
@@ -80,9 +83,13 @@ type scanGroup struct {
 // plus per-query counters so SHOW QUERIES / EXPLAIN ANALYZE / metrics
 // stay per-query under sharing.
 type scanMember struct {
-	name      string
-	out       *basket.Basket
-	joinSeq   bat.OID // deliver only batches starting at or after this OID
+	name    string
+	out     *basket.Basket
+	joinSeq bat.OID // deliver only batches starting at or after this OID
+	// emit is the subscription's emitter once install has scheduled it
+	// (nil for a polling query): the firing offers it the member's rows
+	// and appends to out only what it declines.
+	emit      atomic.Pointer[adapters.ChannelEmitter]
 	firings   atomic.Int64
 	tuplesIn  atomic.Int64
 	tuplesOut atomic.Int64
@@ -350,7 +357,8 @@ func (sc *sharedScan) Ready() bool { return sc.dirty.Load() }
 // Fire implements scheduler.Transition: consume the unseen suffix of
 // the primary basket once, probe the predicate index for the candidate
 // rows of each plan group, evaluate each matched group over its
-// candidates only, and fan the result out to the group's members.
+// candidates only, and fan the result out to the group's members —
+// offered to each subscription first, appended to <q>_out when declined.
 func (sc *sharedScan) Fire() error {
 	sc.fireMu.Lock()
 	defer sc.fireMu.Unlock()
@@ -426,6 +434,7 @@ func (sc *sharedScan) Fire() error {
 		if err == nil && len(rel.Cols) > 0 {
 			outRows = rel.Cols[0].Len()
 		}
+		var stamped []*vector.Vector // rel.Cols plus a ts column: <q>_out's schema, shared by the group's hand-offs
 		for _, m := range members {
 			if m.joinSeq > base {
 				continue // registered after this batch was consumed
@@ -433,13 +442,24 @@ func (sc *sharedScan) Fire() error {
 			delivered++
 			m.firings.Add(1)
 			m.tuplesIn.Add(int64(unseen))
-			if outRows > 0 {
-				// Fresh Relation header per member: the basket append
-				// copies values, so the column vectors are shared safely.
-				if aerr := m.out.AppendRelation(&storage.Relation{Schema: rel.Schema, Cols: rel.Cols}); aerr != nil && firstErr == nil {
-					firstErr = aerr
+			if outRows == 0 {
+				continue
+			}
+			m.tuplesOut.Add(int64(outRows))
+			// Hand-off: straight to the subscription, unless another
+			// transition (a chained query) consumes <q>_out too.
+			if em := m.emit.Load(); em != nil && m.out.Listeners() == 1 {
+				if stamped == nil {
+					stamped = withTimestamps(rel.Cols, outRows, e.clock.Now())
 				}
-				m.tuplesOut.Add(int64(outRows))
+				if em.Offer(&storage.Relation{Schema: m.out.Schema(), Cols: stamped}, outRows) {
+					continue
+				}
+			}
+			// Overflow: the basket append copies values, so the column
+			// vectors are shared safely.
+			if aerr := m.out.AppendRelation(rel); aerr != nil && firstErr == nil {
+				firstErr = aerr
 			}
 		}
 		if err == nil {
@@ -465,6 +485,17 @@ func (sc *sharedScan) Fire() error {
 		o.routeRowsEvaluated.Add(evaluated)
 	}
 	return firstErr
+}
+
+// withTimestamps returns cols plus a timestamp column holding now n
+// times: a result in its output basket's schema, as an append would stamp
+// it.
+func withTimestamps(cols []*vector.Vector, n int, now int64) []*vector.Vector {
+	ts := vector.NewWithCap(vector.Timestamp, n)
+	for range n {
+		ts.AppendInt(now)
+	}
+	return append(cols[:len(cols):len(cols)], ts)
 }
 
 // groupCount returns the number of live plan groups (diagnostics).

@@ -29,6 +29,7 @@ const (
 type Subscription struct {
 	eng *Engine
 	em  *adapters.ChannelEmitter
+	h   *scheduler.Handle // the emitter's transition; set before the query goes live
 
 	mu     sync.Mutex
 	closed bool
@@ -51,6 +52,7 @@ func newSubscription(e *Engine, em *adapters.ChannelEmitter) *Subscription {
 // wake it when the consumer makes room, so it joins the tick's re-wake
 // set; a drop-oldest emitter is ready whenever results wait.
 func (s *Subscription) scheduled(h *scheduler.Handle) {
+	s.h = h
 	if s.em.Policy() != BackpressureBlock {
 		return
 	}

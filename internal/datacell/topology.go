@@ -458,6 +458,11 @@ func (q *Query) build() error {
 	}
 	if q.sub != nil {
 		q.sub.scheduled(q.schedule(q.sub.em, stageDeliver, counterDelta(q.sub.em.Delivered), []*basket.Basket{q.out}))
+		if q.routed != nil {
+			// From here on the shared scan hands this member's rows to the
+			// subscription; <q>_out and the emitter are the overflow path.
+			q.routed.member.emit.Store(q.sub.em)
+		}
 	}
 	// Last, so the tick flushes only fully scheduled pipelines, and first
 	// to go on a drop.

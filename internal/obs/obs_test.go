@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -331,5 +332,36 @@ func TestTraceRing(t *testing.T) {
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
+	}
+}
+
+// TestTraceRingGrowsLazily: a ring holds only what was added until it
+// reaches K, then wraps; Len and Snapshot order read the same either way.
+func TestTraceRingGrowsLazily(t *testing.T) {
+	r := NewTraceRing(3)
+	if r.Len() != 0 || cap(r.buf) != 0 {
+		t.Fatalf("fresh ring: Len %d, %d slots allocated", r.Len(), cap(r.buf))
+	}
+	seqs := func() []int64 {
+		var out []int64
+		for _, ev := range r.Snapshot() {
+			out = append(out, ev.Seq)
+		}
+		return out
+	}
+	for i, want := range [][]int64{{1}, {1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {4, 5, 6}, {5, 6, 7}} {
+		r.Add(TraceEvent{FireNS: int64(i + 1)})
+		if got := seqs(); !slices.Equal(got, want) {
+			t.Fatalf("after %d adds: snapshot seqs %v, want %v", i+1, got, want)
+		}
+		if r.Len() != len(want) {
+			t.Fatalf("after %d adds: Len %d, want %d", i+1, r.Len(), len(want))
+		}
+		if len(r.buf) > 3 {
+			t.Fatalf("ring of 3 holds %d events", len(r.buf))
+		}
+	}
+	if ev := r.Snapshot()[0]; ev.FireNS != ev.Seq {
+		t.Errorf("oldest event %+v carries another event's payload", ev)
 	}
 }

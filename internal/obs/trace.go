@@ -19,20 +19,20 @@ type TraceEvent struct {
 
 // TraceRing is a bounded ring of the last K firings of one query's
 // pipeline. Writers pay one short mutex hold per firing; Snapshot
-// copies out events oldest-first.
+// copies out events oldest-first. The buffer grows on Add, so a ring
+// nothing fires into (a routed query whose rows are handed off) costs no
+// event slots.
 type TraceRing struct {
 	mu   sync.Mutex
-	buf  []TraceEvent
-	next int   // index of the slot to overwrite
-	seq  int64 // total events ever added
+	k    int
+	buf  []TraceEvent // grows to k, then wraps
+	next int          // once full, the slot to overwrite
+	seq  int64        // total events ever added
 }
 
 // NewTraceRing returns a ring retaining the last k events (k >= 1).
 func NewTraceRing(k int) *TraceRing {
-	if k < 1 {
-		k = 1
-	}
-	return &TraceRing{buf: make([]TraceEvent, k)}
+	return &TraceRing{k: max(k, 1)}
 }
 
 // Add records one event, assigning its sequence number.
@@ -40,8 +40,12 @@ func (r *TraceRing) Add(ev TraceEvent) {
 	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
+	if len(r.buf) < r.k {
+		r.buf = append(r.buf, ev)
+	} else {
+		r.buf[r.next] = ev
+		r.next = (r.next + 1) % r.k
+	}
 	r.mu.Unlock()
 }
 
@@ -49,9 +53,6 @@ func (r *TraceRing) Add(ev TraceEvent) {
 func (r *TraceRing) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seq < int64(len(r.buf)) {
-		return int(r.seq)
-	}
 	return len(r.buf)
 }
 
@@ -59,14 +60,8 @@ func (r *TraceRing) Len() int {
 func (r *TraceRing) Snapshot() []TraceEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := len(r.buf)
-	if r.seq < int64(n) {
-		out := make([]TraceEvent, r.seq)
-		copy(out, r.buf[:r.seq])
-		return out
-	}
-	out := make([]TraceEvent, 0, n)
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	out := make([]TraceEvent, len(r.buf))
+	n := copy(out, r.buf[r.next:])
+	copy(out[n:], r.buf[:r.next])
 	return out
 }

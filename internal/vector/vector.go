@@ -356,9 +356,13 @@ func (v *Vector) AppendVector(other *Vector) {
 		return
 	}
 	if other.nulls != nil || v.nulls != nil {
+		// other is only read: it may be shared with a reader on another
+		// goroutine. Rows past its mask are not NULL.
 		v.ensureNulls()
-		other.ensureNulls()
 		v.nulls = append(v.nulls, other.nulls...)
+		for k := len(other.nulls); k < other.Len(); k++ {
+			v.nulls = append(v.nulls, false)
+		}
 	}
 	switch v.typ {
 	case Int64, Timestamp:

@@ -219,6 +219,16 @@ func TestAppendVector(t *testing.T) {
 	if a.Get(2).I != 3 || !a.Get(3).Null {
 		t.Errorf("append vector wrong: %v %v", a.Get(2), a.Get(3))
 	}
+	// Appending a mask-less vector to one with a mask reads the argument
+	// only: it may be shared with a reader on another goroutine.
+	c := FromInts([]int64{4, 5})
+	a.AppendVector(c)
+	if c.nulls != nil {
+		t.Error("AppendVector wrote its argument's NULL mask")
+	}
+	if a.Len() != 6 || a.Get(4).Null || a.Get(5).I != 5 || !a.Get(3).Null {
+		t.Errorf("append after a NULL: %v", a)
+	}
 }
 
 func TestDropPrefix(t *testing.T) {
