@@ -65,7 +65,6 @@ bench:
 #   join         stream-stream WITHIN join (flat vs co-partitioned) and
 #                stream-table enrichment (flat vs broadcast)
 #   durability   WAL-off vs WAL-on ingest, dirty-crash recovery time
-#   obs          instrumentation on/off A/B; fails above 5% (smoke: 25%) ns/tuple
 #   multiquery   N routed filters vs per-query replicas at N = 1, 100, 10k,
 #                and batch rows 128/4096/16384 at 1000 matching queries
 # BENCH_CPUS_<scenario> is the GOMAXPROCS sweep of the scenarios that take

@@ -66,17 +66,12 @@ func BenchmarkAblationSharedFactory(b *testing.B) {
 		b.SetBytes(batch * 8)
 	})
 	b.Run("shared-factory", func(b *testing.B) {
-		eng := mustEngine(b, "CREATE BASKET s (v INT)")
-		members := make([]datacell.GroupMember, k)
-		for i := range members {
-			members[i] = datacell.GroupMember{
-				Name:     fmt.Sprintf("m%d", i),
-				Residual: fmt.Sprintf("x.v %% %d = 0", i+2),
-			}
+		ddl := []string{"CREATE BASKET s (v INT)",
+			"CREATE CONTINUOUS QUERY g_common WITH (strategy = shared, polling = true) AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 100 AND x.v < 300"}
+		for i := 0; i < k; i++ {
+			ddl = append(ddl, fmt.Sprintf("CREATE CONTINUOUS QUERY m%d WITH (strategy = shared) AS SELECT * FROM [SELECT * FROM g_common_out] AS x WHERE x.v %% %d = 0", i, i+2))
 		}
-		if _, err := eng.RegisterFilterGroup("g", "s", "x.v >= 100 AND x.v < 300", members); err != nil {
-			b.Fatal(err)
-		}
+		eng := mustEngine(b, ddl...)
 		const batch = 5_000
 		rows := intRows(batch, 1000)
 		b.ResetTimer()

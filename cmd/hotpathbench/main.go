@@ -24,8 +24,6 @@
 //   - durability: the WAL tax — the same continuous filter with the
 //     write-ahead log off vs on (group-committed ingest) — and
 //     dirty-crash recovery time (Open + tail replay) vs log size.
-//   - obs: the partitioned workload with the observability layer on vs
-//     off; exits non-zero when the instrumentation tax exceeds its budget.
 //   - multiquery: N continuous filters over one stream — the shared
 //     routed scan against the naive per-query replica-basket arrangement
 //     at N = 1, 100, 10k — plus a batch-size sweep (128 / 4096 / 16384
@@ -60,7 +58,6 @@ import (
 type row struct {
 	Name            string  `json:"name"`
 	Mode            string  `json:"mode,omitempty"`     // join: stream_stream | stream_table; durability: wal_off | wal_on | recovery
-	Metrics         string  `json:"metrics,omitempty"`  // obs: on | off
 	Strategy        string  `json:"strategy,omitempty"` // multiquery: routed | separate
 	Workload        string  `json:"workload,omitempty"` // multiquery: mixed | nonmatch | match
 	Queries         int     `json:"queries,omitempty"`
@@ -81,7 +78,6 @@ type row struct {
 	WALBytes        int64   `json:"wal_bytes,omitempty"`
 	RecoveryMs      float64 `json:"recovery_ms,omitempty"`
 	ReplayedRecords int64   `json:"replayed_records,omitempty"`
-	OverheadPct     float64 `json:"overhead_pct,omitempty"`
 	RowsOut         *int64  `json:"rows_out,omitempty"`
 }
 
@@ -265,12 +261,9 @@ func keyedBatches(keys, vmod int) func(i int) []*vector.Vector {
 // continuous query over a stream sharded `shards` ways. The query groups
 // by the partition column, so shard pipelines aggregate independently and
 // the merge stage concatenates — the partition-aligned fast path.
-// disableMetrics compiles out the registry, observers and trace rings,
-// for the obs scenario's A/B comparison.
-func partitioned(cpus, shards, tuples int, disableMetrics bool) scenario {
+func partitioned(cpus, shards, tuples int) scenario {
 	return scenario{
 		name: "partitioned_throughput", cpus: cpus, shards: shards,
-		cfg:     datacell.Config{DisableMetrics: disableMetrics},
 		ddl:     []string{"CREATE BASKET p (k INT, v INT)" + partitionBy(shards)},
 		queries: []query{{"agg", "SELECT x.k, COUNT(*) AS c, SUM(x.v) AS sv FROM [SELECT * FROM p] AS x GROUP BY x.k"}},
 		opts:    poolOpts(),
@@ -494,44 +487,6 @@ func copyTree(src, dst string) error {
 	})
 }
 
-// obs measures the observability layer's hot-path tax: the partitioned
-// workload with metrics enabled vs disabled, interleaved (best run per
-// arm, so scheduler and allocator warm-up noise cancels instead of
-// biasing one arm). When the on-arm's ns/tuple exceeds the off-arm's by
-// more than the budget the process exits nonzero — the acceptance gate
-// for "instrumentation is effectively free".
-func obs(p params) []row {
-	rounds, limit := 3, 5.0
-	if p.smoke {
-		// Smoke workloads are too small for a tight bound: a single
-		// scheduler hiccup is worth more than 5% of the run. Keep the gate
-		// but loosen it to a sanity threshold.
-		rounds, limit = 2, 25.0
-	}
-	var on, off row
-	for r := 0; r < rounds; r++ {
-		for _, disabled := range []bool{true, false} {
-			best := &on
-			if disabled {
-				best = &off
-			}
-			res := drive(partitioned(1, 1, p.tuples, disabled))
-			if best.Tuples == 0 || res.NsPerTuple < best.NsPerTuple {
-				*best = res
-			}
-		}
-	}
-	overhead := (on.NsPerTuple - off.NsPerTuple) / off.NsPerTuple * 100
-	fmt.Fprintf(os.Stderr, "obs_overhead           cpus=%d shards=%d on=%.1f off=%.1f ns/tuple (%.2f%% overhead, limit %.0f%%)\n",
-		on.Cpus, on.Shards, on.NsPerTuple, off.NsPerTuple, overhead, limit)
-	if overhead > limit {
-		log.Fatalf("instrumentation overhead %.2f%% exceeds %.0f%% budget", overhead, limit)
-	}
-	off.Name, off.Metrics = "obs_overhead", "off"
-	on.Name, on.Metrics, on.OverheadPct = "obs_overhead", "on", overhead
-	return []row{off, on}
-}
-
 // multiquery is the per-batch cost of running many continuous queries
 // over one stream: nQueries filters registered with the given strategy,
 // then tuples rows ingested in fixed batches, in drain mode.
@@ -649,7 +604,7 @@ var table = []entry{
 		func(p params) (rows []row) {
 			for _, c := range p.cpus {
 				for _, shards := range []int{1, 2, 4} {
-					rows = append(rows, drive(partitioned(c, shards, p.tuples, false)))
+					rows = append(rows, drive(partitioned(c, shards, p.tuples)))
 				}
 			}
 			return rows
@@ -685,11 +640,6 @@ var table = []entry{
 			"(group-committed 4096-row ingest batches, background checkpointer off), and dirty-crash recovery " +
 			"wall time (Open + full tail replay of a copied live data directory) against logs of growing size.",
 		durability},
-	{"obs", "obs_overhead", 1 << 19, 1 << 16,
-		"the partitioned workload (1 cpu, 1 shard) with the observability layer on vs off " +
-			"(Config.DisableMetrics), interleaved best-of-N per arm; overhead_pct on the 'on' row is the " +
-			"instrumentation tax and the run fails above the stated budget.",
-		obs},
 	{"multiquery", "multiquery", 1 << 17, 1 << 14,
 		"N continuous filters over one stream (selective equality predicates sized so ~1% match each batch, " +
 			"plus ~1% always-match residuals; 'nonmatch' arms match nothing), driven batch-by-batch with a " +
@@ -794,7 +744,7 @@ func startProfiles(cpu, mem, mutex, block string) func() {
 func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("hotpathbench", flag.ContinueOnError)
 	out := fs.String("o", "-", "output file ('-' for stdout)")
-	name := fs.String("scenario", "", "partitioned, windowed, join, durability, obs, or multiquery")
+	name := fs.String("scenario", "", "partitioned, windowed, join, durability, or multiquery")
 	cpusFlag := fs.String("cpus", "1,2,4", "GOMAXPROCS settings for the partitioned/windowed/join scenarios")
 	smoke := fs.Bool("smoke", false, "tiny workload (CI sanity run)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")

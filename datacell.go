@@ -63,17 +63,6 @@
 // without losing acknowledged tuples or re-emitting delivered results.
 // A clean Stop writes a final checkpoint so clean restarts skip replay.
 // See Engine.Checkpoint, Engine.Stats, and Query.Checkpoint.
-//
-// # Migrating from the pre-session API
-//
-//   - Engine.Exec, Ingest, IngestColumns, Start, and Stop now take a
-//     context.Context as their first argument.
-//   - Engine.RegisterContinuous remains as the Go-level twin of CREATE
-//     CONTINUOUS QUERY; the server-side "CONTINUOUS <name> <select>"
-//     script extension is gone — use the DDL.
-//   - Query.Results() is replaced by Query.Subscription(), a handle with
-//     Recv(ctx)/C()/Close()/Err(); Cascade.Results(i) likewise became
-//     Cascade.Subscription(i).
 package datacell
 
 import (
@@ -194,13 +183,6 @@ type CascadePredicate = idc.CascadePredicate
 
 // Cascade is a registered chain of disjoint-range stages.
 type Cascade = idc.Cascade
-
-// GroupMember is one query of a shared-factory filter group.
-type GroupMember = idc.GroupMember
-
-// FilterGroup is a registered shared-factory group (§3.2: one common
-// factory feeds several residual factories).
-type FilterGroup = idc.FilterGroup
 
 // WindowMode selects the windowed evaluation strategy (§3.1).
 type WindowMode = window.Mode

@@ -7,9 +7,8 @@
 // Pipeline over a payments stream (account INT, amount DOUBLE, country VARCHAR):
 //
 //	payments ──► large (amount > 900) ──► foreign_large (country <> 'NL')
-//	payments ──► filter group: suspicious = amount > 500, with members
-//	             round_amounts  (amount % 100 = 0)
-//	             repeat_account (account % 7 = 0 — a stand-in risk rule)
+//	payments ──► susp_common (amount > 500) ──► round_amounts  (amount % 100 = 0)
+//	                                        └─► repeat_account (account % 7 = 0 — a stand-in risk rule)
 package main
 
 import (
@@ -41,15 +40,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A shared-factory group: the common `amount > 500` filter runs once;
-	// the residual factories only see what it admits.
-	group, err := eng.RegisterFilterGroup("susp", "payments", "x.amount > 500.0",
-		[]datacell.GroupMember{
-			{Name: "round_amounts", Residual: "x.amount % 100.0 = 0.0"},
-			{Name: "repeat_account", Residual: "x.account % 7 = 0"},
-		})
-	if err != nil {
-		log.Fatal(err)
+	// A shared-factory group is DDL too: the common `amount > 500` filter
+	// runs once into susp_common_out, and the residual queries share that
+	// basket, so they only see what the common filter admits.
+	datacell.MustExec(eng, `CREATE CONTINUOUS QUERY susp_common WITH (strategy = shared, polling = true) AS
+		SELECT * FROM [SELECT * FROM payments] AS x WHERE x.amount > 500.0`)
+	for _, m := range []struct{ name, residual string }{
+		{"round_amounts", "x.amount % 100.0 = 0.0"},
+		{"repeat_account", "x.account % 7 = 0"},
+	} {
+		datacell.MustExec(eng, fmt.Sprintf(`CREATE CONTINUOUS QUERY %s WITH (strategy = shared) AS
+			SELECT * FROM [SELECT * FROM susp_common_out] AS x WHERE %s`, m.name, m.residual))
 	}
 
 	// A low-priority audit trail that tolerates loss under pressure.
@@ -96,9 +97,11 @@ func main() {
 	fmt.Printf("  foreign alerts        %6d\n", foreignHits)
 
 	fmt.Printf("\nshared factory group (common filter evaluated once):\n")
+	common, _ := eng.Query("susp_common")
 	fmt.Printf("  common examined       %6d, admitted %d\n",
-		group.Common.Stats().TuplesIn, group.Common.Stats().TuplesOut)
-	for _, m := range group.Members {
+		common.Stats().TuplesIn, common.Stats().TuplesOut)
+	for _, name := range []string{"round_amounts", "repeat_account"} {
+		m, _ := eng.Query(name)
 		fmt.Printf("  %-20s  examined %6d, matched %d\n",
 			m.Name, m.Stats().TuplesIn, m.Stats().TuplesOut)
 	}

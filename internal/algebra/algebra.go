@@ -186,9 +186,46 @@ func key(v vector.Value) vector.Value {
 	return v
 }
 
+// JoinKeyType is the domain two equi-join keys of types l and r are
+// compared in — the one join-key rule every join path shares: identical
+// types stay (TIMESTAMP folds into BIGINT, so TIMESTAMP = INT compares
+// the instants), and a DOUBLE against an integer compares as DOUBLE,
+// matching SQL equality.
+func JoinKeyType(l, r vector.Type) vector.Type {
+	if (l == vector.Float64 || r == vector.Float64) && l != r {
+		return vector.Float64
+	}
+	if l == vector.Timestamp || l == vector.Int64 {
+		return vector.Int64
+	}
+	return l
+}
+
+// JoinKey maps a key value into the domain typ (see JoinKeyType), so that
+// hash-map equality of keys coincides with SQL equality. A NULL key stays
+// NULL; callers never match it.
+func JoinKey(v vector.Value, typ vector.Type) vector.Value {
+	if v.Null {
+		return vector.NullValue(typ)
+	}
+	switch typ {
+	case vector.Int64:
+		return vector.Value{Typ: vector.Int64, I: v.I}
+	case vector.Float64:
+		f := v.F
+		if v.Typ == vector.Int64 || v.Typ == vector.Timestamp {
+			f = float64(v.I)
+		}
+		return vector.Value{Typ: vector.Float64, F: f}
+	default:
+		v.Typ = typ
+		return v
+	}
+}
+
 // HashJoin matches left[lp] = right[rp] over the given candidate lists and
-// returns the aligned position pairs. NULLs never match. The smaller side
-// is used as the build side.
+// returns the aligned position pairs. Keys compare under JoinKeyType;
+// NULLs never match. The smaller side is used as the build side.
 func HashJoin(left, right *vector.Vector, lc, rc bat.Candidates) (lpos, rpos []int) {
 	if lc == nil {
 		lc = bat.All(left.Len())
@@ -196,26 +233,27 @@ func HashJoin(left, right *vector.Vector, lc, rc bat.Candidates) (lpos, rpos []i
 	if rc == nil {
 		rc = bat.All(right.Len())
 	}
+	typ := JoinKeyType(left.Type(), right.Type())
 	// Build on the smaller input, probe with the larger.
 	if len(lc) <= len(rc) {
-		ht := buildHash(left, lc)
+		ht := buildHash(left, lc, typ)
 		for _, rp := range rc {
 			if right.IsNull(rp) {
 				continue
 			}
-			for _, lp := range ht[key(right.Get(rp))] {
+			for _, lp := range ht[JoinKey(right.Get(rp), typ)] {
 				lpos = append(lpos, lp)
 				rpos = append(rpos, rp)
 			}
 		}
 		return lpos, rpos
 	}
-	ht := buildHash(right, rc)
+	ht := buildHash(right, rc, typ)
 	for _, lp := range lc {
 		if left.IsNull(lp) {
 			continue
 		}
-		for _, rp := range ht[key(left.Get(lp))] {
+		for _, rp := range ht[JoinKey(left.Get(lp), typ)] {
 			lpos = append(lpos, lp)
 			rpos = append(rpos, rp)
 		}
@@ -223,13 +261,13 @@ func HashJoin(left, right *vector.Vector, lc, rc bat.Candidates) (lpos, rpos []i
 	return lpos, rpos
 }
 
-func buildHash(v *vector.Vector, cands bat.Candidates) map[vector.Value][]int {
+func buildHash(v *vector.Vector, cands bat.Candidates, typ vector.Type) map[vector.Value][]int {
 	ht := make(map[vector.Value][]int, len(cands))
 	for _, p := range cands {
 		if v.IsNull(p) {
 			continue
 		}
-		k := key(v.Get(p))
+		k := JoinKey(v.Get(p), typ)
 		ht[k] = append(ht[k], p)
 	}
 	return ht

@@ -36,9 +36,6 @@ type Cascade struct {
 	stages []*cascadeStage
 }
 
-// Stage returns the i-th stage's output basket (its matched tuples).
-func (c *Cascade) Stage(i int) *basket.Basket { return c.stages[i].out }
-
 // Subscription returns the i-th stage's result subscription.
 func (c *Cascade) Subscription(i int) *Subscription { return c.stages[i].sub }
 

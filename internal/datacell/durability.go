@@ -480,13 +480,11 @@ func (e *Engine) checkpoint(clean bool) error {
 	d := e.dur
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-	if e.obs != nil {
-		start := time.Now()
-		defer func() {
-			e.obs.checkpoints.Inc()
-			e.obs.checkpointNS.Observe(time.Since(start).Nanoseconds())
-		}()
-	}
+	start := time.Now()
+	defer func() {
+		e.obs.checkpoints.Inc()
+		e.obs.checkpointNS.Observe(time.Since(start).Nanoseconds())
+	}()
 
 	e.gate.Lock()
 	img := e.captureImage(clean)
@@ -519,14 +517,13 @@ func (e *Engine) checkpoint(clean bool) error {
 // suppression — the whole crash-recovery path. Called by Open before
 // the engine is visible to any other goroutine.
 func (e *Engine) initDurability(cfg Config) error {
-	wopts := wal.Options{SegmentBytes: cfg.WALSegmentBytes}
-	if e.obs != nil {
-		wopts.OnSync = func(d time.Duration) {
+	w, err := wal.Open(filepath.Join(cfg.DataDir, walSubdir), wal.Options{
+		SegmentBytes: cfg.WALSegmentBytes,
+		OnSync: func(d time.Duration) {
 			e.obs.walFsyncs.Inc()
 			e.obs.walFsyncNS.Observe(d.Nanoseconds())
-		}
-	}
-	w, err := wal.Open(filepath.Join(cfg.DataDir, walSubdir), wopts)
+		},
+	})
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,6 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,10 +91,6 @@ type Config struct {
 	// the given listen address. ":0" picks a free port (see
 	// Engine.MetricsAddr).
 	MetricsAddr string
-	// DisableMetrics turns the metrics registry and all hot-path
-	// instrumentation off (used by benchmarks to measure the
-	// instrumentation tax; MetricsAddr then cannot be served).
-	DisableMetrics bool
 }
 
 // Engine lifecycle states.
@@ -119,8 +114,7 @@ type Engine struct {
 	gate sync.RWMutex
 	dur  *durability // nil unless opened with Config.DataDir
 
-	// obs is the metrics/tracing surface; nil when Config.DisableMetrics
-	// is set. Hot-path call sites guard with `if e.obs != nil`.
+	// obs is the metrics/tracing surface behind /metrics and SHOW TRACE.
 	obs *engineObs
 
 	mu         sync.Mutex
@@ -245,9 +239,7 @@ func newCore(cfg Config) *Engine {
 		workers:  workers,
 		done:     make(chan struct{}),
 	}
-	if !cfg.DisableMetrics {
-		e.obs = newEngineObs(e)
-	}
+	e.obs = newEngineObs(e)
 	return e
 }
 
@@ -302,9 +294,6 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
 // Scheduler exposes the engine's scheduler (deterministic driving).
 func (e *Engine) Scheduler() *scheduler.Scheduler { return e.sched }
-
-// Clock returns the engine clock.
-func (e *Engine) Clock() metrics.Clock { return e.clock }
 
 // guard rejects calls on a stopped engine or under a cancelled context.
 func (e *Engine) guard(ctx context.Context) error {
@@ -680,14 +669,12 @@ func (e *Engine) IngestColumns(ctx context.Context, streamName string, cols []*v
 // and the fan-out share one gate hold, so the log order matches the
 // apply order.
 func (e *Engine) ingest(ctx context.Context, s *stream, n int, cols []*vector.Vector) error {
-	if e.dur != nil && e.obs != nil {
+	if e.dur != nil {
 		start := time.Now()
 		if err := e.dur.logIngest(ctx, s.name, cols); err != nil {
 			return err
 		}
 		e.obs.walCommitNS.Observe(time.Since(start).Nanoseconds())
-	} else if err := e.dur.logIngest(ctx, s.name, cols); err != nil {
-		return err
 	}
 	return e.fanout(s, n, cols)
 }
@@ -710,10 +697,8 @@ func (e *Engine) lookupStream(name string) (*stream, error) {
 // replica slice is copy-on-write (see Query.attachInput), so the snapshot
 // taken under e.mu is used as-is instead of being recloned on every call.
 func (e *Engine) fanout(s *stream, n int, cols []*vector.Vector) error {
-	if e.obs != nil {
-		e.obs.ingestBatches.Inc()
-		e.obs.ingestTuples.Add(int64(n))
-	}
+	e.obs.ingestBatches.Inc()
+	e.obs.ingestTuples.Add(int64(n))
 	e.mu.Lock()
 	s.ingested += int64(n)
 	primary := s.primary
@@ -851,10 +836,7 @@ func (e *Engine) Exec(ctx context.Context, text string) (*storage.Relation, erro
 	case *sql.DropStmt:
 		return nil, logDDL(e.drop(x.Name))
 	case *sql.ShowStmt:
-		if x.What == sql.ShowTrace {
-			return e.showTrace(x.Name)
-		}
-		return e.show(x.What)
+		return e.show(x)
 	case *sql.ExplainStmt:
 		return e.explainAnalyze(x.Target)
 	case *sql.InsertStmt:
@@ -879,186 +861,6 @@ func (e *Engine) Exec(ctx context.Context, text string) (*storage.Relation, erro
 		return exec.Run(p, exec.NewContext(e.cat))
 	default:
 		return nil, fmt.Errorf("datacell: unsupported statement")
-	}
-}
-
-// show builds the introspection relations for SHOW QUERIES / BASKETS /
-// TABLES / STREAMS.
-func (e *Engine) show(what sql.ShowKind) (*storage.Relation, error) {
-	switch what {
-	case sql.ShowQueries:
-		// shards is the query's pipeline fan-out (1 = unpartitioned);
-		// merge_lag counts shard emissions not yet merged into the output
-		// basket, so skew between shards is visible from the control port.
-		// late_tuples counts arrivals dropped behind an emitted window
-		// boundary or a streaming join's watermark, watermark is the
-		// event-time frontier window content is final up to (NULL for
-		// unwindowed queries). join_state is the number of rows the
-		// query's streaming join retains across pipelines and
-		// join_evictions the state rows expired behind the watermark (0
-		// for join-free queries). last_checkpoint is when the durability
-		// subsystem last captured the query's state (NULL on a
-		// non-durable engine or before the first checkpoint) and
-		// replay_lag the number of WAL records a crash right now would
-		// replay.
-		rel := storage.NewRelation(catalog.NewSchema(
-			catalog.Column{Name: "name", Type: vector.String},
-			catalog.Column{Name: "strategy", Type: vector.String},
-			catalog.Column{Name: "shards", Type: vector.Int64},
-			catalog.Column{Name: "merge_lag", Type: vector.Int64},
-			catalog.Column{Name: "late_tuples", Type: vector.Int64},
-			catalog.Column{Name: "watermark", Type: vector.Timestamp},
-			catalog.Column{Name: "join_state", Type: vector.Int64},
-			catalog.Column{Name: "join_evictions", Type: vector.Int64},
-			catalog.Column{Name: "last_checkpoint", Type: vector.Timestamp},
-			catalog.Column{Name: "replay_lag", Type: vector.Int64},
-			catalog.Column{Name: "sql", Type: vector.String},
-		))
-		snap := e.dur.snapshot()
-		lastCkpt := vector.NullValue(vector.Timestamp)
-		if !snap.ckptTime.IsZero() {
-			lastCkpt = vector.NewTimestamp(snap.ckptTime.UnixNano())
-		}
-		lag := snap.replayLag()
-		qs := e.Queries()
-		sort.Slice(qs, func(i, j int) bool { return qs[i].Name < qs[j].Name })
-		for _, q := range qs {
-			watermark := vector.NullValue(vector.Timestamp)
-			if wm, ok := q.Watermark(); ok {
-				watermark = vector.NewTimestamp(wm)
-			}
-			st := q.Stats()
-			rel.AppendRow([]vector.Value{
-				vector.NewString(q.Name),
-				vector.NewString(q.arrangement()),
-				vector.NewInt(int64(q.Shards())),
-				vector.NewInt(int64(q.MergeLag())),
-				vector.NewInt(st.Late),
-				watermark,
-				vector.NewInt(st.JoinState),
-				vector.NewInt(st.JoinEvictions),
-				lastCkpt,
-				vector.NewInt(lag),
-				vector.NewString(q.SQL),
-			})
-		}
-		return rel, nil
-	case sql.ShowStreams:
-		rel := storage.NewRelation(catalog.NewSchema(
-			catalog.Column{Name: "name", Type: vector.String},
-			catalog.Column{Name: "ingested", Type: vector.Int64},
-			catalog.Column{Name: "backlog", Type: vector.Int64},
-		))
-		// s.ingested is written under e.mu by Ingest; snapshot it there.
-		type row struct {
-			name     string
-			ingested int64
-			primary  *basket.Basket
-		}
-		e.mu.Lock()
-		rows := make([]row, 0, len(e.streams))
-		for _, s := range e.streams {
-			rows = append(rows, row{s.name, s.ingested, s.primary})
-		}
-		e.mu.Unlock()
-		sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-		for _, s := range rows {
-			rel.AppendRow([]vector.Value{
-				vector.NewString(s.name),
-				vector.NewInt(s.ingested),
-				vector.NewInt(int64(s.primary.Len())),
-			})
-		}
-		return rel, nil
-	case sql.ShowBaskets:
-		// Per-basket physical layout from the chunked storage layer:
-		// resident tuples and chunks, plus the cumulative consumption
-		// counters (dropped includes shed). Shard baskets of partitioned
-		// streams and queries appear as their own rows with shard >= 0
-		// (NULL for unsharded baskets), so per-shard skew is visible.
-		rel := storage.NewRelation(catalog.NewSchema(
-			catalog.Column{Name: "name", Type: vector.String},
-			catalog.Column{Name: "shard", Type: vector.Int64},
-			catalog.Column{Name: "tuples", Type: vector.Int64},
-			catalog.Column{Name: "chunks", Type: vector.Int64},
-			catalog.Column{Name: "dropped", Type: vector.Int64},
-			catalog.Column{Name: "shed", Type: vector.Int64},
-		))
-		e.eachBasket(func(name string, shardIdx int, b *basket.Basket) {
-			shard := vector.NullValue(vector.Int64)
-			if shardIdx >= 0 {
-				shard = vector.NewInt(int64(shardIdx))
-			}
-			chunks, resident, dropped, shed := b.Stats()
-			rel.AppendRow([]vector.Value{
-				vector.NewString(name),
-				shard,
-				vector.NewInt(int64(resident)),
-				vector.NewInt(int64(chunks)),
-				vector.NewInt(dropped),
-				vector.NewInt(shed),
-			})
-		})
-		return rel, nil
-	case sql.ShowScheduler:
-		// Execution-core introspection: one row per transition with its
-		// scheduling counters, then one row per worker with its busy/idle
-		// accounting (counter columns NULL and vice versa).
-		rel := storage.NewRelation(catalog.NewSchema(
-			catalog.Column{Name: "kind", Type: vector.String},
-			catalog.Column{Name: "name", Type: vector.String},
-			catalog.Column{Name: "priority", Type: vector.Int64},
-			catalog.Column{Name: "fired", Type: vector.Int64},
-			catalog.Column{Name: "claim_misses", Type: vector.Int64},
-			catalog.Column{Name: "coalesced_wakes", Type: vector.Int64},
-			catalog.Column{Name: "busy_ns", Type: vector.Int64},
-			catalog.Column{Name: "idle_ns", Type: vector.Int64},
-		))
-		st := e.sched.Stats()
-		null := vector.NullValue(vector.Int64)
-		for _, t := range st.Transitions {
-			rel.AppendRow([]vector.Value{
-				vector.NewString("transition"),
-				vector.NewString(t.Name),
-				vector.NewInt(int64(t.Priority)),
-				vector.NewInt(t.Fired),
-				vector.NewInt(t.ClaimMisses),
-				vector.NewInt(t.CoalescedWakes),
-				null,
-				null,
-			})
-		}
-		for i, w := range st.Workers {
-			rel.AppendRow([]vector.Value{
-				vector.NewString("worker"),
-				vector.NewString(fmt.Sprintf("worker#%d", i)),
-				null,
-				null,
-				null,
-				null,
-				vector.NewInt(w.BusyNS),
-				vector.NewInt(w.IdleNS),
-			})
-		}
-		return rel, nil
-	case sql.ShowTables:
-		rel := storage.NewRelation(catalog.NewSchema(
-			catalog.Column{Name: "name", Type: vector.String},
-			catalog.Column{Name: "tuples", Type: vector.Int64},
-		))
-		for _, name := range e.cat.Names() {
-			entry, err := e.cat.Lookup(name)
-			if err != nil || entry.Kind != catalog.KindTable {
-				continue
-			}
-			rel.AppendRow([]vector.Value{
-				vector.NewString(entry.Name),
-				vector.NewInt(int64(entry.Source.Snapshot().NumRows())),
-			})
-		}
-		return rel, nil
-	default:
-		return nil, fmt.Errorf("datacell: unsupported SHOW")
 	}
 }
 

@@ -147,41 +147,3 @@ func (e *Engine) explainAnalyze(name string) (*storage.Relation, error) {
 	}
 	return rel, nil
 }
-
-// showTrace renders a query's bounded firing-trace ring (last-K
-// pipeline firings with stage timings) as a relation, oldest first.
-func (e *Engine) showTrace(name string) (*storage.Relation, error) {
-	q, err := e.Query(name)
-	if err != nil {
-		return nil, err
-	}
-	rel := storage.NewRelation(catalog.NewSchema(
-		catalog.Column{Name: "seq", Type: vector.Int64},
-		catalog.Column{Name: "stage", Type: vector.String},
-		catalog.Column{Name: "transition", Type: vector.String},
-		catalog.Column{Name: "start", Type: vector.Timestamp},
-		catalog.Column{Name: "queue_ns", Type: vector.Int64},
-		catalog.Column{Name: "fire_ns", Type: vector.Int64},
-		catalog.Column{Name: "tuples_in", Type: vector.Int64},
-		catalog.Column{Name: "tuples_out", Type: vector.Int64},
-		catalog.Column{Name: "error", Type: vector.String},
-	))
-	if q.trace == nil {
-		// Metrics disabled: the trace ring was never armed.
-		return rel, nil
-	}
-	for _, ev := range q.trace.Snapshot() {
-		rel.AppendRow([]vector.Value{
-			vector.NewInt(ev.Seq),
-			vector.NewString(ev.Stage),
-			vector.NewString(ev.Transition),
-			vector.NewTimestamp(ev.Start),
-			vector.NewInt(ev.QueueNS),
-			vector.NewInt(ev.FireNS),
-			vector.NewInt(ev.TuplesIn),
-			vector.NewInt(ev.TuplesOut),
-			vector.NewString(ev.Err),
-		})
-	}
-	return rel, nil
-}

@@ -1,6 +1,8 @@
 package datacell
 
 import (
+	"context"
+	"fmt"
 	"testing"
 )
 
@@ -47,15 +49,21 @@ func TestChainedUnknownUpstreamFails(t *testing.T) {
 	}
 }
 
+// TestFilterGroupSharedFactory: the §3.2 shared factory is two kinds of
+// DDL statement — a shared, polling common query, and shared members
+// reading its output basket — so the common predicate runs once per tuple
+// and each member examines only what it admitted.
 func TestFilterGroupSharedFactory(t *testing.T) {
 	e, _ := newEngine(t)
-	g, err := e.RegisterFilterGroup("grp", "R", "x.a >= 10 AND x.a < 40", []GroupMember{
-		{Name: "m0", Residual: "x.a < 20"},
-		{Name: "m1", Residual: "x.a >= 20 AND x.a < 30"},
-		{Name: "m2", Residual: "x.a >= 30"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, ddl := range []string{
+		"CREATE CONTINUOUS QUERY grp_common WITH (strategy = shared, polling = true) AS SELECT * FROM [SELECT * FROM R] AS x WHERE x.a >= 10 AND x.a < 40",
+		"CREATE CONTINUOUS QUERY m0 WITH (strategy = shared) AS SELECT * FROM [SELECT * FROM grp_common_out] AS x WHERE x.a < 20",
+		"CREATE CONTINUOUS QUERY m1 WITH (strategy = shared) AS SELECT * FROM [SELECT * FROM grp_common_out] AS x WHERE x.a >= 20 AND x.a < 30",
+		"CREATE CONTINUOUS QUERY m2 WITH (strategy = shared) AS SELECT * FROM [SELECT * FROM grp_common_out] AS x WHERE x.a >= 30",
+	} {
+		if _, err := e.Exec(context.Background(), ddl); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var rows [][2]int64
 	for i := int64(0); i < 50; i++ {
@@ -65,43 +73,28 @@ func TestFilterGroupSharedFactory(t *testing.T) {
 	e.Drain()
 
 	// Common admits a in [10,40): 30 tuples, evaluated once.
-	if got := g.Common.Stats().TuplesIn; got != 50 {
+	common, err := e.Query("grp_common")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := common.Stats().TuplesIn; got != 50 {
 		t.Errorf("common examined %d, want 50", got)
 	}
-	if got := g.Common.Stats().TuplesOut; got != 30 {
+	if got := common.Stats().TuplesOut; got != 30 {
 		t.Errorf("common admitted %d, want 30", got)
 	}
-	wants := []int{10, 10, 10}
-	for i, m := range g.Members {
-		if got := countRows(collect(m)); got != wants[i] {
-			t.Errorf("member %d rows = %d, want %d", i, got, wants[i])
+	for i := 0; i < 3; i++ {
+		m, err := e.Query(fmt.Sprintf("m%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := countRows(collect(m)); got != 10 {
+			t.Errorf("member %d rows = %d, want 10", i, got)
 		}
 		// Members only examined the 30 admitted tuples, not all 50.
 		if got := m.Stats().TuplesIn; got != 30 {
 			t.Errorf("member %d examined %d, want 30", i, got)
 		}
-	}
-}
-
-func TestFilterGroupValidation(t *testing.T) {
-	e, _ := newEngine(t)
-	if _, err := e.RegisterFilterGroup("g", "R", "x.a > 0", nil); err == nil {
-		t.Error("empty member list should fail")
-	}
-	if _, err := e.RegisterFilterGroup("g", "R", "", []GroupMember{{Name: "m"}}); err == nil {
-		t.Error("empty common predicate should fail")
-	}
-	// Bad residual rolls the group back.
-	if _, err := e.RegisterFilterGroup("g2", "R", "x.a > 0", []GroupMember{
-		{Name: "ok1", Residual: "x.a < 5"},
-		{Name: "bad", Residual: "x.nosuch > 0"},
-	}); err == nil {
-		t.Error("bad residual should fail")
-	}
-	// The rollback freed the names.
-	if _, err := e.RegisterContinuous("ok1",
-		"SELECT * FROM [SELECT * FROM R] AS S"); err != nil {
-		t.Errorf("rollback incomplete: %v", err)
 	}
 }
 

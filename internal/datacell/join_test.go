@@ -600,3 +600,77 @@ func TestShowQueriesJoinColumns(t *testing.T) {
 		t.Errorf("join_state = %v, want 1 buffered row", rel.Row(0)[jsIdx])
 	}
 }
+
+// TestJoinKeyTypesAgree: an equi-join compares its keys by SQL equality
+// whatever their column types, so INT = DOUBLE and TIMESTAMP = INT keys
+// match on equal values, and every join path agrees: one-time, unwindowed
+// stream×table, windowed stream×table (count- and time-based windows,
+// which re-evaluate the batch join over the window content), and
+// stream×stream over two partitioned streams (co-partitioned only when
+// the router hashes both key types alike).
+func TestJoinKeyTypesAgree(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		lt, rt string
+		shards int // the stream×stream join's lanes
+	}{
+		{"INT", "DOUBLE", 1},
+		{"TIMESTAMP", "INT", 4},
+	} {
+		t.Run(tc.lt+"="+tc.rt, func(t *testing.T) {
+			clk := metrics.NewManualClock(1_000_000)
+			e := newCore(Config{Clock: clk})
+			keys := make([]string, 16)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("(%d)", i%4)
+			}
+			const windowed = "SELECT COUNT(*) AS n FROM [SELECT * FROM s] AS x JOIN ref ON x.k = ref.id WINDOW "
+			for _, stmt := range []string{
+				"CREATE TABLE t2 (k " + tc.lt + ")",
+				"CREATE TABLE ref (id " + tc.rt + ")",
+				"INSERT INTO t2 VALUES (1)",
+				"INSERT INTO ref VALUES (1)",
+				"CREATE BASKET s (k " + tc.lt + ", v INT)",
+				"CREATE BASKET a (k " + tc.lt + ") WITH (partitions = 4, partition_by = k)",
+				"CREATE BASKET b (k " + tc.rt + ") WITH (partitions = 4, partition_by = k)",
+				"CREATE CONTINUOUS QUERY flat WITH (polling = true) AS SELECT * FROM [SELECT * FROM s] AS x JOIN ref ON x.k = ref.id",
+				"CREATE CONTINUOUS QUERY byrows WITH (polling = true) AS " + windowed + "ROWS 2 SLIDE 2",
+				"CREATE CONTINUOUS QUERY bytime WITH (polling = true) AS " + windowed + "RANGE 1000 SLIDE 1000",
+				"CREATE CONTINUOUS QUERY ab WITH (polling = true) AS SELECT x.k AS k FROM [SELECT * FROM a] AS x JOIN [SELECT * FROM b] AS y ON x.k = y.k",
+				"INSERT INTO s VALUES (1, 0), (1, 1)",
+				"INSERT INTO a VALUES " + strings.Join(keys, ", "),
+				"INSERT INTO b VALUES " + strings.Join(keys, ", "),
+			} {
+				if _, err := e.Exec(ctx, stmt); err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+			}
+			clk.Set(1_001_000)
+			if err := e.FlushWindows(); err != nil {
+				t.Fatal(err)
+			}
+			e.Drain()
+			if got := queryRows(t, e, "SELECT * FROM t2 JOIN ref ON t2.k = ref.id"); len(got) != 1 {
+				t.Errorf("one-time join: %d rows, want 1", len(got))
+			}
+			if got := queryRows(t, e, "SELECT * FROM flat_out"); len(got) != 2 {
+				t.Errorf("stream×table join: %d rows, want 2", len(got))
+			}
+			for _, q := range []string{"byrows", "bytime"} {
+				if got := queryRows(t, e, "SELECT n FROM "+q+"_out"); fmt.Sprint(got) != "[2]" {
+					t.Errorf("windowed join (%s): n = %v, want [2]", q, got)
+				}
+			}
+			q, err := e.Query("ab")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.Shards() != tc.shards {
+				t.Errorf("stream×stream join runs on %d lanes, want %d", q.Shards(), tc.shards)
+			}
+			if got := queryRows(t, e, "SELECT * FROM ab_out"); len(got) != 64 {
+				t.Errorf("stream×stream join: %d rows, want 64", len(got))
+			}
+		})
+	}
+}

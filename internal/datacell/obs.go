@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/basket"
-	"repro/internal/catalog"
 	"repro/internal/factory"
 	"repro/internal/obs"
 	"repro/internal/scheduler"
@@ -25,8 +23,7 @@ const e2eSampleEvery = 64
 
 // engineObs is the engine's metrics surface: the registry behind
 // /metrics, the direct hot-path instruments, and the scrape-time
-// collectors that walk live engine state. Nil when Config.DisableMetrics
-// is set — every hot-path site guards with `if e.obs != nil`.
+// collectors that walk live engine state. Every engine has one.
 type engineObs struct {
 	reg *obs.Registry
 
@@ -98,172 +95,101 @@ func newEngineObs(e *Engine) *engineObs {
 		o.queueNS[st] = reg.Histogram("dc_stage_queue_ns", "Wake-to-execution queue delay by pipeline stage, ns.", obs.Labels{"stage": st})
 	}
 
-	reg.CollectCounter("dc_scheduler_fired_total", "Total transition firings.", func() []obs.Sample {
-		return []obs.Sample{{Value: float64(e.sched.Fired())}}
+	// Scrape-time collectors: each reads one of the row walks SHOW reads
+	// (introspect.go), or the durability cut SHOW QUERIES reads.
+	collectRows(reg, func() []scheduler.Stats { return []scheduler.Stats{e.sched.Stats()} }, nil, []metricFamily[scheduler.Stats]{
+		{"dc_scheduler_fired_total", "Total transition firings.", obs.KindCounter, func(st scheduler.Stats) float64 { return float64(st.Fired) }},
+		{"dc_scheduler_claim_misses_total", "Transitions dequeued while not ready.", obs.KindCounter, func(st scheduler.Stats) float64 { return float64(st.ClaimMisses) }},
+		{"dc_scheduler_coalesced_wakes_total", "Wakes absorbed by queued/running transitions.", obs.KindCounter, func(st scheduler.Stats) float64 { return float64(st.CoalescedWakes) }},
 	})
-	reg.CollectCounter("dc_scheduler_claim_misses_total", "Transitions dequeued while not ready.", func() []obs.Sample {
-		return []obs.Sample{{Value: float64(e.sched.Stats().ClaimMisses)}}
+	collectRows(reg, func() []scheduler.WorkerStats { return e.sched.Stats().Workers }, func(i int, _ scheduler.WorkerStats) obs.Labels {
+		return obs.Labels{"worker": fmt.Sprint(i)}
+	}, []metricFamily[scheduler.WorkerStats]{
+		{"dc_worker_busy_ns_total", "Per-worker time spent firing transitions, ns.", obs.KindCounter, func(w scheduler.WorkerStats) float64 { return float64(w.BusyNS) }},
+		{"dc_worker_idle_ns_total", "Per-worker time spent parked, ns.", obs.KindCounter, func(w scheduler.WorkerStats) float64 { return float64(w.IdleNS) }},
 	})
-	reg.CollectCounter("dc_scheduler_coalesced_wakes_total", "Wakes absorbed by queued/running transitions.", func() []obs.Sample {
-		return []obs.Sample{{Value: float64(e.sched.Stats().CoalescedWakes)}}
+	collectRows(reg, e.streamRows, func(_ int, r streamRow) obs.Labels { return obs.Labels{"stream": r.name} }, []metricFamily[streamRow]{
+		{"dc_stream_ingested_total", "Tuples routed into each stream.", obs.KindCounter, func(r streamRow) float64 { return float64(r.ingested) }},
+		{"dc_stream_backlog", "Unconsumed tuples in each stream's primary basket.", obs.KindGauge, func(r streamRow) float64 { return float64(r.primary.Len()) }},
 	})
-	reg.CollectCounter("dc_worker_busy_ns_total", "Per-worker time spent firing transitions, ns.", func() []obs.Sample {
-		var out []obs.Sample
-		for i, w := range e.sched.Stats().Workers {
-			out = append(out, obs.Sample{Labels: obs.Labels{"worker": fmt.Sprint(i)}, Value: float64(w.BusyNS)})
+	collectRows(reg, e.basketRows, func(_ int, r basketRow) obs.Labels {
+		if r.shard < 0 {
+			return obs.Labels{"basket": r.name}
 		}
-		return out
+		return obs.Labels{"basket": r.name, "shard": fmt.Sprint(r.shard)}
+	}, []metricFamily[basketRow]{
+		{"dc_basket_tuples", "Resident tuples per basket (shard baskets and lane sinks included).", obs.KindGauge, func(r basketRow) float64 { return float64(r.resident) }},
+		{"dc_basket_dropped_total", "Tuples consumed or dropped per basket.", obs.KindCounter, func(r basketRow) float64 { return float64(r.dropped) }},
+		{"dc_basket_shed_total", "Tuples shed under overload per basket.", obs.KindCounter, func(r basketRow) float64 { return float64(r.shed) }},
 	})
-	reg.CollectCounter("dc_worker_idle_ns_total", "Per-worker time spent parked, ns.", func() []obs.Sample {
-		var out []obs.Sample
-		for i, w := range e.sched.Stats().Workers {
-			out = append(out, obs.Sample{Labels: obs.Labels{"worker": fmt.Sprint(i)}, Value: float64(w.IdleNS)})
-		}
-		return out
-	})
-
-	reg.CollectCounter("dc_stream_ingested_total", "Tuples routed into each stream.", func() []obs.Sample {
-		var out []obs.Sample
-		e.mu.Lock()
-		for _, s := range e.streams {
-			out = append(out, obs.Sample{Labels: obs.Labels{"stream": s.name}, Value: float64(s.ingested)})
-		}
-		e.mu.Unlock()
-		return out
-	})
-	reg.CollectGauge("dc_stream_backlog", "Unconsumed tuples in each stream's primary basket.", func() []obs.Sample {
-		type pair struct {
-			name string
-			b    *basket.Basket
-		}
-		e.mu.Lock()
-		pairs := make([]pair, 0, len(e.streams))
-		for _, s := range e.streams {
-			pairs = append(pairs, pair{s.name, s.primary})
-		}
-		e.mu.Unlock()
-		out := make([]obs.Sample, 0, len(pairs))
-		for _, p := range pairs {
-			out = append(out, obs.Sample{Labels: obs.Labels{"stream": p.name}, Value: float64(p.b.Len())})
-		}
-		return out
-	})
-
-	// Basket physical depths, the metric twin of SHOW BASKETS: shard
-	// baskets and lane sinks appear with their shard index.
-	reg.CollectGauge("dc_basket_tuples", "Resident tuples per basket (shard baskets and lane sinks included).", func() []obs.Sample {
-		return basketSamples(e, func(resident int, dropped, shed int64) float64 { return float64(resident) })
-	})
-	reg.CollectCounter("dc_basket_dropped_total", "Tuples consumed or dropped per basket.", func() []obs.Sample {
-		return basketSamples(e, func(resident int, dropped, shed int64) float64 { return float64(dropped) })
-	})
-	reg.CollectCounter("dc_basket_shed_total", "Tuples shed under overload per basket.", func() []obs.Sample {
-		return basketSamples(e, func(resident int, dropped, shed int64) float64 { return float64(shed) })
-	})
-
-	queryGauge := func(name, help string, fn func(q *Query) float64) {
-		reg.CollectGauge(name, help, func() []obs.Sample {
-			var out []obs.Sample
-			for _, q := range e.Queries() {
-				out = append(out, obs.Sample{Labels: obs.Labels{"query": q.Name}, Value: fn(q)})
+	// The exposition orders samples itself, so the query walk skips the
+	// name sort SHOW QUERIES applies.
+	collectRows(reg, e.Queries, func(_ int, q *Query) obs.Labels { return obs.Labels{"query": q.Name} }, []metricFamily[*Query]{
+		{"dc_query_firings_total", "Factory firings per query (summed across shard pipelines).", obs.KindCounter, func(q *Query) float64 { return float64(q.Stats().Firings) }},
+		{"dc_query_tuples_in_total", "Tuples consumed per query.", obs.KindCounter, func(q *Query) float64 { return float64(q.Stats().TuplesIn) }},
+		{"dc_query_tuples_out_total", "Result tuples produced per query.", obs.KindCounter, func(q *Query) float64 { return float64(q.Stats().TuplesOut) }},
+		{"dc_query_late_tuples_total", "Tuples dropped as too late per query.", obs.KindCounter, func(q *Query) float64 { return float64(q.Stats().Late) }},
+		{"dc_query_delivered_total", "Result tuples delivered to the query's subscriber.", obs.KindCounter, func(q *Query) float64 {
+			if q.sub == nil {
+				return 0
 			}
-			return out
-		})
-	}
-	queryCounter := func(name, help string, fn func(q *Query) float64) {
-		reg.CollectCounter(name, help, func() []obs.Sample {
-			var out []obs.Sample
-			for _, q := range e.Queries() {
-				out = append(out, obs.Sample{Labels: obs.Labels{"query": q.Name}, Value: fn(q)})
+			return float64(q.sub.em.Delivered())
+		}},
+		{"dc_query_merge_lag", "Shard emissions not yet merged into the output basket.", obs.KindGauge, func(q *Query) float64 { return float64(q.MergeLag()) }},
+		{"dc_query_join_state", "Rows retained by the query's streaming join state.", obs.KindGauge, func(q *Query) float64 { return float64(q.Stats().JoinState) }},
+		{"dc_query_watermark_lag_ns", "Engine-clock distance behind the query's event-time watermark, ns (-1 when unwindowed).", obs.KindGauge, func(q *Query) float64 {
+			wm, ok := q.Watermark()
+			if !ok {
+				return -1
 			}
-			return out
-		})
-	}
-	queryCounter("dc_query_firings_total", "Factory firings per query (summed across shard pipelines).", func(q *Query) float64 {
-		return float64(q.Stats().Firings)
+			return float64(e.clock.Now() - wm)
+		}},
+		{"dc_query_backlog", "Unconsumed tuples in the query's output basket.", obs.KindGauge, func(q *Query) float64 { return float64(q.out.Len()) }},
 	})
-	queryCounter("dc_query_tuples_in_total", "Tuples consumed per query.", func(q *Query) float64 {
-		return float64(q.Stats().TuplesIn)
-	})
-	queryCounter("dc_query_tuples_out_total", "Result tuples produced per query.", func(q *Query) float64 {
-		return float64(q.Stats().TuplesOut)
-	})
-	queryCounter("dc_query_late_tuples_total", "Tuples dropped as too late per query.", func(q *Query) float64 {
-		return float64(q.Stats().Late)
-	})
-	queryCounter("dc_query_delivered_total", "Result tuples delivered to the query's subscriber.", func(q *Query) float64 {
-		if q.sub == nil {
-			return 0
-		}
-		return float64(q.sub.em.Delivered())
-	})
-	queryGauge("dc_query_merge_lag", "Shard emissions not yet merged into the output basket.", func(q *Query) float64 {
-		return float64(q.MergeLag())
-	})
-	queryGauge("dc_query_join_state", "Rows retained by the query's streaming join state.", func(q *Query) float64 {
-		return float64(q.Stats().JoinState)
-	})
-	queryGauge("dc_query_watermark_lag_ns", "Engine-clock distance behind the query's event-time watermark, ns (-1 when unwindowed).", func(q *Query) float64 {
-		wm, ok := q.Watermark()
-		if !ok {
-			return -1
-		}
-		return float64(e.clock.Now() - wm)
-	})
-	queryGauge("dc_query_backlog", "Unconsumed tuples in the query's output basket.", func(q *Query) float64 {
-		return float64(q.out.Len())
-	})
-
-	reg.CollectGauge("dc_wal_segments", "Live WAL segments (0 when not durable).", func() []obs.Sample {
-		return []obs.Sample{{Value: float64(e.dur.snapshot().wal.Segments)}}
-	})
-	reg.CollectGauge("dc_wal_bytes", "Total bytes across WAL segments.", func() []obs.Sample {
-		return []obs.Sample{{Value: float64(e.dur.snapshot().wal.Bytes)}}
-	})
-	reg.CollectGauge("dc_wal_last_seq", "Last appended WAL sequence number.", func() []obs.Sample {
-		return []obs.Sample{{Value: float64(e.dur.snapshot().wal.LastSeq)}}
-	})
-	reg.CollectGauge("dc_wal_synced_seq", "Last WAL sequence known durable.", func() []obs.Sample {
-		return []obs.Sample{{Value: float64(e.dur.snapshot().wal.SyncedSeq)}}
-	})
-	reg.CollectGauge("dc_replay_lag", "WAL records a crash right now would replay.", func() []obs.Sample {
-		return []obs.Sample{{Value: float64(e.dur.snapshot().replayLag())}}
-	})
-	reg.CollectGauge("dc_last_checkpoint_unix_ns", "Wall-clock time of the newest checkpoint (0 when none).", func() []obs.Sample {
-		t := e.dur.snapshot().ckptTime
-		if t.IsZero() {
-			return []obs.Sample{{Value: 0}}
-		}
-		return []obs.Sample{{Value: float64(t.UnixNano())}}
+	collectRows(reg, func() []durSnapshot { return []durSnapshot{e.dur.snapshot()} }, nil, []metricFamily[durSnapshot]{
+		{"dc_wal_segments", "Live WAL segments (0 when not durable).", obs.KindGauge, func(d durSnapshot) float64 { return float64(d.wal.Segments) }},
+		{"dc_wal_bytes", "Total bytes across WAL segments.", obs.KindGauge, func(d durSnapshot) float64 { return float64(d.wal.Bytes) }},
+		{"dc_wal_last_seq", "Last appended WAL sequence number.", obs.KindGauge, func(d durSnapshot) float64 { return float64(d.wal.LastSeq) }},
+		{"dc_wal_synced_seq", "Last WAL sequence known durable.", obs.KindGauge, func(d durSnapshot) float64 { return float64(d.wal.SyncedSeq) }},
+		{"dc_replay_lag", "WAL records a crash right now would replay.", obs.KindGauge, func(d durSnapshot) float64 { return float64(d.replayLag()) }},
+		{"dc_last_checkpoint_unix_ns", "Wall-clock time of the newest checkpoint (0 when none).", obs.KindGauge, func(d durSnapshot) float64 {
+			if d.ckptTime.IsZero() {
+				return 0
+			}
+			return float64(d.ckptTime.UnixNano())
+		}},
 	})
 	return o
 }
 
-// basketSamples projects one value per basket SHOW BASKETS lists, via
-// pick(resident, dropped, shed).
-func basketSamples(e *Engine, pick func(resident int, dropped, shed int64) float64) []obs.Sample {
-	var out []obs.Sample
-	e.eachBasket(func(name string, shard int, b *basket.Basket) {
-		labels := obs.Labels{"basket": name}
-		if shard >= 0 {
-			labels["shard"] = fmt.Sprint(shard)
-		}
-		_, resident, dropped, shed := b.Stats()
-		out = append(out, obs.Sample{Labels: labels, Value: pick(resident, dropped, shed)})
-	})
-	return out
+// metricFamily is one scrape-time /metrics family over a row walk: its
+// name, help, kind (counter or gauge), and the sample value of one row.
+type metricFamily[R any] struct {
+	name, help string
+	kind       obs.Kind
+	value      func(R) float64
 }
 
-// eachBasket visits every basket the catalog lists, in name order, with
-// its shard index (-1 for an unsharded basket).
-func (e *Engine) eachBasket(visit func(name string, shard int, b *basket.Basket)) {
-	for _, name := range e.cat.Names() {
-		entry, err := e.cat.Lookup(name)
-		if err != nil || entry.Kind != catalog.KindBasket {
-			continue
+// collectRows registers fams as collectors over rows: each scrape walks
+// rows once per family and emits one sample per row, labelled by labels
+// (nil for an unlabelled family).
+func collectRows[R any](reg *obs.Registry, rows func() []R, labels func(i int, r R) obs.Labels, fams []metricFamily[R]) {
+	for _, f := range fams {
+		collect := func() []obs.Sample {
+			rs := rows()
+			out := make([]obs.Sample, len(rs))
+			for i, r := range rs {
+				out[i].Value = f.value(r)
+				if labels != nil {
+					out[i].Labels = labels(i, r)
+				}
+			}
+			return out
 		}
-		if b, ok := entry.Source.(*basket.Basket); ok {
-			visit(entry.Name, entry.Shard, b)
+		if f.kind == obs.KindCounter {
+			reg.CollectCounter(f.name, f.help, collect)
+		} else {
+			reg.CollectGauge(f.name, f.help, collect)
 		}
 	}
 }
@@ -274,11 +200,7 @@ func (e *Engine) eachBasket(visit func(name string, shard int, b *basket.Basket)
 // scan has none) — in that query's bounded trace ring, with the in/out
 // tuples the firing moved as reported by tuples.
 func (e *Engine) observeStage(ring *obs.TraceRing, h *scheduler.Handle, stage, name string, tuples func() (int64, int64)) {
-	o := e.obs
-	if o == nil {
-		return
-	}
-	fireH, queueH := o.fireNS[stage], o.queueNS[stage]
+	fireH, queueH := e.obs.fireNS[stage], e.obs.queueNS[stage]
 	clock := e.clock
 	h.Observe(func(queueNS, fireNS int64, err error) {
 		fireH.Observe(fireNS)
@@ -338,9 +260,6 @@ func counterDelta(read func() int64) func() (int64, int64) {
 // ring, plus — when the query has a subscription — delivery/e2e latency
 // sampling via the factory result hook and the emitter.
 func (e *Engine) armQueryObservers(q *Query) {
-	if e.obs == nil {
-		return
-	}
 	q.trace = obs.NewTraceRing(traceRingDepth)
 	if q.sub != nil {
 		em := q.sub.em
@@ -375,12 +294,9 @@ func (e *Engine) metricsHealth() error {
 }
 
 // MetricsHandler returns the engine's observability HTTP handler
-// (/metrics, /healthz, /debug/pprof/), or nil when metrics are disabled.
-// Server front ends mount it on their own listeners.
+// (/metrics, /healthz, /debug/pprof/). Server front ends mount it on
+// their own listeners.
 func (e *Engine) MetricsHandler() http.Handler {
-	if e.obs == nil {
-		return nil
-	}
 	return obs.Handler(e.obs.reg, e.metricsHealth)
 }
 
@@ -398,15 +314,11 @@ func (e *Engine) MetricsAddr() string {
 // startMetricsServer binds Config.MetricsAddr and serves the handler
 // until Stop. Called by Open.
 func (e *Engine) startMetricsServer(addr string) error {
-	h := e.MetricsHandler()
-	if h == nil {
-		return fmt.Errorf("datacell: MetricsAddr set but metrics are disabled")
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("datacell: metrics listener: %w", err)
 	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: e.MetricsHandler(), ReadHeaderTimeout: 5 * time.Second}
 	e.mu.Lock()
 	e.metricsLn = ln
 	e.metricsSrv = srv

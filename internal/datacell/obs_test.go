@@ -2,8 +2,8 @@ package datacell
 
 // End-to-end coverage of the observability layer: the /metrics HTTP
 // endpoint served from Config.MetricsAddr, EXPLAIN ANALYZE across the
-// four query shapes, SHOW TRACE, metrics-disabled engines, and a race
-// hammer over Stats()/SHOW during concurrent ingest.
+// four query shapes, SHOW TRACE, and a race hammer over Stats()/SHOW
+// during concurrent ingest.
 
 import (
 	"context"
@@ -106,40 +106,6 @@ func TestMetricsEndpointServes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("/healthz status %d", resp.StatusCode)
-	}
-}
-
-func TestMetricsDisabled(t *testing.T) {
-	ctx := context.Background()
-	e := newCore(Config{Clock: metrics.NewManualClock(1), DisableMetrics: true})
-	if e.MetricsHandler() != nil {
-		t.Fatal("MetricsHandler non-nil with DisableMetrics")
-	}
-	if _, err := e.Exec(ctx, "CREATE BASKET s (a INT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Exec(ctx,
-		"CREATE CONTINUOUS QUERY q AS SELECT * FROM [SELECT * FROM s] AS x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Ingest(ctx, "s", intRows(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	e.Drain()
-	rel, err := e.Exec(ctx, "SHOW TRACE q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.NumRows() != 0 {
-		t.Fatalf("SHOW TRACE rows = %d on a metrics-disabled engine, want 0", rel.NumRows())
-	}
-	// EXPLAIN ANALYZE still works: topology and counters are not gated
-	// on the metrics registry.
-	if _, err := e.Exec(ctx, "EXPLAIN ANALYZE q"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(ctx, Config{DisableMetrics: true, MetricsAddr: "127.0.0.1:0"}); err == nil {
-		t.Fatal("Open with MetricsAddr + DisableMetrics did not fail")
 	}
 }
 
@@ -442,10 +408,8 @@ func TestStatsShowRace(t *testing.T) {
 					return
 				}
 				var sb strings.Builder
-				if h := eng.MetricsHandler(); h != nil {
-					req, _ := http.NewRequest("GET", "/metrics", nil)
-					h.ServeHTTP(&nopResponseWriter{&sb}, req)
-				}
+				req, _ := http.NewRequest("GET", "/metrics", nil)
+				eng.MetricsHandler().ServeHTTP(&nopResponseWriter{&sb}, req)
 			}
 		}()
 	}

@@ -49,7 +49,7 @@ type Query struct {
 	durable bool          // state captured by checkpoints (durable engines only)
 
 	// trace is the bounded ring of the query's last-K pipeline firings
-	// (SHOW TRACE). Nil when the engine's metrics are disabled.
+	// (SHOW TRACE).
 	trace *obs.TraceRing
 }
 

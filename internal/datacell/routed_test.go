@@ -620,7 +620,7 @@ func firstDiff(a, b []int64) int {
 func TestRoutedFiringCostIsLinearInRows(t *testing.T) {
 	const eqGroups, rangeGroups, keys = 1000, 10, 2000
 	ctx := context.Background()
-	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000), DisableMetrics: true})
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
 	if _, err := e.Exec(ctx, "CREATE BASKET ev (seq INT, k INT, v INT)"); err != nil {
 		t.Fatal(err)
 	}

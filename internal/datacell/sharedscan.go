@@ -475,15 +475,14 @@ func (sc *sharedScan) Fire() error {
 		}
 	}
 	sc.evaluated.Add(evaluated)
-	if o := e.obs; o != nil {
-		o.routeBatches.Inc()
-		o.routeMatched.Add(delivered)
-		if skipped := sc.memberCount.Load() - delivered; skipped > 0 {
-			o.routeSkipped.Add(skipped)
-		}
-		o.routeEvals.Add(groupEvals)
-		o.routeRowsEvaluated.Add(evaluated)
+	o := e.obs
+	o.routeBatches.Inc()
+	o.routeMatched.Add(delivered)
+	if skipped := sc.memberCount.Load() - delivered; skipped > 0 {
+		o.routeSkipped.Add(skipped)
 	}
+	o.routeEvals.Add(groupEvals)
+	o.routeRowsEvaluated.Add(evaluated)
 	return firstErr
 }
 

@@ -168,7 +168,7 @@ func newStreamJoin(node *plan.Join) (*StreamJoin, error) {
 		lkeyE:  lkeyE,
 		rkeyE:  rkeyE,
 		rest:   expr.JoinConjuncts(rest),
-		keyTyp: unifyKeyType(lkeyE.Type(), rkeyE.Type()),
+		keyTyp: algebra.JoinKeyType(lkeyE.Type(), rkeyE.Type()),
 		within: node.Within,
 	}, nil
 }
@@ -455,45 +455,9 @@ func (sj *StreamJoin) batchKeys(keyE expr.Expr, batch *storage.Relation) []vecto
 	}
 	out := make([]vector.Value, kv.Len())
 	for i := range out {
-		out[i] = normKey(kv.Get(i), sj.keyTyp)
+		out[i] = algebra.JoinKey(kv.Get(i), sj.keyTyp)
 	}
 	return out
-}
-
-// unifyKeyType picks the normalized key domain for the two key
-// expressions: identical types stay (timestamps fold into Int64); mixed
-// numeric pairs compare as Float64, matching SQL equality.
-func unifyKeyType(l, r vector.Type) vector.Type {
-	if l == vector.Float64 || r == vector.Float64 {
-		if l != r {
-			return vector.Float64
-		}
-	}
-	if l == vector.Timestamp || l == vector.Int64 {
-		return vector.Int64
-	}
-	return l
-}
-
-// normKey maps a key value into the unified domain so map equality
-// coincides with SQL equality. NULL keys stay NULL (they never match).
-func normKey(v vector.Value, typ vector.Type) vector.Value {
-	if v.Null {
-		return vector.Value{Typ: typ, Null: true}
-	}
-	switch typ {
-	case vector.Int64:
-		return vector.Value{Typ: vector.Int64, I: v.I}
-	case vector.Float64:
-		f := v.F
-		if v.Typ == vector.Int64 || v.Typ == vector.Timestamp {
-			f = float64(v.I)
-		}
-		return vector.Value{Typ: vector.Float64, F: f}
-	default:
-		v.Typ = typ
-		return v
-	}
 }
 
 func emptyRelation(schema *catalog.Schema) *storage.Relation {

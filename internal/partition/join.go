@@ -19,8 +19,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/vector"
 )
 
 // JoinShape classifies the join structure of a plan.
@@ -140,6 +142,9 @@ func AnalyzeJoin(p plan.Node, lookup func(stream string) (Spec, bool)) JoinAnaly
 			return joinFallback(fmt.Sprintf("left join key is not the partition column %q", lspec.By))
 		case !keyMatches(rkey, j.R, shape.RightStream, rspec.By):
 			return joinFallback(fmt.Sprintf("right join key is not the partition column %q", rspec.By))
+		case !coHashed(lkey.Type(), rkey.Type()):
+			return joinFallback(fmt.Sprintf("join keys %s = %s compare as %s, which the router does not hash alike on both streams",
+				lkey.Type(), rkey.Type(), algebra.JoinKeyType(lkey.Type(), rkey.Type())))
 		}
 		return JoinAnalysis{OK: true,
 			LeftStream:  shape.LeftStream.Source,
@@ -168,6 +173,15 @@ func AnalyzeJoin(p plan.Node, lookup func(stream string) (Spec, bool)) JoinAnaly
 	}
 	return JoinAnalysis{OK: true, Broadcast: true, StreamSide: side,
 		Stream: stream.Source, Shards: spec.Shards}
+}
+
+// coHashed reports whether two join keys that compare equal always share
+// a shard index. The join compares them in algebra.JoinKeyType's domain,
+// but the router hashes each stream's stored value, so both stored types
+// must hash as that domain does.
+func coHashed(l, r vector.Type) bool {
+	u := algebra.JoinKeyType(l, r)
+	return hashDomain(l) == hashDomain(u) && hashDomain(r) == hashDomain(u)
 }
 
 // keyMatches reports whether a join key expression is exactly the named

@@ -126,6 +126,15 @@ func hashString(s string) uint64 {
 	return mix64(h)
 }
 
+// hashDomain is the type whose hash shardOfValue applies to a value of
+// type t: BIGINT and TIMESTAMP share one.
+func hashDomain(t vector.Type) vector.Type {
+	if t == vector.Timestamp {
+		return vector.Int64
+	}
+	return t
+}
+
 // shardOfValue maps one partition-key value to its shard. NULLs hash to
 // shard 0 so every tuple has exactly one home.
 func (r *Router) shardOfValue(v vector.Value) int {
@@ -133,11 +142,15 @@ func (r *Router) shardOfValue(v vector.Value) int {
 		return 0
 	}
 	n := uint64(r.spec.Shards)
-	switch v.Typ {
-	case vector.Int64, vector.Timestamp:
+	switch hashDomain(v.Typ) {
+	case vector.Int64:
 		return int(mix64(uint64(v.I)) % n)
 	case vector.Float64:
-		return int(mix64(math.Float64bits(v.F)) % n)
+		f := v.F
+		if f == 0 {
+			f = 0 // -0 equals +0, so it must share its shard
+		}
+		return int(mix64(math.Float64bits(f)) % n)
 	case vector.Bool:
 		if v.B {
 			return int(mix64(1) % n)

@@ -240,3 +240,23 @@ func TestAnalyzeModes(t *testing.T) {
 		})
 	}
 }
+
+// TestEqualKeysShareAShard: values equal as join keys route to one shard —
+// a TIMESTAMP and a BIGINT of the same instant, and DOUBLE -0 and +0 —
+// so co-partitioned joins and partition-aligned groups see them together.
+func TestEqualKeysShareAShard(t *testing.T) {
+	r, err := NewRouter(testSchema(), Spec{Shards: 64, By: "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := vector.NewFloat(0)
+	negZero.F = -negZero.F
+	for _, pair := range [][2]vector.Value{
+		{vector.NewInt(12345), vector.NewTimestamp(12345)},
+		{vector.NewFloat(0), negZero},
+	} {
+		if a, b := r.shardOfValue(pair[0]), r.shardOfValue(pair[1]); a != b {
+			t.Errorf("%v and %v route to shards %d and %d", pair[0], pair[1], a, b)
+		}
+	}
+}
