@@ -48,9 +48,8 @@ func BenchmarkAblationSharedFactory(b *testing.B) {
 	b.Run("independent", func(b *testing.B) {
 		eng := mustEngine(b, "CREATE BASKET s (v INT)")
 		for i := 0; i < k; i++ {
-			if _, err := eng.RegisterContinuous(fmt.Sprintf("q%d", i),
-				fmt.Sprintf("SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 100 AND x.v < 300 AND x.v %% %d = 0", i+2),
-				datacell.WithStrategy(datacell.SharedBaskets), datacell.WithSQLPolling()); err != nil {
+			if _, err := eng.Exec(context.Background(), fmt.Sprintf(`CREATE CONTINUOUS QUERY q%d WITH (strategy = shared, polling = true) AS
+				SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 100 AND x.v < 300 AND x.v %% %d = 0`, i, i+2)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -95,8 +95,8 @@ type scenario struct {
 	cfg     datacell.Config // the rest of the engine configuration
 	ddl     []string
 	queries []query
-	opts    []datacell.QueryOption
-	shards  int // when > 1, every query must run as this many shard pipelines
+	with    string // the queries' CREATE CONTINUOUS QUERY ... WITH (...) list
+	shards  int    // when > 1, every query must run as this many shard pipelines
 
 	// The ingest: each of ingesters goroutines sends its share of tuples,
 	// batchRows at a time, batch(i) to every stream in turn. batch runs
@@ -157,7 +157,13 @@ func drive(sc scenario) row {
 	}
 	t0 = time.Now()
 	for _, qd := range sc.queries {
-		q, err := eng.RegisterContinuous(qd.name, qd.text, sc.opts...)
+		stmt := "CREATE CONTINUOUS QUERY " + qd.name
+		if sc.with != "" {
+			stmt += " WITH (" + sc.with + ")"
+		}
+		_, err := eng.Exec(ctx, stmt+" AS "+qd.text)
+		fatalIf(err)
+		q, err := eng.Query(qd.name)
 		fatalIf(err)
 		if sc.shards > 1 && q.Shards() != sc.shards {
 			log.Fatalf("%s: query %s fell back to %d shard(s), want %d", sc.name, qd.name, q.Shards(), sc.shards)
@@ -232,9 +238,10 @@ const poolRows = 4096
 // poolOpts are the subscription options of every scheduler-pool scenario:
 // a shallow channel that drops its oldest batch, so a slow subscriber
 // goroutine never stalls the pipeline under measurement.
-func poolOpts(more ...datacell.QueryOption) []datacell.QueryOption {
-	return append(more, datacell.WithBackpressure(datacell.BackpressureDropOldest), datacell.WithSubscriptionDepth(4))
-}
+const poolOpts = "backpressure = drop_oldest, depth = 4"
+
+// eventTime adds the event-time options of the windowed and join scenarios.
+const eventTime = "timestamp = et, lateness = 512, " + poolOpts
 
 func partitionBy(shards int) string {
 	return fmt.Sprintf(" WITH (partitions = %d, partition_by = k)", shards)
@@ -266,7 +273,7 @@ func partitioned(cpus, shards, tuples int) scenario {
 		name: "partitioned_throughput", cpus: cpus, shards: shards,
 		ddl:     []string{"CREATE BASKET p (k INT, v INT)" + partitionBy(shards)},
 		queries: []query{{"agg", "SELECT x.k, COUNT(*) AS c, SUM(x.v) AS sv FROM [SELECT * FROM p] AS x GROUP BY x.k"}},
-		opts:    poolOpts(),
+		with:    poolOpts,
 		streams: []string{"p"}, tuples: tuples, batchRows: poolRows, batch: keyedBatches(4096, poolRows), ingesters: 1,
 		after: func(m *measured) string {
 			return fmt.Sprintf("cpus=%d shards=%d %s", cpus, shards, m.rate())
@@ -288,7 +295,7 @@ func windowed(cpus, shards, disorderPct, tuples int) scenario {
 		name: "windowed_throughput", cpus: cpus, shards: shards,
 		ddl:     []string{"CREATE BASKET w (k INT, v INT, et INT)" + partitionBy(shards)},
 		queries: []query{{"winagg", "SELECT x.k, COUNT(*) AS c, SUM(x.v) AS sv FROM [SELECT * FROM w] AS x GROUP BY x.k WINDOW RANGE 4096 SLIDE 4096"}},
-		opts:    poolOpts(datacell.WithEventTimeColumn("et"), datacell.WithLateness(lateness)),
+		with:    eventTime,
 		streams: []string{"w"}, tuples: tuples, batchRows: poolRows, ingesters: 1,
 		// The event-time column is built per send because it must advance
 		// monotonically for the whole run, one tick per tuple.
@@ -339,7 +346,7 @@ func joinAfter(mode string) func(m *measured) string {
 // shards > 1 both streams are hash-partitioned on the join key, so the
 // join runs co-partitioned.
 func joinStreams(cpus, shards, tuples int) scenario {
-	const within, lateness, keys = 4096, 512, 1 << 16
+	const within, keys = 4096, 1 << 16
 	with := ""
 	if shards > 1 {
 		with = partitionBy(shards)
@@ -347,10 +354,10 @@ func joinStreams(cpus, shards, tuples int) scenario {
 	return scenario{
 		name: "join_throughput", cpus: cpus, shards: shards,
 		ddl: []string{"CREATE BASKET ja (k INT, v INT, et INT)" + with, "CREATE BASKET jb (k INT, v INT, et INT)" + with},
-		queries: []query{{"join", fmt.Sprintf(`SELECT l.k AS k, l.v AS lv, r.v AS rv
+		queries: []query{{"sjoin", fmt.Sprintf(`SELECT l.k AS k, l.v AS lv, r.v AS rv
 			FROM [SELECT * FROM ja] AS l JOIN [SELECT * FROM jb] AS r
 			ON l.k = r.k WITHIN %d`, within)}},
-		opts:    poolOpts(datacell.WithEventTimeColumn("et"), datacell.WithLateness(lateness)),
+		with:    eventTime,
 		streams: []string{"ja", "jb"}, tuples: tuples, batchRows: poolRows, ingesters: 1,
 		batch: func(i int) []*vector.Vector {
 			k := vector.NewWithCap(vector.Int64, poolRows)
@@ -391,7 +398,7 @@ func joinTable(cpus, shards, tuples int) scenario {
 		ddl: ddl,
 		queries: []query{{"enrich", `SELECT s.k AS k, s.v AS v, jref.name AS name
 			FROM [SELECT * FROM js] AS s JOIN jref ON s.k = jref.k`}},
-		opts:    poolOpts(),
+		with:    poolOpts,
 		streams: []string{"js"}, tuples: tuples, batchRows: poolRows, batch: keyedBatches(keys, poolRows), ingesters: 1,
 		after: joinAfter("stream_table"),
 	}
@@ -407,7 +414,7 @@ func filtered(dir string, tuples int, after func(m *measured) string) scenario {
 		cfg:     datacell.Config{Workers: 2, DataDir: dir, CheckpointInterval: -1},
 		ddl:     []string{"CREATE BASKET d (k INT, v INT)"},
 		queries: []query{{"filt", "SELECT * FROM [SELECT * FROM d] AS x WHERE x.v < 500"}},
-		opts:    poolOpts(),
+		with:    poolOpts,
 		streams: []string{"d"}, tuples: tuples, batchRows: poolRows, batch: keyedBatches(4096, 1000), ingesters: 8,
 		after: after,
 	}
@@ -544,7 +551,7 @@ func multiquery(strategy datacell.Strategy, workload string, nQueries, tuples, b
 		name:    "multiquery",
 		ddl:     []string{"CREATE BASKET mq (v INT)"},
 		queries: queries,
-		opts:    []datacell.QueryOption{datacell.WithStrategy(strategy), datacell.WithSQLPolling()},
+		with:    "polling = true, strategy = " + strategy.String(),
 		streams: []string{"mq"}, tuples: tuples, batchRows: batchRows, ingesters: 1,
 		batch: func(i int) []*vector.Vector { return prebuilt[i%len(prebuilt)] },
 		drain: true,

@@ -27,13 +27,13 @@
 //	q, _ := eng.Query("spikes")
 //	batch, err := q.Subscription().Recv(ctx)
 //
-// The whole lifecycle is SQL-first: CREATE/DROP CONTINUOUS QUERY, DROP
-// BASKET, and SHOW QUERIES/BASKETS/TABLES/STREAMS execute through
-// Engine.Exec, the same entry point used by script execution and the TCP
-// control listener. Query behavior is tuned per query, either with WITH
-// options in the DDL (strategy, min_tuples, window_mode, priority,
-// shed_limit, depth, polling, backpressure) or with the equivalent Go
-// QueryOption helpers on RegisterContinuous.
+// The whole lifecycle is SQL: CREATE BASKET/TABLE, CREATE/DROP
+// CONTINUOUS QUERY, DROP BASKET/TABLE, and SHOW QUERIES/BASKETS/TABLES/
+// STREAMS execute through Engine.Exec, the same entry point used by script
+// execution and the TCP control listener. Query behavior is tuned per
+// query with WITH options in the DDL: strategy, min_tuples, window_mode,
+// priority, shed_limit, depth (or subscription_depth), polling,
+// backpressure, lateness, timestamp, durable, and checkpoint_interval.
 //
 // Failures are typed: sentinel errors (ErrUnknownStream,
 // ErrDuplicateQuery, ErrEngineStopped, ...) are asserted with errors.Is,
@@ -69,14 +69,11 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/catalog"
 	idc "repro/internal/datacell"
 	"repro/internal/metrics"
-	"repro/internal/partition"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/vector"
-	"repro/internal/window"
 )
 
 // Engine is a DataCell instance: a catalog of streams and tables, the
@@ -93,9 +90,6 @@ type Query = idc.Query
 // Recv(ctx) or C() to consume, Close() to detach without stopping the
 // query, Err() for the close reason.
 type Subscription = idc.Subscription
-
-// QueryOption configures RegisterContinuous.
-type QueryOption = idc.QueryOption
 
 // Strategy selects a continuous query's input arrangement (§2.5 of the
 // paper).
@@ -116,25 +110,6 @@ const (
 	RoutedScan = idc.RoutedScan
 )
 
-// PartitionSpec declares stream sharding — the Go equivalent of CREATE
-// BASKET ... WITH (partitions = N, partition_by = col), accepted by
-// Engine.CreatePartitionedStream. Partitionable continuous queries over
-// a sharded stream run as N parallel shard pipelines whose emissions a
-// merge transition recombines (see Query.Shards and Query.MergeLag).
-type PartitionSpec = partition.Spec
-
-// Backpressure selects what a subscription does when its consumer falls
-// behind.
-type Backpressure = idc.Backpressure
-
-// Backpressure policies.
-const (
-	// BackpressureBlock retains results until the consumer catches up.
-	BackpressureBlock = idc.BackpressureBlock
-	// BackpressureDropOldest evicts the oldest undelivered batch.
-	BackpressureDropOldest = idc.BackpressureDropOldest
-)
-
 // Typed errors, asserted with errors.Is.
 var (
 	// ErrUnknownStream reports a reference to a stream that was never created.
@@ -151,7 +126,8 @@ var (
 	ErrNotContinuous = idc.ErrNotContinuous
 	// ErrContinuousViaExec reports a continuous SELECT passed to Exec bare.
 	ErrContinuousViaExec = idc.ErrContinuousViaExec
-	// ErrStreamInUse reports DROP of a stream that queries still read.
+	// ErrStreamInUse reports DROP of a stream, a table, or a query's
+	// output that a query or cascade still reads.
 	ErrStreamInUse = idc.ErrStreamInUse
 	// ErrSubscriptionClosed reports delivery after a subscription closed.
 	ErrSubscriptionClosed = idc.ErrSubscriptionClosed
@@ -184,28 +160,11 @@ type CascadePredicate = idc.CascadePredicate
 // Cascade is a registered chain of disjoint-range stages.
 type Cascade = idc.Cascade
 
-// WindowMode selects the windowed evaluation strategy (§3.1).
-type WindowMode = window.Mode
-
-// Window evaluation strategies.
-const (
-	// ReEvaluate computes each window from scratch.
-	ReEvaluate = window.ReEvaluate
-	// Incremental merges per-pane summaries (the basic-window model).
-	Incremental = window.Incremental
-)
-
 // Value is one scalar in the engine's type system.
 type Value = vector.Value
 
 // Relation is a materialized result set.
 type Relation = storage.Relation
-
-// Column defines one stream or table attribute.
-type Column = catalog.Column
-
-// Schema is an ordered column list.
-type Schema = catalog.Schema
 
 // Clock abstracts time for deterministic runs.
 type Clock = metrics.Clock
@@ -232,12 +191,6 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) { return idc.Open(ct
 // NewManualClock returns a manually advanced clock starting at ns.
 func NewManualClock(ns int64) *ManualClock { return metrics.NewManualClock(ns) }
 
-// NewSchema builds a schema from columns.
-func NewSchema(cols ...Column) *Schema { return catalog.NewSchema(cols...) }
-
-// Col is shorthand for a Column definition.
-func Col(name string, t Type) Column { return Column{Name: name, Type: t} }
-
 // Int wraps an int64.
 func Int(v int64) Value { return vector.NewInt(v) }
 
@@ -255,44 +208,6 @@ func TS(ns int64) Value { return vector.NewTimestamp(ns) }
 
 // Null returns the NULL of type t.
 func Null(t Type) Value { return vector.NullValue(t) }
-
-// Query options re-exported from the engine; each has a WITH (...)
-// equivalent in the CREATE CONTINUOUS QUERY DDL.
-var (
-	// WithStrategy selects the basket arrangement (strategy = ...).
-	WithStrategy = idc.WithStrategy
-	// WithMinTuples sets the factory firing threshold (min_tuples = ...).
-	WithMinTuples = idc.WithMinTuples
-	// WithWindowMode pins the window evaluation strategy (window_mode = ...).
-	WithWindowMode = idc.WithWindowMode
-	// WithSubscriptionDepth sizes the result channel (depth = ...).
-	WithSubscriptionDepth = idc.WithSubscriptionDepth
-	// WithSQLPolling disables the subscription emitter; poll <name>_out
-	// (polling = true).
-	WithSQLPolling = idc.WithSQLPolling
-	// WithPriority schedules the query's factory ahead of lower priorities
-	// (priority = ...).
-	WithPriority = idc.WithPriority
-	// WithLoadShedding bounds the query's private input basket, evicting
-	// the oldest tuples under overload (shed_limit = ...).
-	WithLoadShedding = idc.WithLoadShedding
-	// WithLateness sets the out-of-order tolerance of a time-based window
-	// (lateness = ...); the watermark trails the stream's maximum seen
-	// timestamp by this much.
-	WithLateness = idc.WithLateness
-	// WithEventTimeColumn slices a time-based window by a user column
-	// (timestamp = ...) instead of the implicit arrival stamp.
-	WithEventTimeColumn = idc.WithEventTimeColumn
-	// WithBackpressure selects the subscription overflow policy
-	// (backpressure = block | drop_oldest).
-	WithBackpressure = idc.WithBackpressure
-	// WithDurable includes or excludes the query's operator state from
-	// checkpoints on a durable engine (durable = true | false).
-	WithDurable = idc.WithDurable
-	// WithCheckpointInterval tightens the engine's background checkpoint
-	// cadence to at most d (checkpoint_interval = ...).
-	WithCheckpointInterval = idc.WithCheckpointInterval
-)
 
 // EngineStats is the durability posture reported by Engine.Stats: WAL
 // size, checkpoint coverage, and what the last Open had to replay.

@@ -60,25 +60,6 @@ func TestPublicAPIValueHelpers(t *testing.T) {
 	}
 }
 
-func TestPublicAPISchemaHelpers(t *testing.T) {
-	ctx := context.Background()
-	eng := open(t, datacell.Config{})
-	s := datacell.NewSchema(
-		datacell.Col("a", datacell.Int64),
-		datacell.Col("b", datacell.String),
-	)
-	if err := eng.CreateStream("s", s); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Ingest(ctx, "s", [][]datacell.Value{{datacell.Int(1), datacell.Str("x")}}); err != nil {
-		t.Fatal(err)
-	}
-	rel := datacell.MustExec(eng, "SELECT COUNT(*) FROM s")
-	if rel.Cols[0].Get(0).I != 1 {
-		t.Errorf("count = %v", rel.Row(0))
-	}
-}
-
 func TestPublicAPIWindowModes(t *testing.T) {
 	ctx := context.Background()
 	eng := open(t, datacell.Config{Clock: datacell.NewManualClock(0)})

@@ -51,6 +51,29 @@ func (s *Schema) Index(name string) int {
 // Len returns the number of columns.
 func (s *Schema) Len() int { return len(s.Columns) }
 
+// CheckBatch checks that cols is one batch of the schema: one vector per
+// column, each of its column's type, all of one length. It returns that
+// length. Every path that takes a column batch — a table append and an
+// ingest before it is logged — applies this one check.
+func (s *Schema) CheckBatch(cols []*vector.Vector) (int, error) {
+	if len(cols) != len(s.Columns) {
+		return 0, fmt.Errorf("expected %d columns, got %d", len(s.Columns), len(cols))
+	}
+	n := 0
+	for i, c := range cols {
+		if c.Type() != s.Columns[i].Type {
+			return 0, fmt.Errorf("column %s expects %s, got %s", s.Columns[i].Name, s.Columns[i].Type, c.Type())
+		}
+		if i == 0 {
+			n = c.Len()
+		} else if c.Len() != n {
+			return 0, fmt.Errorf("ragged batch: column %s has %d rows, column %s has %d",
+				s.Columns[i].Name, c.Len(), s.Columns[0].Name, n)
+		}
+	}
+	return n, nil
+}
+
 // Names returns the column names in order.
 func (s *Schema) Names() []string {
 	out := make([]string, len(s.Columns))

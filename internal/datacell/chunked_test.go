@@ -18,9 +18,8 @@ import (
 func TestShowBasketsChunkStats(t *testing.T) {
 	e, _ := newEngine(t)
 	ctx := context.Background()
-	q, err := e.RegisterContinuous("q",
-		"SELECT * FROM [SELECT * FROM R] AS x WHERE x.a >= 0",
-		WithStrategy(SharedBaskets), WithSQLPolling())
+	q, err := register(e, "q", "strategy = shared, polling = true",
+		"SELECT * FROM [SELECT * FROM R] AS x WHERE x.a >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +72,8 @@ func TestShowBasketsChunkStats(t *testing.T) {
 // once, in order.
 func TestMultiChunkScanThroughSQL(t *testing.T) {
 	e, _ := newEngine(t)
-	q, err := e.RegisterContinuous("q",
-		"SELECT * FROM [SELECT * FROM R] AS x WHERE x.a % 2 = 0",
-		WithStrategy(SharedBaskets))
+	q, err := register(e, "q", "strategy = shared",
+		"SELECT * FROM [SELECT * FROM R] AS x WHERE x.a % 2 = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +117,7 @@ func TestConcurrentIngestAndFiringStress(t *testing.T) {
 	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT)"); err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.RegisterContinuous("q", "SELECT * FROM [SELECT * FROM s] AS x",
-		WithSQLPolling())
+	q, err := register(e, "q", "polling = true", "SELECT * FROM [SELECT * FROM s] AS x")
 	if err != nil {
 		t.Fatal(err)
 	}

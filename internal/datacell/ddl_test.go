@@ -3,13 +3,9 @@ package datacell
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
-	"time"
 
-	"repro/internal/sql"
 	"repro/internal/vector"
-	"repro/internal/window"
 )
 
 // TestDDLRoundTrip drives the full SQL-first lifecycle through Exec:
@@ -168,16 +164,95 @@ func TestDDLShowStreamsAndTables(t *testing.T) {
 	}
 }
 
-func TestDropStreamReadByCascade(t *testing.T) {
-	ctx := context.Background()
-	e, _ := newEngine(t)
-	if _, err := e.RegisterCascade("c", "R", []CascadePredicate{
-		{Attr: "a", Lo: vector.NewInt(0), Hi: vector.NewInt(10)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Exec(ctx, "DROP BASKET R"); !errors.Is(err, ErrStreamInUse) {
-		t.Errorf("drop under cascade: %v", err)
+// TestDropInUse: DROP of anything a query or cascade reads is refused
+// with ErrStreamInUse — a stream, a table a query joins, a query whose
+// output another query reads — and the reader keeps working. Once the
+// reader is gone the same DROP succeeds.
+func TestDropInUse(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		setup  []string // the reader (besides the stream R every engine has)
+		drop   string
+		reader string // the query that must keep firing; "" = the cascade
+		unread string // removes the reader; "" = a cascade cannot be removed
+	}{
+		{
+			name:   "stream read by a query",
+			setup:  []string{"CREATE CONTINUOUS QUERY q AS SELECT * FROM [SELECT * FROM R] AS S"},
+			drop:   "DROP BASKET R",
+			reader: "q",
+			unread: "DROP CONTINUOUS QUERY q",
+		},
+		{
+			name: "stream read by a cascade",
+			drop: "DROP BASKET R",
+		},
+		{
+			name: "table joined by a query",
+			setup: []string{
+				"CREATE TABLE ref (k INT)",
+				"INSERT INTO ref VALUES (1)",
+				"CREATE CONTINUOUS QUERY q AS SELECT S.a AS a FROM [SELECT * FROM R] AS S JOIN ref ON S.a = ref.k",
+			},
+			drop:   "DROP TABLE ref",
+			reader: "q",
+			unread: "DROP CONTINUOUS QUERY q",
+		},
+		{
+			name: "query output read by a chained query",
+			setup: []string{
+				"CREATE CONTINUOUS QUERY up WITH (polling = true) AS SELECT * FROM [SELECT * FROM R] AS S",
+				"CREATE CONTINUOUS QUERY down AS SELECT * FROM [SELECT * FROM up_out] AS x",
+			},
+			drop:   "DROP CONTINUOUS QUERY up",
+			reader: "down",
+			unread: "DROP CONTINUOUS QUERY down",
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			e, _ := newEngine(t)
+			for _, stmt := range c.setup {
+				if _, err := e.Exec(ctx, stmt); err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+			}
+			var casc *Cascade
+			if c.reader == "" {
+				var err error
+				if casc, err = e.RegisterCascade("c", "R", []CascadePredicate{
+					{Attr: "a", Lo: vector.NewInt(0), Hi: vector.NewInt(10)},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := e.Exec(ctx, c.drop); !errors.Is(err, ErrStreamInUse) {
+				t.Fatalf("%s under a reader: err = %v, want ErrStreamInUse", c.drop, err)
+			}
+			ingestPairs(t, e, "R", [][2]int64{{1, 1}})
+			if passes := e.Drain(); passes >= 1000 {
+				t.Fatalf("Drain took %d passes: the reader is stuck", passes)
+			}
+			if casc != nil {
+				if got := casc.Processed(0); got != 1 {
+					t.Errorf("cascade processed %d tuples, want 1", got)
+				}
+				return
+			}
+			q, err := e.Query(c.reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.Stats().TuplesOut != 1 {
+				t.Errorf("%s emitted %d rows, want 1", c.reader, q.Stats().TuplesOut)
+			}
+			if _, err := e.Exec(ctx, c.unread); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Exec(ctx, c.drop); err != nil {
+				t.Errorf("%s without a reader: %v", c.drop, err)
+			}
+		})
 	}
 }
 
@@ -234,60 +309,5 @@ func TestGracefulStopDrainsBacklog(t *testing.T) {
 	}
 	if got := q.Stats().TuplesIn; got != 1000 {
 		t.Errorf("drained %d of 1000 tuples", got)
-	}
-}
-
-// TestOptionsJournalRoundTrip is the property the DDL journal rests on:
-// any configuration the option API can produce is spelled by
-// continuousDDL such that parsing the statement and reading its WITH list
-// back through the options table yields the same configuration — so a
-// replayed journal rebuilds the topology its checkpoint images expect.
-func TestOptionsJournalRoundTrip(t *testing.T) {
-	const text = "SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10"
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		opts := []QueryOption{
-			WithStrategy(Strategy(rng.Intn(3))),
-			WithMinTuples(rng.Intn(5) - 1),
-			WithPriority(rng.Intn(7) - 3),
-			WithLoadShedding(rng.Intn(3) * 50),
-			WithBackpressure(Backpressure(rng.Intn(2))),
-			WithLateness(time.Duration(rng.Intn(3)) * 125 * time.Millisecond),
-			WithEventTimeColumn([]string{"", "et", "ts"}[rng.Intn(3)]),
-			WithDurable(rng.Intn(2) == 0),
-			WithCheckpointInterval(time.Duration(rng.Intn(3)) * time.Second),
-		}
-		switch rng.Intn(3) {
-		case 0:
-			opts = append(opts, WithSQLPolling())
-		case 1:
-			opts = append(opts, WithSubscriptionDepth(1+rng.Intn(200)))
-		}
-		switch rng.Intn(3) {
-		case 0:
-			opts = append(opts, WithWindowMode(window.Incremental))
-		case 1:
-			opts = append(opts, WithWindowMode(window.ReEvaluate))
-		}
-		// A random subset, so defaults and explicit settings mix.
-		rng.Shuffle(len(opts), func(a, b int) { opts[a], opts[b] = opts[b], opts[a] })
-		want := newQueryConfig(opts[:rng.Intn(len(opts)+1)])
-
-		ddl := continuousDDL("q", text, want)
-		st, err := sql.Parse(ddl)
-		if err != nil {
-			t.Fatalf("journal spelling does not parse: %s: %v", ddl, err)
-		}
-		cc, ok := st.(*sql.CreateContinuousStmt)
-		if !ok || cc.Name != "q" || cc.SelectText != text {
-			t.Fatalf("journal spelling parsed to %#v: %s", st, ddl)
-		}
-		parsed, err := optionsFromSpecs(cc.Options)
-		if err != nil {
-			t.Fatalf("journal spelling rejected: %s: %v", ddl, err)
-		}
-		if got := newQueryConfig(parsed); got != want {
-			t.Fatalf("round trip changed the config\n ddl %s\n got %+v\nwant %+v", ddl, got, want)
-		}
 	}
 }

@@ -40,11 +40,10 @@
 //
 // Known caveats, by design: arrival timestamps of replayed tuples are
 // re-stamped at replay time (event-time queries, which order by a user
-// column, are unaffected); Go-only registrations that have no DDL
-// spelling (cascades, filter groups, custom QueryOptions) are not
-// journaled and must be re-registered after a restart; consumption of a
-// polling query's output basket via one-time SELECTs is not logged, so
-// such reads may reappear after a crash.
+// column, are unaffected); a cascade, the one Go-only registration, has
+// no DDL spelling, is not journaled, and must be re-registered after a
+// restart; consumption of a polling query's output basket via one-time
+// SELECTs is not logged, so such reads may reappear after a crash.
 package datacell
 
 import (
@@ -608,9 +607,11 @@ func (e *Engine) recoverDurable() error {
 				if err != nil {
 					return fmt.Errorf("datacell: recovery: %w", err)
 				}
-				rows := 0
-				if len(rec.Cols) > 0 {
-					rows = rec.Cols[0].Len()
+				rows, err := s.schema.CheckBatch(rec.Cols)
+				if err != nil {
+					// An older engine logged a batch before checking it, then
+					// failed the ingest: the batch was never acknowledged.
+					return nil
 				}
 				if err := e.fanout(s, rows, rec.Cols); err != nil {
 					return fmt.Errorf("datacell: recovery: replaying ingest into %q: %w", rec.Stream, err)

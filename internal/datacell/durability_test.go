@@ -3,15 +3,20 @@ package datacell
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/sql"
+	"repro/internal/vector"
 )
 
 // copyTree clones a durability data directory, simulating the on-disk
@@ -81,7 +86,7 @@ func TestDurableCleanRestart(t *testing.T) {
 	if _, err := e.Exec(ctx, "INSERT INTO dim VALUES (1, 'one'), (2, 'two')"); err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.RegisterContinuous("q1",
+	q, err := register(e, "q1", "",
 		"SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10")
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +151,7 @@ func TestDurableDirtyRestart(t *testing.T) {
 	if _, err := e.Exec(ctx, "CREATE BASKET R (a INT, b INT)"); err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.RegisterContinuous("q1",
+	q, err := register(e, "q1", "",
 		"SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10")
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +257,7 @@ func TestDurableConcurrentStop(t *testing.T) {
 	if _, err := e.Exec(ctx, "CREATE BASKET R (a INT, b INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RegisterContinuous("q", "SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10"); err != nil {
+	if _, err := register(e, "q", "", "SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Start(ctx); err != nil {
@@ -303,7 +308,7 @@ func TestNotDurable(t *testing.T) {
 	if st := e.Stats(); st.Durable || st.WALSegments != 0 {
 		t.Errorf("volatile Stats = %+v", st)
 	}
-	q, err := e.RegisterContinuous("q", "SELECT * FROM [SELECT * FROM R] AS S")
+	q, err := register(e, "q", "", "SELECT * FROM [SELECT * FROM R] AS S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +328,7 @@ func TestCheckpointAdvancesPosture(t *testing.T) {
 	if _, err := e.Exec(ctx, "CREATE BASKET R (a INT, b INT)"); err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.RegisterContinuous("q1",
+	q, err := register(e, "q1", "",
 		"SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10")
 	if err != nil {
 		t.Fatal(err)
@@ -391,5 +396,175 @@ func TestCheckpointIntervalAppliesToTheRoundInProgress(t *testing.T) {
 				t.Errorf("first checkpoint %v after registration, before the %v interval could have elapsed", got, every)
 			}
 		})
+	}
+}
+
+// TestDurableRejectsMalformedBatch: a batch that does not fit its stream's
+// schema is refused before it reaches the WAL, the counters or the shard
+// router — and a WAL that already holds such a record (an older engine
+// logged before checking) still opens.
+func TestDurableRejectsMalformedBatch(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	e := openDurable(t, dir)
+	defer stopQuiet(e)
+	for _, stmt := range []string{
+		"CREATE BASKET s (a INT, b INT)",
+		"CREATE BASKET p (k INT, v INT) WITH (partitions = 2, partition_by = k)",
+		"CREATE CONTINUOUS QUERY q WITH (polling = true) AS SELECT * FROM [SELECT * FROM p] AS x",
+	} {
+		if _, err := e.Exec(ctx, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	ints := func(vs ...int64) *vector.Vector { return vector.FromInts(vs) }
+	floats := vector.New(vector.Float64)
+	floats.AppendFloat(1.5)
+
+	before := e.Stats().WALLastSeq
+	for _, c := range []struct {
+		name, stream string
+		cols         []*vector.Vector
+	}{
+		{"one column of two", "s", []*vector.Vector{ints(1)}},
+		{"ragged", "s", []*vector.Vector{ints(1, 2), ints(1)}},
+		{"wrong type, sharded stream", "p", []*vector.Vector{ints(1), floats}},
+	} {
+		if err := e.IngestColumns(ctx, c.stream, c.cols); err == nil {
+			t.Errorf("%s: IngestColumns accepted the batch", c.name)
+		}
+		if got := e.Ingested(c.stream); got != 0 {
+			t.Errorf("%s: Ingested(%s) = %d, want 0", c.name, c.stream, got)
+		}
+	}
+	if after := e.Stats().WALLastSeq; after != before {
+		t.Errorf("rejected batches wrote %d WAL records", after-before)
+	}
+
+	// The record an older engine wrote before failing the same batch.
+	if err := e.dur.logIngest(ctx, "s", []*vector.Vector{ints(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestColumns(ctx, "s", []*vector.Vector{ints(1, 2), ints(3, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	crash := t.TempDir()
+	copyTree(t, dir, crash)
+	e2, err := Open(ctx, Config{DataDir: crash, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatalf("Open over a malformed ingest record: %v", err)
+	}
+	defer stopQuiet(e2)
+	if got := e2.Ingested("s"); got != 2 {
+		t.Errorf("recovered Ingested(s) = %d, want 2", got)
+	}
+}
+
+// TestDurableReplaysEveryWithKey: queries that together use every WITH
+// key, spelled as the options table names it first, come back from a
+// crash with the configuration they were created with — half from the
+// checkpoint's DDL journal, half from the WAL tail.
+func TestDurableReplaysEveryWithKey(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	queries := []string{
+		`CREATE CONTINUOUS QUERY k1 WITH (strategy = routed, depth = 16, backpressure = drop_oldest) AS
+			SELECT S.a AS a FROM [SELECT * FROM R] AS S WHERE S.a > 1`,
+		`CREATE CONTINUOUS QUERY k2 WITH (strategy = shared, min_tuples = 4, priority = 3, polling = true, checkpoint_interval = '2s') AS
+			SELECT COUNT(*) AS n FROM [SELECT * FROM R] AS S`,
+		`CREATE CONTINUOUS QUERY k3 WITH (strategy = separate, shed_limit = 100, durable = false) AS
+			SELECT * FROM [SELECT * FROM R] AS S`,
+		`CREATE CONTINUOUS QUERY k4 WITH (window_mode = reeval, timestamp = et, lateness = '5ms', polling = true) AS
+			SELECT SUM(x.v) AS sv FROM [SELECT * FROM ev] AS x WINDOW RANGE 100 SLIDE 100`,
+		`CREATE CONTINUOUS QUERY k5 WITH (window_mode = incremental, priority = -2) AS
+			SELECT x.k, SUM(x.v) AS sv FROM [SELECT * FROM ev] AS x GROUP BY x.k WINDOW ROWS 4 SLIDE 4`,
+	}
+	used := map[string]bool{}
+	for _, stmt := range queries {
+		st, err := sql.Parse(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range st.(*sql.CreateContinuousStmt).Options {
+			used[o.Key] = true
+		}
+	}
+	for _, w := range withOptions {
+		if !used[w.keys[0]] {
+			t.Fatalf("no query uses WITH key %q", w.keys[0])
+		}
+	}
+
+	e := openDurable(t, dir)
+	defer stopQuiet(e)
+	for i, stmt := range append([]string{
+		"CREATE BASKET R (a INT, b INT)",
+		"CREATE BASKET ev (k INT, v INT, et INT) WITH (partitions = 2, partition_by = k)",
+	}, queries...) {
+		if _, err := e.Exec(ctx, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		if i == 3 {
+			if err := e.Checkpoint(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	crash := t.TempDir()
+	copyTree(t, dir, crash)
+	e2 := openDurable(t, crash)
+	defer stopQuiet(e2)
+
+	// show renders a SHOW relation minus the columns a restart changes and
+	// the shared scans, whose names carry a process-wide generation.
+	show := func(e *Engine, what string, skip ...string) string {
+		rel, err := e.Exec(ctx, "SHOW "+what)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for i := 0; i < rel.NumRows(); i++ {
+			var b strings.Builder
+			for c, col := range rel.Schema.Columns {
+				if !slices.Contains(skip, col.Name) {
+					fmt.Fprintf(&b, "%s=%v ", col.Name, rel.Cols[c].Get(i))
+				}
+			}
+			if !strings.Contains(b.String(), "name=~scan:") {
+				rows = append(rows, b.String())
+			}
+		}
+		return strings.Join(rows, "\n")
+	}
+	for _, c := range []struct {
+		what string
+		skip []string
+	}{
+		{"QUERIES", []string{"last_checkpoint", "replay_lag"}},
+		{"SCHEDULER", []string{"fired", "claim_misses", "coalesced_wakes", "busy_ns", "idle_ns"}},
+	} {
+		if got, want := show(e2, c.what, c.skip...), show(e, c.what, c.skip...); got != want {
+			t.Errorf("SHOW %s after the crash:\n%s\nbefore:\n%s", c.what, got, want)
+		}
+	}
+	describe := func(q *Query) string {
+		depth := -1
+		if q.Subscription() != nil {
+			depth = cap(q.Subscription().C())
+		}
+		return fmt.Sprintf("strategy=%s shards=%d depth=%d durable=%t",
+			q.Strategy, q.Shards(), depth, q.Checkpoint().Durable)
+	}
+	for _, q := range e.Queries() {
+		q2, err := e2.Query(q.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := describe(q2), describe(q); got != want {
+			t.Errorf("%s after the crash: %s, before: %s", q.Name, got, want)
+		}
+	}
+	if got, want := e2.dur.ckptEvery, e.dur.ckptEvery; got != want || want != 2*time.Second {
+		t.Errorf("checkpoint cadence after the crash %v, before %v, want 2s", got, want)
 	}
 }

@@ -458,30 +458,11 @@ func (e *Engine) Step() int { return e.sched.Step() }
 // Drain runs scheduler passes until the Petri net is quiescent.
 func (e *Engine) Drain() int { return e.sched.Drain(1_000_000) }
 
-// CreateStream declares a stream: a named basket fed by Ingest. The schema
-// must not include the implicit ts column.
-func (e *Engine) CreateStream(name string, schema *catalog.Schema) error {
-	return e.CreatePartitionedStream(name, schema, partition.Spec{})
-}
-
-// CreatePartitionedStream declares a stream with a sharding declaration —
-// the Go equivalent of CREATE BASKET ... WITH (partitions = N,
-// partition_by = col). With spec.Shards > 1 the stream owns N shard
-// baskets (named <name>#i, visible in SHOW BASKETS) and the ingest
-// fan-out hash-routes each tuple to one of them; partitionable
-// continuous queries over the stream then run as N parallel shard
-// pipelines. A zero spec declares an ordinary stream.
-func (e *Engine) CreatePartitionedStream(name string, schema *catalog.Schema, spec partition.Spec) error {
-	if e.dur != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
-	}
-	if err := e.createPartitionedStream(name, schema, spec); err != nil {
-		return err
-	}
-	return e.dur.logStmt(context.Background(), createBasketDDL(name, schema, spec), true)
-}
-
+// createPartitionedStream declares a stream (CREATE BASKET). With
+// spec.Shards > 1 the stream owns N shard baskets (named <name>#i, visible
+// in SHOW BASKETS) and the ingest fan-out hash-routes each tuple to one of
+// them; partitionable continuous queries over the stream then run as N
+// parallel shard pipelines. A zero spec declares an ordinary stream.
 func (e *Engine) createPartitionedStream(name string, schema *catalog.Schema, spec partition.Spec) error {
 	// partition_by is validated even for the degenerate partitions = 1
 	// declaration, so a typo'd column never silently disables routing.
@@ -535,18 +516,6 @@ func (e *Engine) createPartitionedStream(name string, schema *catalog.Schema, sp
 	return nil
 }
 
-// CreateTable declares a static relational table.
-func (e *Engine) CreateTable(name string, schema *catalog.Schema) error {
-	if e.dur != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
-	}
-	if err := e.createTable(name, schema); err != nil {
-		return err
-	}
-	return e.dur.logStmt(context.Background(), createTableDDL(name, schema), true)
-}
-
 func (e *Engine) createTable(name string, schema *catalog.Schema) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -556,42 +525,6 @@ func (e *Engine) createTable(name string, schema *catalog.Schema) error {
 	}
 	e.tables[strings.ToLower(name)] = t
 	return nil
-}
-
-// columnsDDL renders a schema as a DDL column list.
-func columnsDDL(schema *catalog.Schema) string {
-	var b strings.Builder
-	for i, c := range schema.Columns {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(c.Name)
-		b.WriteByte(' ')
-		b.WriteString(c.Type.String())
-	}
-	return b.String()
-}
-
-// createBasketDDL and createTableDDL synthesize journal spellings for
-// the Go registration APIs, so Go-declared objects recover exactly like
-// DDL-declared ones.
-func createBasketDDL(name string, schema *catalog.Schema, spec partition.Spec) string {
-	s := fmt.Sprintf("CREATE BASKET %s (%s)", name, columnsDDL(schema))
-	var opts []string
-	if spec.Shards > 0 {
-		opts = append(opts, fmt.Sprintf("partitions = %d", spec.Shards))
-	}
-	if spec.By != "" {
-		opts = append(opts, fmt.Sprintf("partition_by = %s", spec.By))
-	}
-	if len(opts) > 0 {
-		s += " WITH (" + strings.Join(opts, ", ") + ")"
-	}
-	return s
-}
-
-func createTableDDL(name string, schema *catalog.Schema) string {
-	return fmt.Sprintf("CREATE TABLE %s (%s)", name, columnsDDL(schema))
 }
 
 // Stream returns the primary basket of a stream.
@@ -631,7 +564,7 @@ func (e *Engine) ingestRows(ctx context.Context, streamName string, rows [][]vec
 	if err != nil {
 		return fmt.Errorf("basket %s: %w", streamName, err)
 	}
-	return e.ingest(ctx, s, len(rows), cols)
+	return e.ingest(ctx, s, cols)
 }
 
 // IngestColumns is the bulk variant of Ingest: one vector per user column
@@ -657,18 +590,19 @@ func (e *Engine) IngestColumns(ctx context.Context, streamName string, cols []*v
 	if err != nil {
 		return err
 	}
-	n := 0
-	if len(cols) > 0 {
-		n = cols[0].Len()
-	}
-	return e.ingest(ctx, s, n, cols)
+	return e.ingest(ctx, s, cols)
 }
 
-// ingest logs the batch to the WAL (waiting for the group commit, so an
-// acknowledged batch survives a crash) and fans it out. The log append
-// and the fan-out share one gate hold, so the log order matches the
-// apply order.
-func (e *Engine) ingest(ctx context.Context, s *stream, n int, cols []*vector.Vector) error {
+// ingest checks the batch against the stream's schema, logs it to the
+// WAL (waiting for the group commit, so an acknowledged batch survives a
+// crash) and fans it out. A batch that fails the check changes nothing:
+// no record, no counter, no shard. The log append and the fan-out share
+// one gate hold, so the log order matches the apply order.
+func (e *Engine) ingest(ctx context.Context, s *stream, cols []*vector.Vector) error {
+	n, err := s.schema.CheckBatch(cols)
+	if err != nil {
+		return fmt.Errorf("basket %s: %w", s.name, err)
+	}
 	if e.dur != nil {
 		start := time.Now()
 		if err := e.dur.logIngest(ctx, s.name, cols); err != nil {
@@ -825,11 +759,14 @@ func (e *Engine) Exec(ctx context.Context, text string) (*storage.Relation, erro
 		// The parser rejects WITH on CREATE TABLE, so x.Options is empty here.
 		return nil, logDDL(e.createTable(x.Name, schema))
 	case *sql.CreateContinuousStmt:
-		opts, err := optionsFromSpecs(x.Options)
+		cfg, err := configFromSpecs(x.Options)
 		if err != nil {
 			return nil, err
 		}
-		_, err = e.registerParsed(x.Name, x.SelectText, x.Select, newQueryConfig(opts))
+		t, err := e.planTopology(x.Name, x.SelectText, x.Select, cfg)
+		if err == nil {
+			_, err = e.install(t)
+		}
 		return nil, logDDL(err)
 	case *sql.DropContinuousStmt:
 		return nil, logDDL(e.unregisterContinuous(x.Name))
@@ -867,36 +804,49 @@ func (e *Engine) Exec(ctx context.Context, text string) (*storage.Relation, erro
 func (e *Engine) drop(name string) error {
 	e.mu.Lock()
 	key := strings.ToLower(name)
-	if _, ok := e.streams[key]; ok {
-		for _, q := range e.queries {
-			for _, streamName := range q.topo.streams {
-				if strings.ToLower(streamName) == key {
-					e.mu.Unlock()
-					return fmt.Errorf("%w: %q is read by %q", ErrStreamInUse, name, q.Name)
-				}
-			}
-		}
-		for _, c := range e.cascades {
-			if strings.ToLower(c.stream) == key {
-				e.mu.Unlock()
-				return fmt.Errorf("%w: %q is read by cascade %q", ErrStreamInUse, name, c.Name)
-			}
-		}
-		s := e.streams[key]
-		delete(e.streams, key)
+	s, isStream := e.streams[key]
+	_, isTable := e.tables[key]
+	if !isStream && !isTable {
 		e.mu.Unlock()
+		return fmt.Errorf("%w: no table or stream %q", ErrUnknownStream, name)
+	}
+	if err := e.checkUnread(name); err != nil {
+		e.mu.Unlock()
+		return err
+	}
+	delete(e.streams, key)
+	delete(e.tables, key)
+	e.mu.Unlock()
+	if isStream {
 		for i := range s.shards {
 			_ = e.cat.Drop(fmt.Sprintf("%s#%d", s.name, i))
 		}
-		return e.cat.Drop(name)
 	}
-	if _, ok := e.tables[key]; ok {
-		delete(e.tables, key)
-		e.mu.Unlock()
-		return e.cat.Drop(name)
+	return e.cat.Drop(name)
+}
+
+// checkUnread is the one rule DROP obeys: a name is in use while a
+// query's plan scans it (a stream, a table it joins, another query's
+// <q>_out) or a cascade reads it, and dropping it would leave that reader
+// failing or starved on every later firing. The caller holds e.mu.
+func (e *Engine) checkUnread(name string) error {
+	for _, q := range e.queries {
+		read := false
+		plan.Walk(q.topo.plan, func(n plan.Node) {
+			if s, ok := n.(*plan.Scan); ok && strings.EqualFold(s.Source, name) {
+				read = true
+			}
+		})
+		if read {
+			return fmt.Errorf("%w: %q is read by %q", ErrStreamInUse, name, q.Name)
+		}
 	}
-	e.mu.Unlock()
-	return fmt.Errorf("%w: no table or stream %q", ErrUnknownStream, name)
+	for _, c := range e.cascades {
+		if strings.EqualFold(c.stream, name) {
+			return fmt.Errorf("%w: %q is read by cascade %q", ErrStreamInUse, name, c.Name)
+		}
+	}
+	return nil
 }
 
 // insert applies an INSERT. The returned bool reports whether the

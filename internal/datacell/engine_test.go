@@ -6,11 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/vector"
-	"repro/internal/window"
 )
 
 func newEngine(t *testing.T) (*Engine, *metrics.ManualClock) {
@@ -21,6 +19,25 @@ func newEngine(t *testing.T) (*Engine, *metrics.ManualClock) {
 		t.Fatal(err)
 	}
 	return e, clk
+}
+
+// register runs CREATE CONTINUOUS QUERY name [WITH (with)] AS text and
+// returns the installed query.
+func register(e *Engine, name, with, text string) (*Query, error) {
+	stmt := "CREATE CONTINUOUS QUERY " + name
+	if with != "" {
+		stmt += " WITH (" + with + ")"
+	}
+	if _, err := e.Exec(context.Background(), stmt+" AS "+text); err != nil {
+		return nil, err
+	}
+	return e.Query(name)
+}
+
+// dropQuery runs DROP CONTINUOUS QUERY name.
+func dropQuery(e *Engine, name string) error {
+	_, err := e.Exec(context.Background(), "DROP CONTINUOUS QUERY "+name)
+	return err
 }
 
 func ingestPairs(t *testing.T, e *Engine, stream string, pairs [][2]int64) {
@@ -127,7 +144,7 @@ func TestExecErrors(t *testing.T) {
 // The paper's q1: consume everything, filter in the outer query.
 func TestContinuousQ1SeparateStrategy(t *testing.T) {
 	e, _ := newEngine(t)
-	q, err := e.RegisterContinuous("q1",
+	q, err := register(e, "q1", "",
 		"SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10")
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +176,7 @@ func TestContinuousQ1SeparateStrategy(t *testing.T) {
 // consumed; others stay in the basket.
 func TestContinuousQ2PredicateWindow(t *testing.T) {
 	e, _ := newEngine(t)
-	q, err := e.RegisterContinuous("q2",
+	q, err := register(e, "q2", "",
 		"SELECT * FROM [SELECT * FROM R WHERE b < 100] AS S WHERE S.a > 10")
 	if err != nil {
 		t.Fatal(err)
@@ -181,13 +198,13 @@ func TestContinuousQ2PredicateWindow(t *testing.T) {
 
 func TestSharedStrategyTwoQueries(t *testing.T) {
 	e, _ := newEngine(t)
-	qa, err := e.RegisterContinuous("qa",
-		"SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10", WithStrategy(SharedBaskets))
+	qa, err := register(e, "qa", "strategy = shared",
+		"SELECT * FROM [SELECT * FROM R] AS S WHERE S.a > 10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	qb, err := e.RegisterContinuous("qb",
-		"SELECT * FROM [SELECT * FROM R] AS S WHERE S.a <= 10", WithStrategy(SharedBaskets))
+	qb, err := register(e, "qb", "strategy = shared",
+		"SELECT * FROM [SELECT * FROM R] AS S WHERE S.a <= 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +237,10 @@ func TestSharedStrategyTwoQueries(t *testing.T) {
 
 func TestSeparateAndSharedCoexist(t *testing.T) {
 	e, _ := newEngine(t)
-	qSep, _ := e.RegisterContinuous("sep",
-		"SELECT * FROM [SELECT * FROM R] AS S", WithStrategy(SeparateBaskets))
-	qSh, _ := e.RegisterContinuous("sh",
-		"SELECT * FROM [SELECT * FROM R] AS S", WithStrategy(SharedBaskets))
+	qSep, _ := register(e, "sep", "strategy = separate",
+		"SELECT * FROM [SELECT * FROM R] AS S")
+	qSh, _ := register(e, "sh", "strategy = shared",
+		"SELECT * FROM [SELECT * FROM R] AS S")
 	ingestPairs(t, e, "R", [][2]int64{{1, 1}, {2, 2}})
 	e.Drain()
 	if got := countRows(collect(qSep)); got != 2 {
@@ -236,9 +253,8 @@ func TestSeparateAndSharedCoexist(t *testing.T) {
 
 func TestResultBasketQueryableViaSQL(t *testing.T) {
 	e, _ := newEngine(t)
-	_, err := e.RegisterContinuous("q",
-		"SELECT S.a AS a, S.b AS b FROM [SELECT * FROM R] AS S WHERE S.a > 0",
-		WithSQLPolling())
+	_, err := register(e, "q", "polling = true",
+		"SELECT S.a AS a, S.b AS b FROM [SELECT * FROM R] AS S WHERE S.a > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +272,8 @@ func TestResultBasketQueryableViaSQL(t *testing.T) {
 
 func TestContinuousAggregate(t *testing.T) {
 	e, _ := newEngine(t)
-	q, err := e.RegisterContinuous("agg",
-		"SELECT COUNT(*) AS n, SUM(S.b) AS total FROM [SELECT * FROM R] AS S",
-		WithMinTuples(3))
+	q, err := register(e, "agg", "min_tuples = 3",
+		"SELECT COUNT(*) AS n, SUM(S.b) AS total FROM [SELECT * FROM R] AS S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +295,7 @@ func TestContinuousAggregate(t *testing.T) {
 
 func TestWindowedContinuousQuery(t *testing.T) {
 	e, _ := newEngine(t)
-	q, err := e.RegisterContinuous("w",
+	q, err := register(e, "w", "",
 		"SELECT SUM(S.b) AS total FROM [SELECT * FROM R] AS S WINDOW ROWS 4 SLIDE 4")
 	if err != nil {
 		t.Fatal(err)
@@ -306,9 +321,8 @@ func TestWindowedContinuousQuery(t *testing.T) {
 
 func TestWindowedTimeFlush(t *testing.T) {
 	e, clk := newEngine(t)
-	q, err := e.RegisterContinuous("tw",
-		"SELECT COUNT(*) AS n FROM [SELECT * FROM R] AS S WINDOW RANGE 1000 SLIDE 1000",
-		WithWindowMode(window.Incremental))
+	q, err := register(e, "tw", "window_mode = incremental",
+		"SELECT COUNT(*) AS n FROM [SELECT * FROM R] AS S WINDOW RANGE 1000 SLIDE 1000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,9 +345,8 @@ func TestWindowedTimeFlush(t *testing.T) {
 func TestWindowModeForcedIncompatible(t *testing.T) {
 	e, _ := newEngine(t)
 	// Non-aggregate query cannot run incrementally.
-	_, err := e.RegisterContinuous("bad",
-		"SELECT * FROM [SELECT * FROM R] AS S WINDOW ROWS 4",
-		WithWindowMode(window.Incremental))
+	_, err := register(e, "bad", "window_mode = incremental",
+		"SELECT * FROM [SELECT * FROM R] AS S WINDOW ROWS 4")
 	if err == nil {
 		t.Error("forcing incremental on non-aggregate plan should fail")
 	}
@@ -389,17 +402,17 @@ func TestCascadeErrors(t *testing.T) {
 	}
 }
 
-func TestUnregisterContinuous(t *testing.T) {
+func TestDropContinuousQuery(t *testing.T) {
 	e, _ := newEngine(t)
-	_, err := e.RegisterContinuous("tmp", "SELECT * FROM [SELECT * FROM R] AS S")
+	_, err := register(e, "tmp", "", "SELECT * FROM [SELECT * FROM R] AS S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UnregisterContinuous("tmp"); err != nil {
+	if err := dropQuery(e, "tmp"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UnregisterContinuous("tmp"); err == nil {
-		t.Error("double unregister should fail")
+	if err := dropQuery(e, "tmp"); err == nil {
+		t.Error("double drop should fail")
 	}
 	// Replicas are detached: ingest doesn't fail and nothing leaks.
 	ingestPairs(t, e, "R", [][2]int64{{1, 1}})
@@ -410,27 +423,25 @@ func TestUnregisterContinuous(t *testing.T) {
 
 func TestRegisterErrors(t *testing.T) {
 	e, _ := newEngine(t)
-	if _, err := e.RegisterContinuous("x", "SELECT a FROM R"); err == nil {
+	if _, err := register(e, "x", "", "SELECT a FROM R"); err == nil {
 		t.Error("non-continuous query should be rejected")
 	}
-	if _, err := e.RegisterContinuous("x", "SELECT * FROM [SELECT * FROM nosuch] AS S"); err == nil {
+	if _, err := register(e, "x", "", "SELECT * FROM [SELECT * FROM nosuch] AS S"); err == nil {
 		t.Error("unknown stream should fail")
 	}
-	_, _ = e.RegisterContinuous("dup", "SELECT * FROM [SELECT * FROM R] AS S")
-	if _, err := e.RegisterContinuous("dup", "SELECT * FROM [SELECT * FROM R] AS S"); err == nil {
+	_, _ = register(e, "dup", "", "SELECT * FROM [SELECT * FROM R] AS S")
+	if _, err := register(e, "dup", "", "SELECT * FROM [SELECT * FROM R] AS S"); err == nil {
 		t.Error("duplicate name should fail")
 	}
 }
 
 func TestConcurrentModeEndToEnd(t *testing.T) {
 	e := newCore(Config{Workers: 4}) // wall clock for realistic latency
-	if err := e.CreateStream("s", catalog.NewSchema(
-		catalog.Column{Name: "v", Type: vector.Int64})); err != nil {
+	if _, err := e.Exec(context.Background(), "CREATE BASKET s (v INT)"); err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.RegisterContinuous("big",
-		"SELECT * FROM [SELECT * FROM s] AS S WHERE S.v % 2 = 0",
-		WithStrategy(SharedBaskets), WithSubscriptionDepth(1024))
+	q, err := register(e, "big", "strategy = shared, depth = 1024",
+		"SELECT * FROM [SELECT * FROM s] AS S WHERE S.v % 2 = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,9 +479,8 @@ func TestManyQueriesManyBatches(t *testing.T) {
 	qs := make([]*Query, nq)
 	for i := 0; i < nq; i++ {
 		var err error
-		qs[i], err = e.RegisterContinuous(fmt.Sprintf("q%d", i),
-			fmt.Sprintf("SELECT * FROM [SELECT * FROM R] AS S WHERE S.a >= %d", i*10),
-			WithStrategy(SharedBaskets))
+		qs[i], err = register(e, fmt.Sprintf("q%d", i), "strategy = shared",
+			fmt.Sprintf("SELECT * FROM [SELECT * FROM R] AS S WHERE S.a >= %d", i*10))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,9 +27,10 @@ var (
 	// ErrContinuousViaExec is returned when a continuous SELECT is passed
 	// to Exec directly instead of through CREATE CONTINUOUS QUERY.
 	ErrContinuousViaExec = errors.New("datacell: continuous query; use CREATE CONTINUOUS QUERY name AS ...")
-	// ErrStreamInUse is returned when DROP targets a stream that standing
-	// queries still read.
-	ErrStreamInUse = errors.New("datacell: stream is read by continuous queries")
+	// ErrStreamInUse is returned when DROP targets something a standing
+	// query or cascade still reads: a stream, a table a query joins, or a
+	// query whose <name>_out another query reads.
+	ErrStreamInUse = errors.New("datacell: read by a continuous query or cascade")
 	// ErrSubscriptionClosed is returned by Recv after the subscription was
 	// closed (explicitly, or because its query was dropped).
 	ErrSubscriptionClosed = errors.New("datacell: subscription closed")

@@ -9,13 +9,12 @@ import (
 func TestQueryNetworkChaining(t *testing.T) {
 	e, _ := newEngine(t)
 	// q1 filters the stream; q2 consumes q1's output basket.
-	_, err := e.RegisterContinuous("stage1",
-		"SELECT S.a AS a, S.b AS b FROM [SELECT * FROM R] AS S WHERE S.a > 10",
-		WithSQLPolling())
+	_, err := register(e, "stage1", "polling = true",
+		"SELECT S.a AS a, S.b AS b FROM [SELECT * FROM R] AS S WHERE S.a > 10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := e.RegisterContinuous("stage2",
+	q2, err := register(e, "stage2", "",
 		"SELECT * FROM [SELECT * FROM stage1_out] AS x WHERE x.b < 100")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func TestQueryNetworkChaining(t *testing.T) {
 
 func TestChainedUnknownUpstreamFails(t *testing.T) {
 	e, _ := newEngine(t)
-	if _, err := e.RegisterContinuous("bad",
+	if _, err := register(e, "bad", "",
 		"SELECT * FROM [SELECT * FROM nosuch_out] AS x"); err == nil {
 		t.Error("unknown upstream should fail")
 	}
@@ -100,12 +99,12 @@ func TestFilterGroupSharedFactory(t *testing.T) {
 
 func TestChainedWindowedQuery(t *testing.T) {
 	e, _ := newEngine(t)
-	_, err := e.RegisterContinuous("filt",
-		"SELECT S.a AS a FROM [SELECT * FROM R] AS S WHERE S.a >= 0", WithSQLPolling())
+	_, err := register(e, "filt", "polling = true",
+		"SELECT S.a AS a FROM [SELECT * FROM R] AS S WHERE S.a >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.RegisterContinuous("agg",
+	q, err := register(e, "agg", "",
 		"SELECT SUM(x.a) AS total FROM [SELECT * FROM filt_out] AS x WINDOW ROWS 3 SLIDE 3")
 	if err != nil {
 		t.Fatal(err)

@@ -243,7 +243,7 @@ func TestRoutedSteadyStateHandsOff(t *testing.T) {
 // one-time SELECT reads them.
 func TestRoutedClosedSubscriptionAccumulates(t *testing.T) {
 	e, _ := newEngine(t)
-	q, err := e.RegisterContinuous("rc", "SELECT S.a, S.b FROM [SELECT * FROM R] AS S WHERE S.a > 0", WithStrategy(RoutedScan))
+	q, err := register(e, "rc", "strategy = routed", "SELECT S.a, S.b FROM [SELECT * FROM R] AS S WHERE S.a > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,15 +278,14 @@ func TestRoutedClosedSubscriptionAccumulates(t *testing.T) {
 func TestRoutedChainedReaderSeesEveryRow(t *testing.T) {
 	e, _ := newEngine(t)
 	// The first routed member fixes the scan's priority above both others.
-	if _, err := e.RegisterContinuous("anchor", "SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = -1",
-		WithStrategy(RoutedScan), WithSQLPolling(), WithPriority(20)); err != nil {
+	if _, err := register(e, "anchor", "strategy = routed, polling = true, priority = 20", "SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = -1"); err != nil {
 		t.Fatal(err)
 	}
-	up, err := e.RegisterContinuous("up", "SELECT S.a, S.b FROM [SELECT * FROM R] AS S WHERE S.a > 0", WithStrategy(RoutedScan))
+	up, err := register(e, "up", "strategy = routed", "SELECT S.a, S.b FROM [SELECT * FROM R] AS S WHERE S.a > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	down, err := e.RegisterContinuous("down", "SELECT * FROM [SELECT * FROM up_out] AS x", WithPriority(10))
+	down, err := register(e, "down", "priority = 10", "SELECT * FROM [SELECT * FROM up_out] AS x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestRoutedChainedReaderSeesEveryRow(t *testing.T) {
 	if handoff, _ := up.sub.em.Dispositions(); handoff != 0 {
 		t.Errorf("%d batches handed past the chained reader", handoff)
 	}
-	if err := e.UnregisterContinuous("down"); err != nil {
+	if err := dropQuery(e, "down"); err != nil {
 		t.Fatal(err)
 	}
 	collect(up)

@@ -75,7 +75,7 @@ const symJoinSQL = `SELECT l.k AS k, l.v AS v, r.w AS w
 // of the other side, and no pair is emitted twice.
 func TestStreamStreamJoinCrossFiring(t *testing.T) {
 	e := joinEngine(t, 1)
-	q, err := e.RegisterContinuous("j", symJoinSQL, WithSQLPolling())
+	q, err := register(e, "j", "polling = true", symJoinSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestStreamStreamJoinCrossFiring(t *testing.T) {
 // match, yielding two result rows.
 func TestStreamStreamJoinDuplicates(t *testing.T) {
 	e := joinEngine(t, 1)
-	if _, err := e.RegisterContinuous("j", symJoinSQL, WithSQLPolling()); err != nil {
+	if _, err := register(e, "j", "polling = true", symJoinSQL); err != nil {
 		t.Fatal(err)
 	}
 	ingest3(t, e, "l", [][3]int64{{7, 1, 0}, {7, 1, 0}})
@@ -140,11 +140,10 @@ func TestStreamStreamJoinDuplicates(t *testing.T) {
 // probes behind the watermark are counted late.
 func TestStreamStreamJoinWithinBoundsState(t *testing.T) {
 	e := joinEngine(t, 1)
-	q, err := e.RegisterContinuous("j",
+	q, err := register(e, "j", "polling = true, timestamp = et",
 		`SELECT l.k AS k, l.et AS lt, r.et AS rt
 		 FROM [SELECT * FROM l] AS l JOIN [SELECT * FROM r] AS r
-		 ON l.k = r.k WITHIN 100`,
-		WithSQLPolling(), WithEventTimeColumn("et"))
+		 ON l.k = r.k WITHIN 100`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +186,9 @@ func TestStreamStreamJoinWithinBoundsState(t *testing.T) {
 // the retained rows track the band, not the stream length.
 func TestStreamStreamJoinStateBounded(t *testing.T) {
 	e := joinEngine(t, 1)
-	q, err := e.RegisterContinuous("j",
+	q, err := register(e, "j", "polling = true, timestamp = et",
 		`SELECT l.k AS k FROM [SELECT * FROM l] AS l JOIN [SELECT * FROM r] AS r
-		 ON l.k = r.k WITHIN 64`,
-		WithSQLPolling(), WithEventTimeColumn("et"))
+		 ON l.k = r.k WITHIN 64`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +232,7 @@ func TestJoinTypedErrors(t *testing.T) {
 		{"windowed-stream-stream", `SELECT a.k AS k FROM [SELECT * FROM l] AS a JOIN [SELECT * FROM r] AS b ON a.k = b.k WINDOW ROWS 4`, ErrUnsupportedJoin},
 	}
 	for _, c := range cases {
-		_, err := e.RegisterContinuous("q_"+c.name, c.sql)
+		_, err := register(e, "q", "", c.sql)
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
@@ -259,10 +257,9 @@ func TestStreamTableJoinEnrichment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, err := e.RegisterContinuous("enrich",
+	q, err := register(e, "enrich", "polling = true",
 		`SELECT s.k AS k, s.v AS v, ref.name AS name
-		 FROM [SELECT * FROM l] AS s JOIN ref ON s.k = ref.k`,
-		WithSQLPolling())
+		 FROM [SELECT * FROM l] AS s JOIN ref ON s.k = ref.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +327,7 @@ func TestPropCoPartitionedJoinMatchesFlat(t *testing.T) {
 
 		run := func(partitions int) ([]string, *Query) {
 			e := joinEngine(t, partitions)
-			q, err := e.RegisterContinuous("j", joinSQL,
-				WithSQLPolling(), WithEventTimeColumn("et"), WithLateness(lateness))
+			q, err := register(e, "j", fmt.Sprintf("polling = true, timestamp = et, lateness = %d", lateness), joinSQL)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,7 +407,7 @@ func TestBroadcastJoinMatchesFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		q, err := e.RegisterContinuous("j", joinSQL, WithSQLPolling())
+		q, err := register(e, "j", "polling = true", joinSQL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,10 +446,9 @@ func TestStreamTableJoinConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, err := e.RegisterContinuous("j",
+	q, err := register(e, "j", "backpressure = drop_oldest, depth = 16",
 		`SELECT s.k AS k, ref.name AS name
-		 FROM [SELECT * FROM l] AS s JOIN ref ON s.k = ref.k`,
-		WithBackpressure(BackpressureDropOldest), WithSubscriptionDepth(16))
+		 FROM [SELECT * FROM l] AS s JOIN ref ON s.k = ref.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +511,7 @@ func TestStreamTableJoinConcurrent(t *testing.T) {
 func TestJoinTeardown(t *testing.T) {
 	e := joinEngine(t, 4)
 	ctx := context.Background()
-	q, err := e.RegisterContinuous("j", symJoinSQL, WithSQLPolling())
+	q, err := register(e, "j", "polling = true", symJoinSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +577,7 @@ func TestOneTimeJoinWithin(t *testing.T) {
 // SHOW QUERIES surfaces join_state and join_evictions.
 func TestShowQueriesJoinColumns(t *testing.T) {
 	e := joinEngine(t, 1)
-	if _, err := e.RegisterContinuous("j", symJoinSQL, WithSQLPolling()); err != nil {
+	if _, err := register(e, "j", "polling = true", symJoinSQL); err != nil {
 		t.Fatal(err)
 	}
 	ingest3(t, e, "l", [][3]int64{{1, 1, 0}})

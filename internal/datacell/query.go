@@ -1,7 +1,6 @@
 package datacell
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -190,9 +189,7 @@ func (q *Query) InputBacklog() int {
 	return n
 }
 
-// QueryOption configures RegisterContinuous.
-type QueryOption func(*queryConfig)
-
+// queryConfig is a continuous query's WITH (...) settings.
 type queryConfig struct {
 	strategy   Strategy
 	minTuples  int
@@ -208,228 +205,145 @@ type queryConfig struct {
 	ckptEvery  int64  // requested checkpoint cadence, ns (0 = engine default)
 }
 
-// WithStrategy selects the basket arrangement (default SeparateBaskets,
-// the paper's first strategy).
-func WithStrategy(s Strategy) QueryOption {
-	return func(c *queryConfig) { c.strategy = s }
-}
-
-// WithMinTuples sets the factory's firing threshold.
-func WithMinTuples(n int) QueryOption {
-	return func(c *queryConfig) { c.minTuples = n }
-}
-
-// WithWindowMode pins the window evaluation strategy; without it, windowed
-// queries use incremental evaluation when the plan shape allows and fall
-// back to re-evaluation otherwise.
-func WithWindowMode(m window.Mode) QueryOption {
-	return func(c *queryConfig) { c.windowMode = m; c.forceMode = true }
-}
-
-// WithSubscriptionDepth sizes the result channel (default 64).
-func WithSubscriptionDepth(n int) QueryOption {
-	return func(c *queryConfig) { c.subDepth = n }
-}
-
-// WithSQLPolling disables the subscription emitter: results accumulate in
-// the <name>_out basket until a one-time SELECT (or another continuous
-// query) consumes them — the paper's network-of-queries usage, where one
-// query's output basket is another's input.
-func WithSQLPolling() QueryOption {
-	return func(c *queryConfig) { c.subDepth = 0 }
-}
-
-// WithPriority schedules this query's factory ahead of lower-priority
-// transitions (default 0) — the paper's "different query priorities".
-func WithPriority(p int) QueryOption {
-	return func(c *queryConfig) { c.priority = p }
-}
-
-// WithLoadShedding bounds the query's private input basket to n tuples:
-// arrivals beyond it evict the oldest unprocessed tuples (the paper's
-// load-shedding requirement under overload). Only meaningful with the
-// separate-baskets strategy, where the query owns its basket.
-func WithLoadShedding(n int) QueryOption {
-	return func(c *queryConfig) { c.shedAt = n }
-}
-
-// WithBackpressure selects what the subscription does when its consumer
-// falls behind (default BackpressureBlock).
-func WithBackpressure(p Backpressure) QueryOption {
-	return func(c *queryConfig) { c.policy = p }
-}
-
-// WithLateness sets the out-of-order tolerance of a time-based window
-// (lateness = ...): the watermark trails the maximum seen timestamp by
-// d, so tuples up to d behind the stream's progress still land in their
-// windows; anything older is counted late and dropped.
-func WithLateness(d time.Duration) QueryOption {
-	return func(c *queryConfig) { c.lateness = d.Nanoseconds() }
-}
-
-// WithDurable includes or excludes the query's operator state from
-// checkpoints (durable = true | false; default true). A non-durable
-// query on a durable engine is re-created by DDL replay but restarts
-// with empty state and no delivery suppression.
-func WithDurable(durable bool) QueryOption {
-	return func(c *queryConfig) { c.durable = durable }
-}
-
-// WithCheckpointInterval tightens the engine's background checkpoint
-// cadence to at most d while this query is registered
-// (checkpoint_interval = ...). Zero keeps the engine default.
-func WithCheckpointInterval(d time.Duration) QueryOption {
-	return func(c *queryConfig) { c.ckptEvery = d.Nanoseconds() }
-}
-
-// WithEventTimeColumn slices a time-based window by the named stream
-// column (timestamp = ...) instead of the implicit arrival stamp. The
-// column must be INT or TIMESTAMP. Event-time windows advance on data
-// only: the wall clock never closes them.
-func WithEventTimeColumn(col string) QueryOption {
-	return func(c *queryConfig) { c.tsCol = col }
-}
-
 // withOption is one key of CREATE CONTINUOUS QUERY ... WITH (...): its
-// accepted spellings (the first is the journal spelling), how a value
-// parses into a QueryOption, and how a config's setting is spelled back
-// for the DDL journal ("" = nothing to spell). The table is the only place
-// a WITH key is named, so every QueryOption has a WITH equivalent and the
-// replayed DDL reconstructs the same topology — a requirement for
-// checkpoint images to load.
+// accepted spellings and how a value sets it. The table is the only place
+// a WITH key is named.
 type withOption struct {
-	keys    []string
-	parse   func(s sql.OptionSpec) (QueryOption, error)
-	journal func(c queryConfig) string
+	keys  []string
+	parse func(c *queryConfig, s sql.OptionSpec) error
 }
 
 var withOptions = []withOption{
-	enumOption("strategy", "separate, shared, or routed", map[string]QueryOption{
-		"separate": WithStrategy(SeparateBaskets),
-		"shared":   WithStrategy(SharedBaskets),
-		"routed":   WithStrategy(RoutedScan),
-	}, func(c queryConfig) string { return c.strategy.String() }),
-	intOption(WithMinTuples, func(c queryConfig) string { return strconv.Itoa(c.minTuples) }, "min_tuples"),
-	enumOption("window_mode", "incremental or reeval", map[string]QueryOption{
-		"incremental": WithWindowMode(window.Incremental),
-		"reeval":      WithWindowMode(window.ReEvaluate),
-		"re_evaluate": WithWindowMode(window.ReEvaluate),
-		"reevaluate":  WithWindowMode(window.ReEvaluate),
-	}, func(c queryConfig) string {
-		switch {
-		case !c.forceMode:
-			return ""
-		case c.windowMode == window.Incremental:
-			return "incremental"
+	// strategy selects the basket arrangement (default separate, the
+	// paper's first strategy).
+	enumOption("strategy", "separate, shared, or routed", map[string]Strategy{
+		"separate": SeparateBaskets,
+		"shared":   SharedBaskets,
+		"routed":   RoutedScan,
+	}, func(c *queryConfig, s Strategy) { c.strategy = s }),
+	// min_tuples is the factory's firing threshold.
+	intOption(func(c *queryConfig, n int) { c.minTuples = n }, "min_tuples"),
+	// window_mode pins the window evaluation strategy; without it, windowed
+	// queries are incremental when the plan shape allows and re-evaluated
+	// otherwise.
+	enumOption("window_mode", "incremental or reeval", map[string]window.Mode{
+		"incremental": window.Incremental,
+		"reeval":      window.ReEvaluate,
+		"re_evaluate": window.ReEvaluate,
+		"reevaluate":  window.ReEvaluate,
+	}, func(c *queryConfig, m window.Mode) { c.windowMode, c.forceMode = m, true }),
+	// priority schedules the query's factory ahead of lower-priority
+	// transitions (default 0), the paper's "different query priorities".
+	intOption(func(c *queryConfig, n int) { c.priority = n }, "priority"),
+	// shed_limit bounds the query's private input basket: arrivals beyond
+	// it evict the oldest unprocessed tuples (separate strategy only).
+	intOption(func(c *queryConfig, n int) { c.shedAt = n }, "shed_limit"),
+	// depth sizes the result channel (default 64).
+	intOption(func(c *queryConfig, n int) { c.subDepth = n }, "depth", "subscription_depth"),
+	// polling = true drops the subscription: results accumulate in
+	// <name>_out until a one-time SELECT or another continuous query
+	// consumes them, the paper's network of queries.
+	enumOption("polling", "true or false", boolValues, func(c *queryConfig, on bool) {
+		if on {
+			c.subDepth = 0
 		}
-		return "reeval"
 	}),
-	intOption(WithPriority, func(c queryConfig) string { return strconv.Itoa(c.priority) }, "priority"),
-	intOption(WithLoadShedding, func(c queryConfig) string { return strconv.Itoa(c.shedAt) }, "shed_limit"),
-	// A polling query (depth <= 0) is journaled as polling = true instead.
-	intOption(WithSubscriptionDepth, func(c queryConfig) string { return positive(int64(c.subDepth)) }, "depth", "subscription_depth"),
-	enumOption("polling", "true or false", map[string]QueryOption{
-		"true":  WithSQLPolling(),
-		"false": func(*queryConfig) {},
-	}, func(c queryConfig) string { return strconv.FormatBool(c.subDepth <= 0) }),
-	enumOption("backpressure", "block or drop_oldest", map[string]QueryOption{
-		"block":       WithBackpressure(BackpressureBlock),
-		"drop_oldest": WithBackpressure(BackpressureDropOldest),
-	}, func(c queryConfig) string { return c.policy.String() }),
+	// backpressure is what the subscription does when its consumer falls
+	// behind (default block).
+	enumOption("backpressure", "block or drop_oldest", map[string]Backpressure{
+		"block":       BackpressureBlock,
+		"drop_oldest": BackpressureDropOldest,
+	}, func(c *queryConfig, p Backpressure) { c.policy = p }),
+	// lateness is the out-of-order tolerance of a time-based window: the
+	// watermark trails the maximum seen timestamp by it.
 	durationOption("lateness", "a non-negative duration like '250ms'", 0,
-		func(ns int64) QueryOption { return func(c *queryConfig) { c.lateness = ns } },
-		func(c queryConfig) string { return strconv.FormatInt(c.lateness, 10) }),
+		func(c *queryConfig, ns int64) { c.lateness = ns }),
+	// timestamp slices a time-based window by an INT or TIMESTAMP stream
+	// column instead of the arrival stamp; such windows advance on data
+	// only.
 	{
 		keys: []string{"timestamp"},
-		parse: func(s sql.OptionSpec) (QueryOption, error) {
+		parse: func(c *queryConfig, s sql.OptionSpec) error {
 			if s.Val == "" {
-				return nil, fmt.Errorf("%w: timestamp needs a column name", ErrInvalidOption)
+				return fmt.Errorf("%w: timestamp needs a column name", ErrInvalidOption)
 			}
-			return WithEventTimeColumn(s.Val), nil
+			c.tsCol = s.Val
+			return nil
 		},
-		journal: func(c queryConfig) string { return c.tsCol },
 	},
-	enumOption("durable", "true or false", map[string]QueryOption{
-		"true":  WithDurable(true),
-		"false": WithDurable(false),
-	}, func(c queryConfig) string { return strconv.FormatBool(c.durable) }),
-	// A non-positive interval keeps the engine default and is not journaled.
+	// durable = false leaves the query's operator state out of checkpoints:
+	// DDL replay re-creates it with empty state and no delivery
+	// suppression.
+	enumOption("durable", "true or false", boolValues, func(c *queryConfig, on bool) { c.durable = on }),
+	// checkpoint_interval tightens the engine's background checkpoint
+	// cadence while the query is registered.
 	durationOption("checkpoint_interval", "a positive duration like '5s'", 1,
-		func(ns int64) QueryOption { return WithCheckpointInterval(time.Duration(ns)) },
-		func(c queryConfig) string { return positive(c.ckptEvery) }),
+		func(c *queryConfig, ns int64) { c.ckptEvery = ns }),
 }
 
+var boolValues = map[string]bool{"true": true, "false": false}
+
 // intOption is an integer-valued key.
-func intOption(set func(int) QueryOption, journal func(queryConfig) string, keys ...string) withOption {
+func intOption(set func(*queryConfig, int), keys ...string) withOption {
 	return withOption{
 		keys: keys,
-		parse: func(s sql.OptionSpec) (QueryOption, error) {
+		parse: func(c *queryConfig, s sql.OptionSpec) error {
 			n, err := strconv.Atoi(s.Val)
 			if err != nil {
-				return nil, fmt.Errorf("%w: %s = %q wants an integer", ErrInvalidOption, s.Key, s.Val)
+				return fmt.Errorf("%w: %s = %q wants an integer", ErrInvalidOption, s.Key, s.Val)
 			}
-			return set(n), nil
+			set(c, n)
+			return nil
 		},
-		journal: journal,
 	}
 }
 
 // enumOption is a key with a closed set of (case-insensitive) values.
-func enumOption(key, want string, vals map[string]QueryOption, journal func(queryConfig) string) withOption {
+func enumOption[T any](key, want string, vals map[string]T, set func(*queryConfig, T)) withOption {
 	return withOption{
 		keys: []string{key},
-		parse: func(s sql.OptionSpec) (QueryOption, error) {
-			if o, ok := vals[strings.ToLower(s.Val)]; ok {
-				return o, nil
+		parse: func(c *queryConfig, s sql.OptionSpec) error {
+			v, ok := vals[strings.ToLower(s.Val)]
+			if !ok {
+				return fmt.Errorf("%w: %s = %q (want %s)", ErrInvalidOption, key, s.Val, want)
 			}
-			return nil, fmt.Errorf("%w: %s = %q (want %s)", ErrInvalidOption, key, s.Val, want)
+			set(c, v)
+			return nil
 		},
-		journal: journal,
 	}
 }
 
-// durationOption is a key taking a duration of at least lo nanoseconds
-// (journaled as integer nanoseconds).
-func durationOption(key, want string, lo int64, set func(ns int64) QueryOption, journal func(queryConfig) string) withOption {
+// durationOption is a key taking a duration of at least lo nanoseconds.
+func durationOption(key, want string, lo int64, set func(*queryConfig, int64)) withOption {
 	return withOption{
 		keys: []string{key},
-		parse: func(s sql.OptionSpec) (QueryOption, error) {
+		parse: func(c *queryConfig, s sql.OptionSpec) error {
 			ns, err := parseDurationNS(s.Val)
 			if err != nil || ns < lo {
-				return nil, fmt.Errorf("%w: %s = %q (want %s or nanoseconds)", ErrInvalidOption, key, s.Val, want)
+				return fmt.Errorf("%w: %s = %q (want %s or nanoseconds)", ErrInvalidOption, key, s.Val, want)
 			}
-			return set(ns), nil
+			set(c, ns)
+			return nil
 		},
-		journal: journal,
 	}
 }
 
-// positive spells n for the journal, or nothing when n is not positive.
-func positive(n int64) string {
-	if n <= 0 {
-		return ""
-	}
-	return strconv.FormatInt(n, 10)
-}
-
-// optionsFromSpecs translates a DDL WITH (...) list into QueryOptions —
-// the bridge that lets CREATE CONTINUOUS QUERY express everything the Go
-// option API can.
-func optionsFromSpecs(specs []sql.OptionSpec) ([]QueryOption, error) {
-	opts := make([]QueryOption, len(specs))
-	for i, s := range specs {
+// configFromSpecs applies a DDL WITH (...) list, in order, to the default
+// configuration.
+func configFromSpecs(specs []sql.OptionSpec) (queryConfig, error) {
+	cfg := queryConfig{strategy: SeparateBaskets, minTuples: 1, subDepth: 64, durable: true}
+	for _, s := range specs {
 		k := slices.IndexFunc(withOptions, func(w withOption) bool {
 			return slices.Contains(w.keys, strings.ToLower(s.Key))
 		})
 		if k < 0 {
-			return nil, fmt.Errorf("%w: unknown option %q", ErrInvalidOption, s.Key)
+			return cfg, fmt.Errorf("%w: unknown option %q", ErrInvalidOption, s.Key)
 		}
-		var err error
-		if opts[i], err = withOptions[k].parse(s); err != nil {
-			return nil, err
+		if err := withOptions[k].parse(&cfg, s); err != nil {
+			return cfg, err
 		}
 	}
-	return opts, nil
+	return cfg, nil
 }
 
 // parseDurationNS reads a WITH duration value: a bare integer is
@@ -444,73 +358,6 @@ func parseDurationNS(val string) (int64, error) {
 		return 0, err
 	}
 	return d.Nanoseconds(), nil
-}
-
-// RegisterContinuous compiles and installs a continuous query — the Go
-// equivalent of CREATE CONTINUOUS QUERY (both run the same registration
-// path). The query must contain exactly one basket expression (the paper's
-// continuous marker); the referenced basket must be a stream created with
-// CreateStream. The query's results land in a basket named <name>_out and
-// on the subscription.
-func (e *Engine) RegisterContinuous(name, text string, opts ...QueryOption) (*Query, error) {
-	sel, err := sql.ParseSelect(text)
-	if err != nil {
-		return nil, err
-	}
-	if e.dur != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
-	}
-	cfg := newQueryConfig(opts)
-	q, err := e.registerParsed(name, text, sel, cfg)
-	if err != nil || e.dur == nil {
-		return q, err
-	}
-	return q, e.dur.logStmt(context.Background(), continuousDDL(name, text, cfg), true)
-}
-
-func defaultQueryConfig() queryConfig {
-	return queryConfig{strategy: SeparateBaskets, minTuples: 1, subDepth: 64, durable: true}
-}
-
-func newQueryConfig(opts []QueryOption) queryConfig {
-	cfg := defaultQueryConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-// continuousDDL synthesizes the journal spelling of a Go-registered
-// continuous query: every setting that differs from the default, in
-// options-table order.
-func continuousDDL(name, text string, cfg queryConfig) string {
-	def := defaultQueryConfig()
-	var opts []string
-	for _, w := range withOptions {
-		if v := w.journal(cfg); v != "" && v != w.journal(def) {
-			opts = append(opts, w.keys[0]+" = "+v)
-		}
-	}
-	s := "CREATE CONTINUOUS QUERY " + name
-	if len(opts) > 0 {
-		s += " WITH (" + strings.Join(opts, ", ") + ")"
-	}
-	return s + " AS " + text
-}
-
-// registerParsed is the single registration path behind both
-// RegisterContinuous and CREATE CONTINUOUS QUERY: plan the topology,
-// install it.
-func (e *Engine) registerParsed(name, text string, sel *sql.SelectStmt, cfg queryConfig) (*Query, error) {
-	if err := e.guard(nil); err != nil {
-		return nil, err
-	}
-	t, err := e.planTopology(name, text, sel, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.install(t)
 }
 
 // CheckpointInfo reports a query's durability posture (see
@@ -619,24 +466,18 @@ func (e *Engine) buildPartialWindowRunner(p plan.Node, bufSchema *catalog.Schema
 	return window.NewRunner(spec, window.Incremental, nil, paneEval, bufSchema)
 }
 
-// UnregisterContinuous removes a continuous query — the Go equivalent of
-// DROP CONTINUOUS QUERY. The query's undo stack runs in reverse: every
-// transition detaches from the scheduler, shared readers release their
-// watermarks, the query-owned places are freed, and the subscription
-// closes.
-func (e *Engine) UnregisterContinuous(name string) error {
-	if e.dur != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
-	}
-	if err := e.unregisterContinuous(name); err != nil {
-		return err
-	}
-	return e.dur.logStmt(context.Background(), "DROP CONTINUOUS QUERY "+name, true)
-}
-
+// unregisterContinuous removes a continuous query (DROP CONTINUOUS
+// QUERY). The query's undo stack runs in reverse: every transition
+// detaches from the scheduler, shared readers release their watermarks,
+// the query-owned places are freed, and the subscription closes.
 func (e *Engine) unregisterContinuous(name string) error {
 	q, err := e.Query(name)
+	if err != nil {
+		return err
+	}
+	e.mu.Lock()
+	err = e.checkUnread(q.out.Name())
+	e.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -58,14 +58,14 @@ func TestRoutedMatchesSeparate(t *testing.T) {
 		default: // residual (always-match)
 			text = "SELECT S.a, S.b FROM [SELECT * FROM R] AS S"
 		}
-		rq, err := e.RegisterContinuous(fmt.Sprintf("rq%d", i), text, WithStrategy(RoutedScan))
+		rq, err := register(e, fmt.Sprintf("rq%d", i), "strategy = routed", text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rq.Strategy != RoutedScan {
 			t.Fatalf("rq%d: strategy = %s, want routed", i, rq.Strategy)
 		}
-		fq, err := e.RegisterContinuous(fmt.Sprintf("fq%d", i), text, WithStrategy(SeparateBaskets))
+		fq, err := register(e, fmt.Sprintf("fq%d", i), "strategy = separate", text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +106,13 @@ func TestRoutedMatchesSeparate(t *testing.T) {
 // not evaluate that query's plan.
 func TestRoutedSkipsNonMatching(t *testing.T) {
 	e, _ := newEngine(t)
-	hit, err := e.RegisterContinuous("hit",
-		"SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = 1", WithStrategy(RoutedScan))
+	hit, err := register(e, "hit", "strategy = routed",
+		"SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := e.RegisterContinuous("miss",
-		"SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = 999", WithStrategy(RoutedScan))
+	miss, err := register(e, "miss", "strategy = routed",
+		"SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = 999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestRoutedSkipsNonMatching(t *testing.T) {
 func TestRoutedSharedGroupEvaluatesOnce(t *testing.T) {
 	e, _ := newEngine(t)
 	const text = "SELECT S.a, S.b FROM [SELECT * FROM R] AS S WHERE S.a > 3"
-	q1, err := e.RegisterContinuous("g1", text, WithStrategy(RoutedScan))
+	q1, err := register(e, "g1", "strategy = routed", text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := e.RegisterContinuous("g2", text, WithStrategy(RoutedScan))
+	q2, err := register(e, "g2", "strategy = routed", text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +168,8 @@ func TestRoutedSharedGroupEvaluatesOnce(t *testing.T) {
 // must degrade to the shared-basket arrangement, not fail.
 func TestRoutedFallback(t *testing.T) {
 	e, _ := newEngine(t)
-	q, err := e.RegisterContinuous("w",
-		"SELECT SUM(S.b) AS total FROM [SELECT * FROM R] AS S WINDOW ROWS 2 SLIDE 2",
-		WithStrategy(RoutedScan))
+	q, err := register(e, "w", "strategy = routed",
+		"SELECT SUM(S.b) AS total FROM [SELECT * FROM R] AS S WINDOW ROWS 2 SLIDE 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,17 +191,16 @@ func TestRoutedFallback(t *testing.T) {
 // or overshoot the arrival watermark and silently drop later arrivals.
 func TestRoutedWithLaggingSharedReader(t *testing.T) {
 	e, _ := newEngine(t)
-	rq, err := e.RegisterContinuous("rq",
-		"SELECT S.a, S.b FROM [SELECT * FROM R] AS S", WithStrategy(RoutedScan))
+	rq, err := register(e, "rq", "strategy = routed",
+		"SELECT S.a, S.b FROM [SELECT * FROM R] AS S")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rq.Strategy != RoutedScan {
 		t.Fatalf("rq strategy = %s, want routed", rq.Strategy)
 	}
-	if _, err := e.RegisterContinuous("lag",
-		"SELECT S.a, S.b FROM [SELECT * FROM R] AS S",
-		WithStrategy(SharedBaskets), WithMinTuples(100)); err != nil {
+	if _, err := register(e, "lag", "strategy = shared, min_tuples = 100",
+		"SELECT S.a, S.b FROM [SELECT * FROM R] AS S"); err != nil {
 		t.Fatal(err)
 	}
 	// One tuple per drained batch: from the second batch on, the lagging
@@ -298,8 +296,8 @@ func TestRoutedChurnUnderIngest(t *testing.T) {
 	}
 	defer e.Stop(context.Background())
 	// One stable member keeps the scan alive through the churn.
-	stable, err := e.RegisterContinuous("stable",
-		"SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = 7", WithStrategy(RoutedScan))
+	stable, err := register(e, "stable", "strategy = routed",
+		"SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = 7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +323,7 @@ func TestRoutedChurnUnderIngest(t *testing.T) {
 			if i%5 == 4 { // exercise group sharing under churn too
 				text = "SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = 7"
 			}
-			q, err := e.RegisterContinuous(name, text, WithStrategy(RoutedScan))
+			q, err := register(e, name, "strategy = routed", text)
 			if err != nil {
 				t.Error(err)
 				return
@@ -333,7 +331,7 @@ func TestRoutedChurnUnderIngest(t *testing.T) {
 			if i%2 == 0 {
 				collect(q)
 			}
-			if err := e.UnregisterContinuous(name); err != nil {
+			if err := dropQuery(e, name); err != nil {
 				t.Error(err)
 				return
 			}
@@ -352,11 +350,11 @@ func TestRoutedChurnUnderIngest(t *testing.T) {
 	})
 	// Dropping the last member tears the scan down and a new registration
 	// rebuilds it.
-	if err := e.UnregisterContinuous("stable"); err != nil {
+	if err := dropQuery(e, "stable"); err != nil {
 		t.Fatal(err)
 	}
-	q2, err := e.RegisterContinuous("rebuilt",
-		"SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = 3", WithStrategy(RoutedScan))
+	q2, err := register(e, "rebuilt", "strategy = routed",
+		"SELECT S.a FROM [SELECT * FROM R] AS S WHERE S.a = 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,8 +493,7 @@ func routedDifferential(t *testing.T, seed int64) {
 	}
 	// The laggard never reaches its threshold, so it pins the primary's
 	// head and the scan reads at a growing offset into the snapshot.
-	if _, err := e.RegisterContinuous("laggard", "SELECT S.seq FROM [SELECT * FROM D] AS S",
-		WithStrategy(SharedBaskets), WithMinTuples(1<<30)); err != nil {
+	if _, err := register(e, "laggard", "strategy = shared, min_tuples = 1073741824", "SELECT S.seq FROM [SELECT * FROM D] AS S"); err != nil {
 		t.Fatal(err)
 	}
 	base := baseline.New()
@@ -513,13 +510,13 @@ func routedDifferential(t *testing.T, seed int64) {
 		m := &member{name: fmt.Sprintf("m%d", next), text: text}
 		next++
 		var err error
-		if m.routed, err = e.RegisterContinuous(m.name, text, WithStrategy(RoutedScan), WithSubscriptionDepth(1<<10)); err != nil {
+		if m.routed, err = register(e, m.name, "strategy = routed, depth = 1024", text); err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
 		if m.routed.Strategy != RoutedScan {
 			t.Fatalf("%s fell back to %s", text, m.routed.Strategy)
 		}
-		if m.flat, err = e.RegisterContinuous(m.name+"_flat", text, WithStrategy(SeparateBaskets), WithSubscriptionDepth(1<<10)); err != nil {
+		if m.flat, err = register(e, m.name+"_flat", "strategy = separate, depth = 1024", text); err != nil {
 			t.Fatal(err)
 		}
 		err = base.Subscribe("D", &baseline.Query{
@@ -559,7 +556,7 @@ func routedDifferential(t *testing.T, seed int64) {
 		m := live[k]
 		check(m)
 		for _, name := range []string{m.name, m.name + "_flat"} {
-			if err := e.UnregisterContinuous(name); err != nil {
+			if err := dropQuery(e, name); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -626,8 +623,8 @@ func TestRoutedFiringCostIsLinearInRows(t *testing.T) {
 	}
 	var members []*Query
 	register := func(where string) {
-		q, err := e.RegisterContinuous(fmt.Sprintf("q%d", len(members)),
-			"SELECT * FROM [SELECT * FROM ev] AS e WHERE "+where, WithStrategy(RoutedScan), WithSQLPolling())
+		q, err := register(e, fmt.Sprintf("q%d", len(members)), "strategy = routed, polling = true",
+			"SELECT * FROM [SELECT * FROM ev] AS e WHERE "+where)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,15 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/vector"
 )
 
 func TestLoadSheddingBoundsBacklog(t *testing.T) {
 	e, _ := newEngine(t)
-	q, err := e.RegisterContinuous("shed",
-		"SELECT * FROM [SELECT * FROM R] AS S",
-		WithLoadShedding(100))
+	q, err := register(e, "shed", "shed_limit = 100",
+		"SELECT * FROM [SELECT * FROM R] AS S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +41,7 @@ func TestLoadSheddingBoundsBacklog(t *testing.T) {
 
 func TestNoSheddingByDefault(t *testing.T) {
 	e, _ := newEngine(t)
-	q, _ := e.RegisterContinuous("noshed", "SELECT * FROM [SELECT * FROM R] AS S")
+	q, _ := register(e, "noshed", "", "SELECT * FROM [SELECT * FROM R] AS S")
 	var rows [][2]int64
 	for i := int64(0); i < 300; i++ {
 		rows = append(rows, [2]int64{i, i})
@@ -58,13 +56,13 @@ func TestPriorityQueryFiresFirst(t *testing.T) {
 	e, _ := newEngine(t)
 	// Registration order low-then-high; the scheduler must still scan the
 	// high-priority factory first.
-	_, err := e.RegisterContinuous("low",
-		"SELECT * FROM [SELECT * FROM R] AS S", WithSQLPolling())
+	_, err := register(e, "low", "polling = true",
+		"SELECT * FROM [SELECT * FROM R] AS S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.RegisterContinuous("high",
-		"SELECT * FROM [SELECT * FROM R] AS S", WithSQLPolling(), WithPriority(5))
+	_, err = register(e, "high", "polling = true, priority = 5",
+		"SELECT * FROM [SELECT * FROM R] AS S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +79,11 @@ func TestAutoFlushClosesTimeWindows(t *testing.T) {
 	// Wall-clock engine: a RANGE window must close via the Start ticker
 	// even though no further tuples arrive.
 	e := newCore(Config{Workers: 2})
-	if err := e.CreateStream("m", catalog.NewSchema(
-		catalog.Column{Name: "v", Type: vector.Int64})); err != nil {
+	if _, err := e.Exec(context.Background(), "CREATE BASKET m (v INT)"); err != nil {
 		t.Fatal(err)
 	}
 	winNS := int64(50 * time.Millisecond)
-	q, err := e.RegisterContinuous("tw",
+	q, err := register(e, "tw", "",
 		"SELECT COUNT(*) AS n FROM [SELECT * FROM m] AS S WINDOW RANGE "+
 			itoa(winNS)+" SLIDE "+itoa(winNS))
 	if err != nil {

@@ -73,13 +73,24 @@ func netFootprint(e *Engine) string {
 	return b.String()
 }
 
-func planFor(t *testing.T, e *Engine, text string, opts ...QueryOption) (*topology, error) {
+// planFor plans CREATE CONTINUOUS QUERY q [WITH (with)] AS text without
+// installing it.
+func planFor(t *testing.T, e *Engine, text, with string) (*topology, error) {
 	t.Helper()
-	sel, err := sql.ParseSelect(text)
+	stmt := "CREATE CONTINUOUS QUERY q"
+	if with != "" {
+		stmt += " WITH (" + with + ")"
+	}
+	st, err := sql.Parse(stmt + " AS " + text)
 	if err != nil {
 		t.Fatalf("%s: %v", text, err)
 	}
-	return e.planTopology("q", text, sel, newQueryConfig(opts))
+	cc := st.(*sql.CreateContinuousStmt)
+	cfg, err := configFromSpecs(cc.Options)
+	if err != nil {
+		t.Fatalf("%s: %v", with, err)
+	}
+	return e.planTopology("q", cc.SelectText, cc.Select, cfg)
 }
 
 // TestPlanTopology pins the planner's decision ladder: every row of the
@@ -95,10 +106,10 @@ func TestPlanTopology(t *testing.T) {
 		joinFl  = "SELECT a.k AS k FROM [SELECT * FROM fl] AS a JOIN [SELECT * FROM fr] AS b ON a.k = b.k"
 		joinLR  = "SELECT a.k AS k FROM [SELECT * FROM l] AS a JOIN [SELECT * FROM r] AS b ON a.k = b.k"
 	)
-	routed, shared := WithStrategy(RoutedScan), WithStrategy(SharedBaskets)
+	routed, shared := "strategy = routed", "strategy = shared"
 	cases := []struct {
 		name, sql string
-		opts      []QueryOption
+		with      string
 
 		strategy  Strategy
 		routed    bool
@@ -112,21 +123,21 @@ func TestPlanTopology(t *testing.T) {
 	}{
 		// Flat arrangements per strategy.
 		{name: "separate", sql: filterF, strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica}, mode: factory.Owned},
-		{name: "shared", sql: filterF, opts: []QueryOption{shared}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
+		{name: "shared", sql: filterF, with: shared, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
 		{name: "chained", sql: "SELECT * FROM [SELECT * FROM up_out] AS x", strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inChained}, mode: factory.Owned},
-		{name: "chained shared", sql: "SELECT * FROM [SELECT * FROM up_out] AS x", opts: []QueryOption{shared}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inChained}, mode: factory.Shared},
+		{name: "chained shared", sql: "SELECT * FROM [SELECT * FROM up_out] AS x", with: shared, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inChained}, mode: factory.Shared},
 
 		// Routing matrix: one eligible shape, everything else degrades to shared.
-		{name: "routed filter", sql: filterF, opts: []QueryOption{routed}, strategy: RoutedScan, routed: true, inputs: []inputKind{inPrimary}, mode: factory.Shared},
-		{name: "routed aggregate", sql: "SELECT SUM(x.v) AS sv FROM [SELECT * FROM f] AS x", opts: []QueryOption{routed}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
-		{name: "routed filtered scan", sql: "SELECT * FROM [SELECT * FROM f WHERE v > 3] AS x", opts: []QueryOption{routed}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
-		{name: "routed windowed", sql: "SELECT SUM(x.v) AS sv FROM [SELECT * FROM f] AS x WINDOW ROWS 4 SLIDE 4", opts: []QueryOption{routed}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared, window: true},
-		{name: "routed table join", sql: tableF, opts: []QueryOption{routed}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared, joinState: true},
-		{name: "routed stream join", sql: joinFl, opts: []QueryOption{routed}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary, inPrimary}, mode: factory.Shared, joinState: true},
-		{name: "routed chained", sql: "SELECT * FROM [SELECT * FROM up_out] AS x", opts: []QueryOption{routed}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inChained}, mode: factory.Shared},
-		{name: "routed partitioned stream", sql: filterS, opts: []QueryOption{routed}, strategy: SharedBaskets, lanes: 4, merge: mergePlain, inputs: []inputKind{inShard}, mode: factory.Shared},
-		{name: "routed min_tuples", sql: filterF, opts: []QueryOption{routed, WithMinTuples(8)}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
-		{name: "routed shed_limit", sql: filterF, opts: []QueryOption{routed, WithLoadShedding(8)}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
+		{name: "routed filter", sql: filterF, with: routed, strategy: RoutedScan, routed: true, inputs: []inputKind{inPrimary}, mode: factory.Shared},
+		{name: "routed aggregate", sql: "SELECT SUM(x.v) AS sv FROM [SELECT * FROM f] AS x", with: routed, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
+		{name: "routed filtered scan", sql: "SELECT * FROM [SELECT * FROM f WHERE v > 3] AS x", with: routed, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
+		{name: "routed windowed", sql: "SELECT SUM(x.v) AS sv FROM [SELECT * FROM f] AS x WINDOW ROWS 4 SLIDE 4", with: routed, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared, window: true},
+		{name: "routed table join", sql: tableF, with: routed, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared, joinState: true},
+		{name: "routed stream join", sql: joinFl, with: routed, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary, inPrimary}, mode: factory.Shared, joinState: true},
+		{name: "routed chained", sql: "SELECT * FROM [SELECT * FROM up_out] AS x", with: routed, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inChained}, mode: factory.Shared},
+		{name: "routed partitioned stream", sql: filterS, with: routed, strategy: SharedBaskets, lanes: 4, merge: mergePlain, inputs: []inputKind{inShard}, mode: factory.Shared},
+		{name: "routed min_tuples", sql: filterF, with: routed + ", min_tuples = 8", strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
+		{name: "routed shed_limit", sql: filterF, with: routed + ", shed_limit = 8", strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
 
 		// Partitioned execution: decomposable plans shard, the rest stay flat.
 		{name: "sharded filter", sql: filterS, strategy: SeparateBaskets, lanes: 4, merge: mergePlain, inputs: []inputKind{inShard}, mode: factory.Shared},
@@ -135,8 +146,8 @@ func TestPlanTopology(t *testing.T) {
 		{name: "sharded distinct", sql: "SELECT DISTINCT x.v FROM [SELECT * FROM s] AS x", strategy: SeparateBaskets, lanes: 4, merge: mergePlain, reagg: true, inputs: []inputKind{inShard}, mode: factory.Shared},
 		{name: "avg stays flat", sql: "SELECT AVG(x.v) AS a FROM [SELECT * FROM s] AS x", strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica}, mode: factory.Owned},
 		{name: "order by stays flat", sql: "SELECT * FROM [SELECT * FROM s] AS x ORDER BY x.v", strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica}, mode: factory.Owned},
-		{name: "shed_limit stays flat", sql: filterS, opts: []QueryOption{WithLoadShedding(8)}, strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica}, mode: factory.Owned},
-		{name: "shared on partitioned stays flat when undecomposable", sql: "SELECT AVG(x.v) AS a FROM [SELECT * FROM s] AS x", opts: []QueryOption{shared}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
+		{name: "shed_limit stays flat", sql: filterS, with: "shed_limit = 8", strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica}, mode: factory.Owned},
+		{name: "shared on partitioned stays flat when undecomposable", sql: "SELECT AVG(x.v) AS a FROM [SELECT * FROM s] AS x", with: shared, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary}, mode: factory.Shared},
 
 		// Windows on a partitioned stream.
 		{name: "window aligned", sql: "SELECT x.k, SUM(x.v) AS sv FROM [SELECT * FROM s] AS x GROUP BY x.k WINDOW RANGE 100 SLIDE 50", strategy: SeparateBaskets, lanes: 4, merge: mergePlain, inputs: []inputKind{inShard}, mode: factory.Shared, window: true},
@@ -152,16 +163,16 @@ func TestPlanTopology(t *testing.T) {
 		{name: "table join flat", sql: tableF, strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica}, mode: factory.Owned, joinState: true},
 		{name: "table join broadcast", sql: tableS, strategy: SeparateBaskets, lanes: 4, merge: mergePlain, inputs: []inputKind{inShard}, mode: factory.Shared, joinState: true},
 		{name: "stream join flat", sql: joinFl, strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica, inReplica}, mode: factory.Owned, joinState: true},
-		{name: "stream join shared", sql: joinFl, opts: []QueryOption{shared}, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary, inPrimary}, mode: factory.Shared, joinState: true},
+		{name: "stream join shared", sql: joinFl, with: shared, strategy: SharedBaskets, lanes: 1, inputs: []inputKind{inPrimary, inPrimary}, mode: factory.Shared, joinState: true},
 		{name: "stream join co-partitioned", sql: joinLR, strategy: SeparateBaskets, lanes: 2, merge: mergePlain, inputs: []inputKind{inShard, inShard}, mode: factory.Shared, joinState: true},
-		{name: "stream join co-partitioned shed", sql: joinLR, opts: []QueryOption{WithLoadShedding(8)}, strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica, inReplica}, mode: factory.Owned, joinState: true},
+		{name: "stream join co-partitioned shed", sql: joinLR, with: "shed_limit = 8", strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica, inReplica}, mode: factory.Owned, joinState: true},
 		{name: "stream join half-partitioned", sql: "SELECT a.k AS k FROM [SELECT * FROM l] AS a JOIN [SELECT * FROM fr] AS b ON a.k = b.k", strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica, inReplica}, mode: factory.Owned, joinState: true},
 		{name: "stream join off the partition key", sql: "SELECT a.k AS k FROM [SELECT * FROM l] AS a JOIN [SELECT * FROM r] AS b ON a.v = b.v", strategy: SeparateBaskets, lanes: 1, inputs: []inputKind{inReplica, inReplica}, mode: factory.Owned, joinState: true},
 	}
 	before := netFootprint(e)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			topo, err := planFor(t, e, c.sql, c.opts...)
+			topo, err := planFor(t, e, c.sql, c.with)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,19 +196,19 @@ func TestPlanTopology(t *testing.T) {
 	// Typed planning errors survive the move into the planner.
 	for _, c := range []struct {
 		name, sql string
-		opts      []QueryOption
+		with      string
 		want      error
 	}{
-		{"not continuous", "SELECT * FROM ref", nil, ErrNotContinuous},
-		{"unknown stream", "SELECT * FROM [SELECT * FROM nope] AS x", nil, ErrUnknownStream},
-		{"basket expression over a table", "SELECT * FROM [SELECT * FROM ref] AS x", nil, ErrUnknownStream},
-		{"lateness without a range window", filterF, []QueryOption{WithEventTimeColumn("et")}, ErrInvalidOption},
-		{"self join", "SELECT a.k AS k FROM [SELECT * FROM l] AS a JOIN [SELECT * FROM l] AS b ON a.k = b.k", nil, ErrSelfJoin},
-		{"windowed stream join", joinFl + " WINDOW ROWS 4", nil, ErrUnsupportedJoin},
-		{"non-equi stream join", "SELECT a.k AS k FROM [SELECT * FROM fl] AS a JOIN [SELECT * FROM fr] AS b ON a.k < b.k", nil, ErrUnsupportedJoin},
-		{"stream join timestamp without WITHIN", joinFl, []QueryOption{WithEventTimeColumn("et")}, ErrInvalidOption},
+		{"not continuous", "SELECT * FROM ref", "", ErrNotContinuous},
+		{"unknown stream", "SELECT * FROM [SELECT * FROM nope] AS x", "", ErrUnknownStream},
+		{"basket expression over a table", "SELECT * FROM [SELECT * FROM ref] AS x", "", ErrUnknownStream},
+		{"lateness without a range window", filterF, "timestamp = et", ErrInvalidOption},
+		{"self join", "SELECT a.k AS k FROM [SELECT * FROM l] AS a JOIN [SELECT * FROM l] AS b ON a.k = b.k", "", ErrSelfJoin},
+		{"windowed stream join", joinFl + " WINDOW ROWS 4", "", ErrUnsupportedJoin},
+		{"non-equi stream join", "SELECT a.k AS k FROM [SELECT * FROM fl] AS a JOIN [SELECT * FROM fr] AS b ON a.k < b.k", "", ErrUnsupportedJoin},
+		{"stream join timestamp without WITHIN", joinFl, "timestamp = et", ErrInvalidOption},
 	} {
-		if _, err := planFor(t, e, c.sql, c.opts...); !errors.Is(err, c.want) {
+		if _, err := planFor(t, e, c.sql, c.with); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -241,31 +252,31 @@ func TestInstallFailureLeavesNothing(t *testing.T) {
 	)
 	cases := []struct {
 		name, sql string
-		opts      []QueryOption
+		with      string
 		sabotage  func(*testing.T, *Engine, *topology)
 		want      error
 	}{
-		{"flat: out taken", "SELECT * FROM [SELECT * FROM f] AS x", nil, takeName("q_out"), ErrDuplicateName},
-		{"shared: out taken", "SELECT * FROM [SELECT * FROM f] AS x", []QueryOption{WithStrategy(SharedBaskets)}, takeName("q_out"), ErrDuplicateName},
-		{"routed: out taken", "SELECT * FROM [SELECT * FROM f] AS x", []QueryOption{WithStrategy(RoutedScan)}, takeName("q_out"), ErrDuplicateName},
-		{"sharded: out taken", filterS, nil, takeName("q_out"), ErrDuplicateName},
-		{"sharded: first tail taken", filterS, nil, takeName("q_out#0"), ErrDuplicateName},
-		{"sharded: last tail taken", filterS, nil, takeName("q_out#3"), ErrDuplicateName},
-		{"windowed merge: shard basket taken", windowS, nil, takeName("q_out#2"), ErrDuplicateName},
-		{"aligned window: tail taken", alignS, nil, takeName("q_out#1"), ErrDuplicateName},
-		{"co-partitioned join: tail taken", joinLR, nil, takeName("q_out#1"), ErrDuplicateName},
-		{"flat window: runner build fails", "SELECT SUM(x.v) AS sv FROM [SELECT * FROM f] AS x WINDOW RANGE 100", []QueryOption{WithEventTimeColumn("nosuch")}, nil, ErrInvalidOption},
-		{"sharded window: runner build fails", windowS, []QueryOption{WithEventTimeColumn("nosuch")}, nil, ErrInvalidOption},
-		{"flat join: state build fails", joinFl, nil, failJoinAt(0), errBoom},
-		{"shared join: state build fails", joinFl, []QueryOption{WithStrategy(SharedBaskets)}, failJoinAt(0), errBoom},
-		{"co-partitioned join: second lane's state fails", joinLR, nil, failJoinAt(1), errBoom},
-		{"broadcast join: third lane's state fails", tableS, nil, failJoinAt(2), errBoom},
+		{"flat: out taken", "SELECT * FROM [SELECT * FROM f] AS x", "", takeName("q_out"), ErrDuplicateName},
+		{"shared: out taken", "SELECT * FROM [SELECT * FROM f] AS x", "strategy = shared", takeName("q_out"), ErrDuplicateName},
+		{"routed: out taken", "SELECT * FROM [SELECT * FROM f] AS x", "strategy = routed", takeName("q_out"), ErrDuplicateName},
+		{"sharded: out taken", filterS, "", takeName("q_out"), ErrDuplicateName},
+		{"sharded: first tail taken", filterS, "", takeName("q_out#0"), ErrDuplicateName},
+		{"sharded: last tail taken", filterS, "", takeName("q_out#3"), ErrDuplicateName},
+		{"windowed merge: shard basket taken", windowS, "", takeName("q_out#2"), ErrDuplicateName},
+		{"aligned window: tail taken", alignS, "", takeName("q_out#1"), ErrDuplicateName},
+		{"co-partitioned join: tail taken", joinLR, "", takeName("q_out#1"), ErrDuplicateName},
+		{"flat window: runner build fails", "SELECT SUM(x.v) AS sv FROM [SELECT * FROM f] AS x WINDOW RANGE 100", "timestamp = nosuch", nil, ErrInvalidOption},
+		{"sharded window: runner build fails", windowS, "timestamp = nosuch", nil, ErrInvalidOption},
+		{"flat join: state build fails", joinFl, "", failJoinAt(0), errBoom},
+		{"shared join: state build fails", joinFl, "strategy = shared", failJoinAt(0), errBoom},
+		{"co-partitioned join: second lane's state fails", joinLR, "", failJoinAt(1), errBoom},
+		{"broadcast join: third lane's state fails", tableS, "", failJoinAt(2), errBoom},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e := topoEngine(t)
 			before := netFootprint(e)
-			topo, err := planFor(t, e, c.sql, c.opts...)
+			topo, err := planFor(t, e, c.sql, c.with)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,14 +337,14 @@ func TestConcurrentDuplicateCreate(t *testing.T) {
 	const racers = 8
 	for _, c := range []struct {
 		name, sql string
-		opts      []QueryOption
+		with      string
 	}{
-		{"separate", "SELECT * FROM [SELECT * FROM f] AS x", nil},
-		{"shared", "SELECT * FROM [SELECT * FROM f] AS x", []QueryOption{WithStrategy(SharedBaskets)}},
-		{"routed", "SELECT * FROM [SELECT * FROM f] AS x WHERE x.v > 1", []QueryOption{WithStrategy(RoutedScan)}},
-		{"sharded", "SELECT * FROM [SELECT * FROM s] AS x", nil},
-		{"windowed merge", "SELECT SUM(x.v) AS sv FROM [SELECT * FROM s] AS x WINDOW RANGE 100", nil},
-		{"co-partitioned join", "SELECT a.k AS k FROM [SELECT * FROM l] AS a JOIN [SELECT * FROM r] AS b ON a.k = b.k", nil},
+		{"separate", "SELECT * FROM [SELECT * FROM f] AS x", ""},
+		{"shared", "SELECT * FROM [SELECT * FROM f] AS x", "strategy = shared"},
+		{"routed", "SELECT * FROM [SELECT * FROM f] AS x WHERE x.v > 1", "strategy = routed"},
+		{"sharded", "SELECT * FROM [SELECT * FROM s] AS x", ""},
+		{"windowed merge", "SELECT SUM(x.v) AS sv FROM [SELECT * FROM s] AS x WINDOW RANGE 100", ""},
+		{"co-partitioned join", "SELECT a.k AS k FROM [SELECT * FROM l] AS a JOIN [SELECT * FROM r] AS b ON a.k = b.k", ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e := topoEngine(t)
@@ -351,7 +362,7 @@ func TestConcurrentDuplicateCreate(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					<-start
-					_, errs[i] = e.RegisterContinuous("dup", c.sql, c.opts...)
+					_, errs[i] = register(e, "dup", c.with, c.sql)
 				}()
 			}
 			close(start)
@@ -374,7 +385,7 @@ func TestConcurrentDuplicateCreate(t *testing.T) {
 			if _, err := e.Query("dup"); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.UnregisterContinuous("dup"); err != nil {
+			if err := dropQuery(e, "dup"); err != nil {
 				t.Fatal(err)
 			}
 			if after := netFootprint(e); after != before {
@@ -388,7 +399,7 @@ func TestConcurrentDuplicateCreate(t *testing.T) {
 // exactly one runs the undo stack.
 func TestConcurrentDuplicateDrop(t *testing.T) {
 	e := topoEngine(t)
-	if _, err := e.RegisterContinuous("q", "SELECT * FROM [SELECT * FROM f] AS x"); err != nil {
+	if _, err := register(e, "q", "", "SELECT * FROM [SELECT * FROM f] AS x"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -397,7 +408,7 @@ func TestConcurrentDuplicateDrop(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = e.UnregisterContinuous("q")
+			errs[i] = dropQuery(e, "q")
 		}()
 	}
 	wg.Wait()
@@ -420,17 +431,17 @@ func TestConcurrentDuplicateDrop(t *testing.T) {
 // never a silent partial load.
 func TestRestoreShapeMismatch(t *testing.T) {
 	e := topoEngine(t)
-	reg := func(name, text string, opts ...QueryOption) *Query {
-		q, err := e.RegisterContinuous(name, text, opts...)
+	reg := func(name, text, with string) *Query {
+		q, err := register(e, name, with, text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return q
 	}
-	flat := reg("flat", "SELECT * FROM [SELECT * FROM f] AS x")
-	routed := reg("routed", "SELECT * FROM [SELECT * FROM f] AS x WHERE x.v > 1", WithStrategy(RoutedScan))
-	lanes := reg("lanes", "SELECT * FROM [SELECT * FROM s] AS x")
-	buckets := reg("buckets", "SELECT SUM(x.v) AS sv FROM [SELECT * FROM s] AS x WINDOW RANGE 100")
+	flat := reg("flat", "SELECT * FROM [SELECT * FROM f] AS x", "")
+	routed := reg("routed", "SELECT * FROM [SELECT * FROM f] AS x WHERE x.v > 1", "strategy = routed")
+	lanes := reg("lanes", "SELECT * FROM [SELECT * FROM s] AS x", "")
+	buckets := reg("buckets", "SELECT SUM(x.v) AS sv FROM [SELECT * FROM s] AS x WINDOW RANGE 100", "")
 	beyond, flatAsRouted := routed.captureState(), flat.captureState()
 	beyond.Routed = &routedImage{Consumed: 5, Join: 0} // the restored basket holds no rows
 	flatAsRouted.Routed = &routedImage{}

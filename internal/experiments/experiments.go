@@ -104,9 +104,8 @@ func F1(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := eng.RegisterContinuous("f1",
-		"SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 250 AND x.v < 750",
-		datacell.WithSQLPolling())
+	q, err := register(eng, "f1", "polling = true",
+		"SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 250 AND x.v < 750")
 	if err != nil {
 		return nil, err
 	}
@@ -184,9 +183,8 @@ func e1Run(strategy datacell.Strategy, nq, total int) (time.Duration, int64, err
 	}
 	inputs := map[*basket.Basket]bool{}
 	for i := 0; i < nq; i++ {
-		q, err := eng.RegisterContinuous(fmt.Sprintf("q%d", i),
-			"SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 100 AND x.v < 200",
-			datacell.WithStrategy(strategy), datacell.WithSQLPolling())
+		q, err := register(eng, fmt.Sprintf("q%d", i), "polling = true, strategy = "+strategy.String(),
+			"SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 100 AND x.v < 200")
 		if err != nil {
 			return 0, 0, err
 		}
@@ -263,9 +261,8 @@ func E2(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		q, err := eng.RegisterContinuous("q",
-			"SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 100 AND x.v < 200",
-			datacell.WithSQLPolling())
+		q, err := register(eng, "q", "polling = true",
+			"SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 100 AND x.v < 200")
 		if err != nil {
 			return nil, err
 		}
@@ -303,6 +300,16 @@ func openS(cfg datacell.Config) (*datacell.Engine, error) {
 	}
 	_, err = eng.Exec(ctx, "CREATE BASKET s (v INT)")
 	return eng, err
+}
+
+// register creates the continuous query name with the given WITH list and
+// returns it.
+func register(eng *datacell.Engine, name, with, text string) (*datacell.Query, error) {
+	stmt := "CREATE CONTINUOUS QUERY " + name + " WITH (" + with + ") AS " + text
+	if _, err := eng.Exec(context.Background(), stmt); err != nil {
+		return nil, err
+	}
+	return eng.Query(name)
 }
 
 // ParseLatency summarizes a histogram as (p50, p99, max) strings.

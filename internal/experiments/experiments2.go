@@ -8,7 +8,6 @@ import (
 	"repro/internal/datacell"
 	"repro/internal/linearroad"
 	"repro/internal/vector"
-	"repro/internal/window"
 )
 
 // E3 measures the cascade strategy against shared and separate baskets
@@ -32,9 +31,8 @@ func E3(scale Scale) (*Table, error) {
 			return nil, err
 		}
 		for i := 0; i < k; i++ {
-			_, err := eng.RegisterContinuous(fmt.Sprintf("q%d", i),
-				fmt.Sprintf("SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= %d AND x.v < %d", i*10, (i+1)*10),
-				datacell.WithStrategy(strategy), datacell.WithSQLPolling())
+			_, err := register(eng, fmt.Sprintf("q%d", i), "polling = true, strategy = "+strategy.String(),
+				fmt.Sprintf("SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= %d AND x.v < %d", i*10, (i+1)*10))
 			if err != nil {
 				return nil, err
 			}
@@ -102,11 +100,11 @@ func E4(scale Scale) (*Table, error) {
 			break
 		}
 		slide := w / 8
-		re, err := e4Run(window.ReEvaluate, w, slide, total)
+		re, err := e4Run("reeval", w, slide, total)
 		if err != nil {
 			return nil, err
 		}
-		inc, err := e4Run(window.Incremental, w, slide, total)
+		inc, err := e4Run("incremental", w, slide, total)
 		if err != nil {
 			return nil, err
 		}
@@ -121,15 +119,14 @@ func E4(scale Scale) (*Table, error) {
 	return tbl, nil
 }
 
-func e4Run(mode window.Mode, w, slide, total int) (time.Duration, error) {
+func e4Run(mode string, w, slide, total int) (time.Duration, error) {
 	eng, err := openS(datacell.Config{})
 	if err != nil {
 		return 0, err
 	}
 	q := fmt.Sprintf(`SELECT SUM(x.v) AS s, AVG(x.v) AS a, MIN(x.v) AS lo, MAX(x.v) AS hi
 		FROM [SELECT * FROM s] AS x WINDOW ROWS %d SLIDE %d`, w, slide)
-	if _, err := eng.RegisterContinuous("w", q,
-		datacell.WithWindowMode(mode), datacell.WithSQLPolling()); err != nil {
+	if _, err := register(eng, "w", "polling = true, window_mode = "+mode, q); err != nil {
 		return 0, err
 	}
 	rows := intStream(total, 1000)
@@ -227,9 +224,7 @@ func e6Run(rate int) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := eng.RegisterContinuous("q",
-		"SELECT COUNT(*) AS n FROM [SELECT * FROM s] AS x",
-		datacell.WithSQLPolling())
+	q, err := register(eng, "q", "polling = true", "SELECT COUNT(*) AS n FROM [SELECT * FROM s] AS x")
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +287,7 @@ func E7(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		q, err := eng.RegisterContinuous("q", query, datacell.WithSQLPolling())
+		q, err := register(eng, "q", "polling = true", query)
 		return eng, q, err
 	}
 	e1, q1, err := mk("SELECT * FROM [SELECT * FROM s] AS x WHERE x.v < 500 AND x.v % 2 = 0")

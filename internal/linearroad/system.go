@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/vector"
-	"repro/internal/window"
 )
 
 // System is the Linear Road application built on the DataCell engine:
@@ -46,36 +45,28 @@ WINDOW RANGE 60000000000 SLIDE 60000000000`
 
 // NewSystem assembles the Linear Road pipeline.
 func NewSystem() (*System, error) {
+	ctx := context.Background()
 	clock := metrics.NewManualClock(0)
-	eng, err := datacell.Open(context.Background(), datacell.Config{Clock: clock})
+	eng, err := datacell.Open(ctx, datacell.Config{Clock: clock})
 	if err != nil {
 		return nil, err
 	}
-	schema := catalog.NewSchema(
-		catalog.Column{Name: "time", Type: vector.Int64},
-		catalog.Column{Name: "vid", Type: vector.Int64},
-		catalog.Column{Name: "speed", Type: vector.Int64},
-		catalog.Column{Name: "xway", Type: vector.Int64},
-		catalog.Column{Name: "lane", Type: vector.Int64},
-		catalog.Column{Name: "dir", Type: vector.Int64},
-		catalog.Column{Name: "seg", Type: vector.Int64},
-		catalog.Column{Name: "pos", Type: vector.Int64},
-	)
-	if err := eng.CreateStream("pos", schema); err != nil {
+	if _, err := eng.Exec(ctx, `CREATE BASKET pos (time INT, vid INT, speed INT, xway INT, lane INT, dir INT, seg INT, pos INT)`); err != nil {
 		return nil, err
 	}
 	// Segment statistics: registered first so the scheduler fires it
 	// before the toll processor within a pass.
-	_, err = eng.RegisterContinuous("segstats", statsQuery,
-		datacell.WithStrategy(datacell.SeparateBaskets),
-		datacell.WithWindowMode(window.Incremental),
-		datacell.WithSQLPolling())
-	if err != nil {
+	if _, err := eng.Exec(ctx, "CREATE CONTINUOUS QUERY segstats WITH (strategy = separate, window_mode = incremental, polling = true) AS "+statsQuery); err != nil {
 		return nil, fmt.Errorf("linearroad: %w", err)
 	}
 
 	// The toll processor's private stream replica. Ingest only fans out to
 	// engine-managed replicas, so Feed routes into it explicitly.
+	pos, err := eng.Stream("pos")
+	if err != nil {
+		return nil, err
+	}
+	schema := &catalog.Schema{Columns: pos.Schema().Columns[:pos.UserWidth()]}
 	posIn := basket.New("lr_tollproc_in", schema, clock)
 	statsEntry, err := eng.Catalog().Lookup("segstats_out")
 	if err != nil {

@@ -237,20 +237,9 @@ func (t *Table) AppendRow(row []vector.Value) error {
 // and match the schema's types. Large batches are split so no chunk
 // exceeds the sealing threshold.
 func (t *Table) AppendBatch(cols []*vector.Vector) error {
-	if len(cols) != t.schema.Len() {
-		return fmt.Errorf("storage: %s expects %d columns, got %d", t.name, t.schema.Len(), len(cols))
-	}
-	n := -1
-	for i, c := range cols {
-		if c.Type() != t.schema.Columns[i].Type {
-			return fmt.Errorf("storage: %s column %s expects %s, got %s",
-				t.name, t.schema.Columns[i].Name, t.schema.Columns[i].Type, c.Type())
-		}
-		if n == -1 {
-			n = c.Len()
-		} else if c.Len() != n {
-			return fmt.Errorf("storage: ragged batch for %s", t.name)
-		}
+	n, err := t.schema.CheckBatch(cols)
+	if err != nil {
+		return fmt.Errorf("storage: %s: %w", t.name, err)
 	}
 	if n <= 0 {
 		return nil
