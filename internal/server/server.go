@@ -20,8 +20,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
+	"time"
 
 	datacell "repro"
 	"repro/internal/adapters"
@@ -118,21 +120,116 @@ func (s *Server) Close() {
 // ingestBatchRows is how many accepted tuples ServeIngest collects before
 // it calls the engine. A batch is the unit every later stage works on —
 // one WAL record, one basket append, one firing of each reader — so the
-// constant trades low-rate latency (a tuple waits for its batch to fill)
-// against per-tuple cost; CHANGES.md (PR 18) records what shrinking it
-// costs.
+// constant trades low-rate latency (a tuple waits for its batch to close)
+// against per-tuple cost; CHANGES.md records what shrinking it costs.
 const ingestBatchRows = 128
+
+// ingestBatchWait is the other way a batch closes: ingestBatchWait after
+// its first tuple arrived it goes to the engine, full or not. Under load
+// the count closes it first (from 128 / 5 ms = 25.6 k tuples/s up); on a
+// slow connection the wait does, so no tuple waits longer than this in
+// the receptor, and one connection hands the engine at most 200 batches a
+// second, which bounds what the fixed cost of a batch can add up to. A
+// shorter wait shrinks mid-rate batches: 2 ms cost fanout_1k a quarter
+// more CPU per tuple.
+const ingestBatchWait = 5 * time.Millisecond
 
 // resultChunk is the size at which ServeResults writes out what it has
 // formatted without waiting for the subscription to run dry.
 const resultChunk = 64 << 10
 
+// ingestBatch is one receptor connection's pending tuples: one builder
+// per column of the stream. The builders live as long as the connection:
+// IngestColumns keeps no reference to its argument (docs/INVARIANTS.md),
+// so they are emptied and filled again.
+type ingestBatch struct {
+	s      *Server
+	conn   io.Writer
+	stream string
+	cols   []*vector.Vector
+	rows   int
+	seq    uint64    // numbers the pending batch; every flush starts the next
+	first  time.Time // when the pending batch's first tuple arrived
+	hungUp bool      // the engine has stopped; the connection is ending
+}
+
+// flush hands the pending tuples to the engine and reports whether the
+// connection should go on. An engine that has stopped is reported to the
+// client as ERR and ends the connection.
+func (b *ingestBatch) flush() bool {
+	if b.rows == 0 {
+		return true
+	}
+	err := b.s.eng.IngestColumns(context.Background(), b.stream, b.cols)
+	for _, c := range b.cols {
+		c.Truncate(0)
+	}
+	b.rows = 0
+	b.seq++
+	if err == nil {
+		return true
+	}
+	b.s.logf("ingest %s: %v", b.stream, err)
+	if errors.Is(err, datacell.ErrEngineStopped) || errors.Is(err, context.Canceled) {
+		fmt.Fprintf(b.conn, "ERR %v\n", err)
+		b.hungUp = true
+		return false
+	}
+	return true
+}
+
+// readDeadliner is a connection that can bound a blocked Read in time, as
+// every net.Conn can.
+type readDeadliner interface {
+	SetReadDeadline(t time.Time) error
+}
+
+// batchTimer is what ServeIngest's scanner reads through on a connection
+// with read deadlines. While tuples are pending it sets the deadline to
+// the first one's arrival + ingestBatchWait — once per batch, keyed by the
+// batch's sequence number, because setting a deadline is not free. When
+// the deadline passes it flushes the batch and reads on; a partial line
+// stays in the scanner's buffer. A deadline left over from a batch the
+// count already closed is cleared when it fires.
+type batchTimer struct {
+	r     io.Reader
+	conn  readDeadliner
+	b     *ingestBatch
+	armed uint64 // the seq of the batch the deadline is set for; 0: none
+}
+
+// Read's SetReadDeadline calls fail only on a closed connection, which the
+// next read reports.
+func (t *batchTimer) Read(p []byte) (int, error) {
+	for {
+		if t.b.rows > 0 && t.armed != t.b.seq {
+			t.armed = t.b.seq
+			_ = t.conn.SetReadDeadline(t.b.first.Add(ingestBatchWait))
+		}
+		n, err := t.r.Read(p)
+		if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
+			return n, err
+		}
+		if t.b.rows > 0 && !t.b.flush() {
+			return n, io.EOF
+		}
+		t.armed = 0
+		_ = t.conn.SetReadDeadline(time.Time{})
+		if n > 0 {
+			return n, nil
+		}
+	}
+}
+
 // ServeIngest handles one receptor connection: every line is parsed
-// straight into one vector per column of the stream, and every
-// ingestBatchRows accepted tuples (and what is left at end of stream) go
-// to Engine.IngestColumns. A line that does not parse is logged and
-// skipped; a read error, or an engine that has stopped, is logged, reported
-// to the client as ERR and ends the connection.
+// straight into one vector per column of the stream, and the pending
+// tuples go to Engine.IngestColumns when they number ingestBatchRows, when
+// ingestBatchWait has passed since the first of them arrived, and at end
+// of stream. The wait needs a connection with read deadlines (any
+// net.Conn); on one without, only the count and the end close a batch. A
+// line that does not parse is logged and skipped; a read error, or an
+// engine that has stopped, is logged, reported to the client as ERR and
+// ends the connection.
 func (s *Server) ServeIngest(conn io.ReadWriteCloser) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
@@ -147,52 +244,36 @@ func (s *Server) ServeIngest(conn io.ReadWriteCloser) {
 		return
 	}
 	userSchema := &catalog.Schema{Columns: b.Schema().Columns[:b.UserWidth()]}
-	// The builders live as long as the connection: IngestColumns keeps no
-	// reference to its argument (docs/INVARIANTS.md), so they are emptied
-	// and filled again.
-	cols := make([]*vector.Vector, userSchema.Len())
+	batch := &ingestBatch{s: s, conn: conn, stream: streamName, cols: make([]*vector.Vector, userSchema.Len()), seq: 1}
 	for i, c := range userSchema.Columns {
-		cols[i] = vector.NewWithCap(c.Type, ingestBatchRows)
-	}
-	rows := 0
-	// flush hands the pending tuples to the engine and reports whether the
-	// connection should go on.
-	flush := func() bool {
-		if rows == 0 {
-			return true
-		}
-		err := s.eng.IngestColumns(context.Background(), streamName, cols)
-		for _, c := range cols {
-			c.Truncate(0)
-		}
-		rows = 0
-		if err == nil {
-			return true
-		}
-		s.logf("ingest %s: %v", streamName, err)
-		if errors.Is(err, datacell.ErrEngineStopped) || errors.Is(err, context.Canceled) {
-			fmt.Fprintf(conn, "ERR %v\n", err)
-			return false
-		}
-		return true
+		batch.cols[i] = vector.NewWithCap(c.Type, ingestBatchRows)
 	}
 
-	scanner := bufio.NewScanner(r)
+	var in io.Reader = r
+	if d, ok := conn.(readDeadliner); ok {
+		in = &batchTimer{r: r, conn: d, b: batch}
+	}
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 64*1024), 1024*1024)
-	for scanner.Scan() {
+	// After a hang-up inside Scan the scanner would still hand over the
+	// partial line it holds; the loop ends instead.
+	for scanner.Scan() && !batch.hungUp {
 		line := scanner.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if err := adapters.AppendTuple(cols, userSchema, line); err != nil {
+		if err := adapters.AppendTuple(batch.cols, userSchema, line); err != nil {
 			s.logf("ingest %s: %v", streamName, err)
 			continue
 		}
-		if rows++; rows >= ingestBatchRows && !flush() {
+		if batch.rows == 0 {
+			batch.first = time.Now()
+		}
+		if batch.rows++; batch.rows >= ingestBatchRows && !batch.flush() {
 			return
 		}
 	}
-	if !flush() {
+	if !batch.flush() {
 		return
 	}
 	if err := scanner.Err(); err != nil {

@@ -4,14 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	datacell "repro"
+	"repro/internal/adapters"
 )
 
 func newServer(t *testing.T) (*Server, *datacell.Engine) {
@@ -298,34 +303,178 @@ func TestIngestReadErrorIsLoggedAndReported(t *testing.T) {
 
 // Once the engine has stopped, the first batch handed to it ends the
 // connection with an ERR reply; the client is not left sending into a
-// server that logs every batch and drops it.
+// server that logs every batch and drops it. That holds for a batch the
+// count closes and for one the wait closes on a connection held open.
 func TestIngestHangsUpOnAStoppedEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tuples int
+	}{
+		{"ten batches", 10 * ingestBatchRows}, // the first must be the last
+		{"three tuples, held open", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, eng := newServer(t)
+			var logs logSink
+			s.Logf = logs.logf
+			client, returned := serveIngestPipe(t, s)
+			if err := eng.Stop(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				w := bufio.NewWriter(client)
+				fmt.Fprintln(w, "sensors")
+				for i := 0; i < tc.tuples; i++ {
+					fmt.Fprintf(w, "%d,35.5\n", i)
+				}
+				_ = w.Flush()
+			}()
+			reply, err := bufio.NewReader(client).ReadString('\n')
+			if err != nil || !strings.HasPrefix(reply, "ERR ") || !strings.Contains(reply, "engine stopped") {
+				t.Fatalf("reply = %q, %v; want ERR ... engine stopped", reply, err)
+			}
+			select {
+			case <-returned:
+			case <-time.After(5 * time.Second):
+				t.Fatal("ServeIngest still serving a stopped engine")
+			}
+			if lines := logs.all(); len(lines) != 1 || !strings.HasPrefix(lines[0], "ingest sensors: ") {
+				t.Errorf("log = %q, want one line starting %q", lines, "ingest sensors: ")
+			}
+		})
+	}
+}
+
+// waitIngested waits up to a second for eng to have ingested want tuples
+// of sensors.
+func waitIngested(t *testing.T, eng *datacell.Engine, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); eng.Ingested("sensors") < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingested %d of %d tuples within 1 s", eng.Ingested("sensors"), want)
+		}
+	}
+	if got := eng.Ingested("sensors"); got != want {
+		t.Fatalf("ingested %d tuples, want %d", got, want)
+	}
+}
+
+// A batch that never fills goes to the engine ingestBatchWait after its
+// first tuple: three tuples on a connection that stays open reach the
+// engine and the subscriber without the client closing or sending more.
+func TestIngestPartialBatchArrives(t *testing.T) {
+	s, eng := newServer(t)
+	ingestAddr, err := s.ListenIngest("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultAddr, err := s.ListenResults("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := dial(t, resultAddr)
+	fmt.Fprintln(sub, "hot")
+	in := dial(t, ingestAddr)
+	fmt.Fprint(in, "sensors\n1,20.5\n2,31.5\n3,10.0\n")
+
+	waitIngested(t, eng, 3)
+	if err := sub.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	results := bufio.NewScanner(sub)
+	if !results.Scan() || results.Text() != "2,31.5" {
+		t.Fatalf("result = %q, %v; want 2,31.5", results.Text(), results.Err())
+	}
+}
+
+// hotRows collects n result rows of the query hot, printed as the results
+// port prints them.
+func hotRows(t *testing.T, eng *datacell.Engine, n int) []string {
+	t.Helper()
+	q, err := eng.Query("hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var rows []string
+	for len(rows) < n {
+		rel, err := q.Subscription().Recv(ctx)
+		if err != nil {
+			t.Fatalf("after %q: %v", rows, err)
+		}
+		for i := 0; i < rel.NumRows(); i++ {
+			rows = append(rows, strings.TrimSuffix(string(adapters.AppendRow(nil, rel.Cols[:2], i)), "\n"))
+		}
+	}
+	return rows
+}
+
+// The wait can pass while the scanner holds half a line: the pending
+// tuple goes to the engine, the half line stays, and when the rest of it
+// arrives it makes exactly one tuple.
+func TestIngestLineSplitAcrossTheWait(t *testing.T) {
 	s, eng := newServer(t)
 	var logs logSink
 	s.Logf = logs.logf
 	client, returned := serveIngestPipe(t, s)
-	if err := eng.Stop(context.Background()); err != nil {
+	if _, err := io.WriteString(client, "sensors\n1,35.5\n2,3"); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		w := bufio.NewWriter(client)
-		fmt.Fprintln(w, "sensors")
-		for i := 0; i < 10*128; i++ { // ten batches: the first must be the last
-			fmt.Fprintf(w, "%d,35.5\n", i)
+	waitIngested(t, eng, 1) // the wait closed the batch of one
+	time.Sleep(4 * ingestBatchWait)
+	if _, err := io.WriteString(client, "6.5\n"); err != nil {
+		t.Fatal(err)
+	}
+	_ = client.Close()
+	<-returned
+	if got := eng.Ingested("sensors"); got != 2 {
+		t.Errorf("ingested %d tuples, want 2", got)
+	}
+	if got, want := hotRows(t, eng, 2), []string{"1,35.5", "2,36.5"}; !slices.Equal(got, want) {
+		t.Errorf("results = %q, want %q", got, want)
+	}
+	if lines := logs.all(); len(lines) != 0 {
+		t.Errorf("log = %q, want nothing", lines)
+	}
+}
+
+// A deadline set for a batch the count closed first must not disturb the
+// batches after it: 128 tuples (the count's flush), an idle spell of
+// several waits, then one more tuple.
+func TestIngestStaleDeadline(t *testing.T) {
+	s, eng := newServer(t)
+	var logs logSink
+	s.Logf = logs.logf
+	client, _ := serveIngestPipe(t, s)
+	tuples := func(from, to int) string {
+		var b strings.Builder
+		for i := from; i < to; i++ {
+			fmt.Fprintf(&b, "%d,35.5\n", i)
 		}
-		_ = w.Flush()
-	}()
-	reply, err := bufio.NewReader(client).ReadString('\n')
-	if err != nil || !strings.HasPrefix(reply, "ERR ") || !strings.Contains(reply, "engine stopped") {
-		t.Fatalf("reply = %q, %v; want ERR ... engine stopped", reply, err)
+		return b.String()
 	}
-	select {
-	case <-returned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeIngest still serving a stopped engine")
+	// The batch's first 100 tuples arm the deadline; the 28 after them
+	// close it by count before the deadline passes.
+	for _, chunk := range []string{"sensors\n" + tuples(0, 100), tuples(100, ingestBatchRows)} {
+		if _, err := io.WriteString(client, chunk); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if lines := logs.all(); len(lines) != 1 || !strings.HasPrefix(lines[0], "ingest sensors: ") {
-		t.Errorf("log = %q, want one line starting %q", lines, "ingest sensors: ")
+	time.Sleep(4 * ingestBatchWait)
+	if _, err := io.WriteString(client, tuples(ingestBatchRows, ingestBatchRows+1)); err != nil {
+		t.Fatal(err)
+	}
+	waitIngested(t, eng, ingestBatchRows+1)
+	if err := client.SetReadDeadline(time.Now().Add(4 * ingestBatchWait)); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := bufio.NewReader(client).ReadString('\n'); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("reply = %q, %v; want none", reply, err)
+	}
+	if lines := logs.all(); len(lines) != 0 {
+		t.Errorf("log = %q, want nothing", lines)
 	}
 }
 

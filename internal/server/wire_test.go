@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -165,24 +167,107 @@ func BenchmarkServeResults(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
 
+// deadlineConn is a memConn with read deadlines whose reads return at
+// most chunk bytes, as a socket's do. Every pauseEvery-th read the sender
+// pauses: a deadline that is set fires there, and stays fired until it is
+// set again, as a socket's does. It counts SetReadDeadline calls.
+type deadlineConn struct {
+	*memConn
+	chunk, pauseEvery int
+	reads             int
+	set, fired        bool
+	sets, fires       int
+}
+
+func (c *deadlineConn) SetReadDeadline(t time.Time) error {
+	c.sets++
+	c.set, c.fired = !t.IsZero(), false
+	return nil
+}
+
+func (c *deadlineConn) Read(b []byte) (int, error) {
+	if c.reads++; c.set && !c.fired && c.reads%c.pauseEvery == 0 {
+		c.fired = true
+		c.fires++
+	}
+	if c.fired {
+		return 0, os.ErrDeadlineExceeded
+	}
+	if len(b) > c.chunk {
+		b = b[:c.chunk]
+	}
+	return c.memConn.Read(b)
+}
+
+// ingestBatches reads dc_ingest_batches_total off eng's /metrics.
+func ingestBatches(tb testing.TB, eng *datacell.Engine) int {
+	tb.Helper()
+	rec := httptest.NewRecorder()
+	eng.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "dc_ingest_batches_total "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return n
+		}
+	}
+	tb.Fatal("no dc_ingest_batches_total in /metrics")
+	return 0
+}
+
 // TestServeIngestAllocBudget: what ServeIngest allocates is per batch (the
-// engine's copies of the 128 rows), never per tuple or per field.
+// engine's copies of the 128 rows), never per tuple or per field — also
+// on a connection with read deadlines, where the batch wait closes some
+// batches early. There the deadline is set at most twice a batch (armed,
+// then cleared when it fires), not once a read.
 func TestServeIngestAllocBudget(t *testing.T) {
 	const tuples = 128 * 100
 	text := wireFilterText(tuples)
-	eng := openWireEngine(t)
-	defer eng.Stop(context.Background())
-	srv := New(eng)
-	perRun := testing.AllocsPerRun(5, func() {
-		srv.ServeIngest(newMemConn(bytes.NewReader(text), 0))
-	})
-	if got := eng.Ingested("ev"); got != 6*tuples {
-		t.Fatalf("ingested %d of %d tuples", got, 6*tuples)
-	}
-	perTuple := perRun / tuples
-	t.Logf("ServeIngest: %.4f allocs/tuple", perTuple)
-	if perTuple > 0.1 {
-		t.Errorf("ServeIngest: %.0f allocs for %d tuples, budget 0.1 a tuple", perRun, tuples)
+	for _, tc := range []struct {
+		name string
+		conn func() io.ReadWriteCloser
+	}{
+		{"count only", func() io.ReadWriteCloser { return newMemConn(bytes.NewReader(text), 0) }},
+		{"with deadlines", func() io.ReadWriteCloser {
+			return &deadlineConn{memConn: newMemConn(bytes.NewReader(text), 0), chunk: 256, pauseEvery: 50}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := openWireEngine(t)
+			defer eng.Stop(context.Background())
+			srv := New(eng)
+			var last io.ReadWriteCloser
+			perRun := testing.AllocsPerRun(5, func() {
+				last = tc.conn()
+				srv.ServeIngest(last)
+			})
+			if got := eng.Ingested("ev"); got != 6*tuples {
+				t.Fatalf("ingested %d of %d tuples", got, 6*tuples)
+			}
+			perTuple := perRun / tuples
+			t.Logf("ServeIngest: %.4f allocs/tuple", perTuple)
+			if perTuple > 0.1 {
+				t.Errorf("ServeIngest: %.0f allocs for %d tuples, budget 0.1 a tuple", perRun, tuples)
+			}
+			dc, ok := last.(*deadlineConn)
+			if !ok {
+				return
+			}
+			// The last run's batches: the runs are alike, so a sixth of the total.
+			batches := ingestBatches(t, eng) / 6
+			t.Logf("last run: %d reads, %d batches, %d deadlines fired, %d SetReadDeadline calls", dc.reads, batches, dc.fires, dc.sets)
+			if dc.fires == 0 {
+				t.Error("no deadline fired: the test does not reach the wait")
+			}
+			if batches <= tuples/ingestBatchRows {
+				t.Errorf("%d batches for %d tuples: a fired deadline closed no batch", batches, tuples)
+			}
+			if dc.sets > 2*batches {
+				t.Errorf("%d SetReadDeadline calls for %d batches, budget 2 a batch", dc.sets, batches)
+			}
+		})
 	}
 }
 
