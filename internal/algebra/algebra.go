@@ -6,6 +6,7 @@
 package algebra
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/bat"
@@ -177,15 +178,6 @@ func MaskSelect(mask *vector.Vector, cands bat.Candidates) bat.Candidates {
 	return out
 }
 
-// key normalizes a Value for use as a hash key: the payload of NULLs is
-// zeroed so all NULLs of a type collide.
-func key(v vector.Value) vector.Value {
-	if v.Null {
-		return vector.NullValue(v.Typ)
-	}
-	return v
-}
-
 // JoinKeyType is the domain two equi-join keys of types l and r are
 // compared in — the one join-key rule every join path shares: identical
 // types stay (TIMESTAMP folds into BIGINT, so TIMESTAMP = INT compares
@@ -273,11 +265,35 @@ func buildHash(v *vector.Vector, cands bat.Candidates, typ vector.Type) map[vect
 	return ht
 }
 
+// FloatKey returns the bits that identify a DOUBLE key's group under the
+// grouping-key rule every grouping operator shares: two keys fall in one
+// group when they are equal as SQL values, except that -0 equals +0 and
+// every NaN, whatever its payload, equals every NaN — so that key
+// equality is an equivalence. NULLs of a column form one group of their
+// own. Group, and through it DISTINCT, COUNT(DISTINCT), the window panes
+// and their merges, applies this rule, and the partition router hashes
+// DOUBLE keys by it. Join keys do not: a join compares, and NaN = NaN is
+// false there.
+func FloatKey(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case math.IsNaN(f):
+		return canonicalNaN
+	}
+	return math.Float64bits(f)
+}
+
+var canonicalNaN = math.Float64bits(math.NaN())
+
 // Group assigns a dense group id to every candidate based on the composite
-// key formed by the key columns. It returns the group id per candidate
-// (aligned with cands), the number of groups, and one representative
-// position per group. Multi-column grouping refines iteratively, as
-// MonetDB's group.subgroup does. NULL is a regular group key.
+// key formed by the key columns, under the grouping-key rule (FloatKey).
+// It returns the group id per candidate (aligned with cands), the number
+// of groups, and one representative position per group, the first
+// candidate of each group: group ids follow first-seen order. Multi-column
+// grouping refines iteratively by (previous group id, value), as
+// MonetDB's group.subgroup does; INT and TIMESTAMP keys of a narrow range
+// index a slot array, other keys a hash table of typed values.
 func Group(keys []*vector.Vector, cands bat.Candidates) (gids []int, ngroups int, reps []int) {
 	if len(keys) == 0 {
 		return nil, 0, nil
@@ -286,14 +302,106 @@ func Group(keys []*vector.Vector, cands bat.Candidates) (gids []int, ngroups int
 		cands = bat.All(keys[0].Len())
 	}
 	gids = make([]int, len(cands))
-	type refineKey struct {
-		g int
-		v vector.Value
+	if len(cands) == 0 {
+		return gids, 0, nil
 	}
-	// First column.
-	seen := make(map[vector.Value]int)
+	ngroups, reps = 1, []int{cands[0]}
+	for _, col := range keys {
+		ngroups, reps = refine(col, cands, gids, reps)
+	}
+	return gids, ngroups, reps
+}
+
+// refine splits the len(reps) groups in gids by the values of col, in
+// place, and returns the new group count and representatives (reusing
+// reps).
+func refine(col *vector.Vector, cands bat.Candidates, gids, reps []int) (int, []int) {
+	if len(reps) == 0 {
+		return 0, reps
+	}
+	switch col.Type() {
+	case vector.Int64, vector.Timestamp:
+		xs := col.Ints()
+		if lo, width := denseRange(xs, col, cands, len(reps)); width > 0 {
+			return refineDense(xs, lo, width, col, cands, gids, reps)
+		}
+		return refineBy(xs, col, cands, gids, reps)
+	case vector.Float64:
+		fs := col.Floats()
+		bits := make([]uint64, len(fs))
+		for i, f := range fs {
+			bits[i] = FloatKey(f)
+		}
+		return refineBy(bits, col, cands, gids, reps)
+	case vector.Bool:
+		return refineBy(col.Bools(), col, cands, gids, reps)
+	case vector.String:
+		return refineBy(col.Strings(), col, cands, gids, reps)
+	default:
+		return len(reps), reps
+	}
+}
+
+// denseRange returns the smallest candidate value of an integer key
+// column and the slot count per group refineDense needs for it (the
+// value range plus one slot for NULL), or width 0 when the values spread
+// too wide for a slot array to beat a hash table.
+func denseRange(xs []int64, col *vector.Vector, cands bat.Candidates, ngroups int) (lo int64, width int) {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, p := range cands {
+		if !col.IsNull(p) {
+			lo, hi = min(lo, xs[p]), max(hi, xs[p])
+		}
+	}
+	if lo > hi { // all NULL
+		lo, hi = 0, 0
+	}
+	// The array holds at most 2·rows + 256 slots, so its memory stays
+	// linear in the input, as the hash table's is.
+	span := uint64(hi) - uint64(lo)
+	if limit := uint64(2*len(cands)+256) / uint64(ngroups); limit < 2 || span >= limit-1 {
+		return 0, 0
+	}
+	return lo, int(span) + 2
+}
+
+// refineDense is refineBy for integer keys of a narrow range: slot
+// (previous group, value - lo) of an array, the last slot of each group
+// holding NULL, replaces the hash table.
+func refineDense(xs []int64, lo int64, width int, col *vector.Vector, cands bat.Candidates, gids, reps []int) (int, []int) {
+	slots := make([]int, len(reps)*width) // group id + 1; 0 = not seen
+	reps = reps[:0]
 	for i, p := range cands {
-		k := key(keys[0].Get(p))
+		s := gids[i]*width + width - 1
+		if !col.IsNull(p) {
+			s = gids[i]*width + int(xs[p]-lo)
+		}
+		if slots[s] == 0 {
+			reps = append(reps, p)
+			slots[s] = len(reps)
+		}
+		gids[i] = slots[s] - 1
+	}
+	return len(reps), reps
+}
+
+// subgroup is a refinement key: the previous group id, shifted left once
+// with the low bit marking NULL, and the value (zero for NULL).
+type subgroup[T comparable] struct {
+	g int
+	v T
+}
+
+func refineBy[T comparable](vals []T, col *vector.Vector, cands bat.Candidates, gids, reps []int) (int, []int) {
+	seen := make(map[subgroup[T]]int, len(reps))
+	reps = reps[:0]
+	for i, p := range cands {
+		k := subgroup[T]{g: gids[i] << 1}
+		if col.IsNull(p) {
+			k.g |= 1
+		} else {
+			k.v = vals[p]
+		}
 		g, ok := seen[k]
 		if !ok {
 			g = len(seen)
@@ -302,24 +410,7 @@ func Group(keys []*vector.Vector, cands bat.Candidates) (gids []int, ngroups int
 		}
 		gids[i] = g
 	}
-	ngroups = len(seen)
-	// Refinement columns.
-	for _, col := range keys[1:] {
-		sub := make(map[refineKey]int)
-		reps = reps[:0]
-		for i, p := range cands {
-			k := refineKey{gids[i], key(col.Get(p))}
-			g, ok := sub[k]
-			if !ok {
-				g = len(sub)
-				sub[k] = g
-				reps = append(reps, p)
-			}
-			gids[i] = g
-		}
-		ngroups = len(sub)
-	}
-	return gids, ngroups, reps
+	return len(seen), reps
 }
 
 // AggKind enumerates the aggregate functions.
@@ -372,153 +463,196 @@ func (k AggKind) ResultType(in vector.Type) vector.Type {
 	}
 }
 
+// Merge returns the aggregate that folds partial results of k computed
+// over disjoint parts of the input: COUNT partials are summed; SUM, MIN
+// and MAX merge with themselves. It reports false for AVG and
+// COUNT(DISTINCT), whose results do not fold as themselves.
+func (k AggKind) Merge() (AggKind, bool) {
+	switch k {
+	case AggCount, AggCountAll:
+		return AggSum, true
+	case AggSum, AggMin, AggMax:
+		return k, true
+	default:
+		return k, false
+	}
+}
+
 // Aggregate computes the aggregate over v, grouped by gids (aligned with
 // cands). ngroups may be 0 with nil gids for a scalar (ungrouped)
 // aggregate, which yields a single-row result. SUM/MIN/MAX/AVG of an empty
 // or all-NULL group is NULL; COUNT is 0.
 func Aggregate(kind AggKind, v *vector.Vector, cands bat.Candidates, gids []int, ngroups int) *vector.Vector {
-	scalar := gids == nil
-	if scalar {
-		ngroups = 1
-	}
 	if cands == nil && v != nil {
 		cands = bat.All(v.Len())
 	}
-	gid := func(i int) int {
-		if scalar {
-			return 0
-		}
-		return gids[i]
+	if gids == nil {
+		ngroups = 1
+		gids = make([]int, len(cands))
 	}
-
 	switch kind {
 	case AggCountAll:
 		counts := make([]int64, ngroups)
-		for i := range cands {
-			counts[gid(i)]++
+		for _, g := range gids {
+			counts[g]++
 		}
 		return vector.FromInts(counts)
 	case AggCount:
-		counts := make([]int64, ngroups)
-		for i, p := range cands {
-			if !v.IsNull(p) {
-				counts[gid(i)]++
-			}
-		}
-		return vector.FromInts(counts)
+		return aggCount(v, cands, gids, ngroups)
 	case AggCountDistinct:
-		sets := make([]map[vector.Value]struct{}, ngroups)
-		for i, p := range cands {
-			if v.IsNull(p) {
-				continue
-			}
-			g := gid(i)
-			if sets[g] == nil {
-				sets[g] = map[vector.Value]struct{}{}
-			}
-			sets[g][key(v.Get(p))] = struct{}{}
-		}
+		// Refine each group by the argument's value: a (group, value)
+		// pair is counted at its first row.
+		sub := append([]int(nil), gids...)
+		n, _ := refine(v, cands, sub, make([]int, ngroups))
+		first := make([]bool, n)
 		counts := make([]int64, ngroups)
-		for g, set := range sets {
-			counts[g] = int64(len(set))
+		for i, p := range cands {
+			if !first[sub[i]] && !v.IsNull(p) {
+				first[sub[i]] = true
+				counts[gids[i]]++
+			}
 		}
 		return vector.FromInts(counts)
 	case AggSum:
-		return aggSum(v, cands, gid, ngroups)
+		return aggSum(v, cands, gids, ngroups)
 	case AggAvg:
-		sums := make([]float64, ngroups)
-		counts := make([]int64, ngroups)
-		for i, p := range cands {
-			if v.IsNull(p) {
-				continue
-			}
-			g := gid(i)
-			sums[g] += v.Get(p).AsFloat()
-			counts[g]++
-		}
-		out := vector.NewWithCap(vector.Float64, ngroups)
-		for g := 0; g < ngroups; g++ {
-			if counts[g] == 0 {
-				out.AppendNull()
-			} else {
-				out.AppendFloat(sums[g] / float64(counts[g]))
-			}
-		}
-		return out
+		f := Float(v)
+		return Avg(aggSum(f, cands, gids, ngroups), aggCount(f, cands, gids, ngroups))
 	case AggMin, AggMax:
-		best := make([]vector.Value, ngroups)
-		has := make([]bool, ngroups)
-		for i, p := range cands {
-			if v.IsNull(p) {
-				continue
-			}
-			g := gid(i)
-			x := v.Get(p)
-			if !has[g] {
-				best[g], has[g] = x, true
-				continue
-			}
-			c := vector.Compare(x, best[g])
-			if (kind == AggMin && c < 0) || (kind == AggMax && c > 0) {
-				best[g] = x
-			}
-		}
-		out := vector.NewWithCap(v.Type(), ngroups)
-		for g := 0; g < ngroups; g++ {
-			if !has[g] {
-				out.AppendNull()
-			} else {
-				out.AppendValue(best[g])
-			}
-		}
-		return out
+		return aggExtreme(kind == AggMin, v, cands, gids, ngroups)
 	default:
 		return vector.New(vector.Unknown)
 	}
 }
 
-func aggSum(v *vector.Vector, cands bat.Candidates, gid func(int) int, ngroups int) *vector.Vector {
-	if v.Type() == vector.Float64 {
-		sums := make([]float64, ngroups)
-		has := make([]bool, ngroups)
-		fs := v.Floats()
-		for i, p := range cands {
-			if v.IsNull(p) {
-				continue
-			}
-			g := gid(i)
-			sums[g] += fs[p]
-			has[g] = true
+// Avg divides a DOUBLE SUM column by an aligned COUNT column: NULL where
+// the count is 0. AVG is computed, and its partials merged, this way.
+func Avg(sums, counts *vector.Vector) *vector.Vector {
+	ns, fs := counts.Ints(), sums.Floats()
+	out := make([]float64, len(ns))
+	for g, n := range ns {
+		if n != 0 {
+			out[g] = fs[g] / float64(n)
 		}
-		out := vector.NewWithCap(vector.Float64, ngroups)
-		for g := 0; g < ngroups; g++ {
-			if !has[g] {
-				out.AppendNull()
-			} else {
-				out.AppendFloat(sums[g])
-			}
-		}
-		return out
 	}
-	sums := make([]int64, ngroups)
-	has := make([]bool, ngroups)
+	return withNulls(vector.FromFloats(out), ns)
+}
+
+// Float returns v as a DOUBLE column, v itself if it is one. AVG adds its
+// inputs as DOUBLE on every path, so that a sum of INT or TIMESTAMP values
+// (nanoseconds since the epoch) cannot wrap past int64.
+func Float(v *vector.Vector) *vector.Vector {
+	if v.Type() == vector.Float64 {
+		return v
+	}
+	xs := v.Ints()
+	fs := make([]float64, len(xs))
+	for i, x := range xs {
+		fs[i] = float64(x)
+	}
+	out := vector.FromFloats(fs)
+	for i := range xs {
+		if v.IsNull(i) {
+			out.Set(i, vector.NullValue(vector.Float64))
+		}
+	}
+	return out
+}
+
+func aggCount(v *vector.Vector, cands bat.Candidates, gids []int, ngroups int) *vector.Vector {
+	counts := make([]int64, ngroups)
+	for i, p := range cands {
+		if !v.IsNull(p) {
+			counts[gids[i]]++
+		}
+	}
+	return vector.FromInts(counts)
+}
+
+// withNulls marks NULL every group whose count of non-NULL inputs is 0.
+func withNulls(out *vector.Vector, counts []int64) *vector.Vector {
+	for g, n := range counts {
+		if n == 0 {
+			out.Set(g, vector.NullValue(out.Type()))
+		}
+	}
+	return out
+}
+
+func aggSum(v *vector.Vector, cands bat.Candidates, gids []int, ngroups int) *vector.Vector {
+	if v.Type() == vector.Float64 {
+		sums, counts := sumBy(v.Floats(), v, cands, gids, ngroups)
+		return withNulls(vector.FromFloats(sums), counts)
+	}
+	sums, counts := sumBy(v.Ints(), v, cands, gids, ngroups)
+	return withNulls(vector.FromInts(sums), counts)
+}
+
+func sumBy[T int64 | float64](xs []T, v *vector.Vector, cands bat.Candidates, gids []int, ngroups int) ([]T, []int64) {
+	sums := make([]T, ngroups)
+	counts := make([]int64, ngroups)
 	for i, p := range cands {
 		if v.IsNull(p) {
 			continue
 		}
-		g := gid(i)
-		sums[g] += v.Get(p).AsInt()
-		has[g] = true
+		sums[gids[i]] += xs[p]
+		counts[gids[i]]++
 	}
-	out := vector.NewWithCap(vector.Int64, ngroups)
-	for g := 0; g < ngroups; g++ {
-		if !has[g] {
-			out.AppendNull()
-		} else {
-			out.AppendInt(sums[g])
+	return sums, counts
+}
+
+// aggExtreme computes MIN (isMin) or MAX per group. Ties keep the first
+// value seen, as a fold with vector.Compare would.
+func aggExtreme(isMin bool, v *vector.Vector, cands bat.Candidates, gids []int, ngroups int) *vector.Vector {
+	switch v.Type() {
+	case vector.Int64, vector.Timestamp:
+		best, counts := extremeBy(isMin, v.Ints(), v, cands, gids, ngroups)
+		out := vector.FromInts(best)
+		if v.Type() == vector.Timestamp {
+			out = vector.FromTimestamps(best)
 		}
+		return withNulls(out, counts)
+	case vector.Float64:
+		best, counts := extremeBy(isMin, v.Floats(), v, cands, gids, ngroups)
+		return withNulls(vector.FromFloats(best), counts)
+	case vector.String:
+		best, counts := extremeBy(isMin, v.Strings(), v, cands, gids, ngroups)
+		return withNulls(vector.FromStrings(best), counts)
+	case vector.Bool:
+		// MIN is a logical AND, MAX an OR: false orders before true.
+		xs := v.Bools()
+		best := make([]bool, ngroups)
+		counts := make([]int64, ngroups)
+		for i, p := range cands {
+			if v.IsNull(p) {
+				continue
+			}
+			g := gids[i]
+			if counts[g] == 0 || xs[p] != isMin {
+				best[g] = xs[p]
+			}
+			counts[g]++
+		}
+		return withNulls(vector.FromBools(best), counts)
+	default:
+		return vector.New(vector.Unknown)
 	}
-	return out
+}
+
+func extremeBy[T int64 | float64 | string](isMin bool, xs []T, v *vector.Vector, cands bat.Candidates, gids []int, ngroups int) ([]T, []int64) {
+	best := make([]T, ngroups)
+	counts := make([]int64, ngroups)
+	for i, p := range cands {
+		if v.IsNull(p) {
+			continue
+		}
+		g, x := gids[i], xs[p]
+		if counts[g] == 0 || (isMin && x < best[g]) || (!isMin && x > best[g]) {
+			best[g] = x
+		}
+		counts[g]++
+	}
+	return best, counts
 }
 
 // SortOrder returns the candidates reordered by the sort keys. desc[i]
@@ -548,20 +682,9 @@ func SortOrder(keys []*vector.Vector, desc []bool, cands bat.Candidates) bat.Can
 	return out
 }
 
-// Distinct returns one candidate per distinct composite key, preserving
-// first-seen order.
+// Distinct returns one candidate per distinct composite key (under the
+// grouping-key rule), preserving first-seen order.
 func Distinct(keys []*vector.Vector, cands bat.Candidates) bat.Candidates {
-	gids, _, _ := Group(keys, cands)
-	if cands == nil && len(keys) > 0 {
-		cands = bat.All(keys[0].Len())
-	}
-	seen := make(map[int]bool)
-	out := make(bat.Candidates, 0)
-	for i, p := range cands {
-		if !seen[gids[i]] {
-			seen[gids[i]] = true
-			out = append(out, p)
-		}
-	}
-	return out
+	_, _, reps := Group(keys, cands)
+	return reps
 }

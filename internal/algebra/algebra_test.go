@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -229,6 +230,17 @@ func TestAggregateEmptyGroupIsNull(t *testing.T) {
 	if cnt.Get(0).I != 0 {
 		t.Errorf("count of empty = %v", cnt.Get(0))
 	}
+	for _, kind := range []AggKind{AggCountDistinct, AggSum, AggMin, AggAvg} {
+		if out := Aggregate(kind, v, bat.Candidates{}, []int{}, 0); out.Len() != 0 {
+			t.Errorf("%s over no groups: %d rows", kind, out.Len())
+		}
+	}
+	// More groups than rows, keys far apart: most groups are empty.
+	far := vector.FromInts([]int64{0, 1 << 40})
+	cd := Aggregate(AggCountDistinct, far, nil, []int{0, 999}, 1000)
+	if cd.Len() != 1000 || cd.Get(0).I != 1 || cd.Get(1).I != 0 || cd.Get(999).I != 1 {
+		t.Errorf("COUNT(DISTINCT) over 1000 groups, 2 rows: %d rows, %v %v %v", cd.Len(), cd.Get(0), cd.Get(1), cd.Get(999))
+	}
 }
 
 func TestAggResultType(t *testing.T) {
@@ -395,5 +407,25 @@ func TestPropSortIsOrderedPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAvgAddsAsDouble: AVG over INT or TIMESTAMP adds its inputs as
+// DOUBLE, so eight present-day timestamps (about 1.76e18 ns each) do not
+// wrap the sum past int64; NULLs are skipped.
+func TestAvgAddsAsDouble(t *testing.T) {
+	const base = int64(1_760_000_000_000_000_000)
+	ts := vector.New(vector.Timestamp)
+	for i := int64(0); i < 8; i++ {
+		ts.AppendValue(vector.NewTimestamp(base + 2*i))
+	}
+	ts.AppendNull()
+	avg := Aggregate(AggAvg, ts, nil, nil, 0)
+	if want := float64(base + 7); math.Abs(avg.Get(0).F-want) > 1e-12*want {
+		t.Errorf("AVG of 8 timestamps = %g, want %g", avg.Get(0).F, want)
+	}
+	ints := vector.FromInts([]int64{math.MaxInt64, math.MaxInt64})
+	if got := Aggregate(AggAvg, ints, nil, []int{0, 0}, 1).Get(0).F; got != float64(math.MaxInt64) {
+		t.Errorf("AVG(MaxInt64, MaxInt64) = %g", got)
 	}
 }

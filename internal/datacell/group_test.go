@@ -3,7 +3,11 @@ package datacell
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/vector"
 )
 
 func TestQueryNetworkChaining(t *testing.T) {
@@ -114,5 +118,84 @@ func TestChainedWindowedQuery(t *testing.T) {
 	rels := collect(q)
 	if len(rels) != 1 || rels[0].Cols[0].Get(0).I != 6 {
 		t.Fatalf("windowed chain: %v", rels)
+	}
+}
+
+// TestGroupKeyRuleAgrees: every grouping path applies one key rule —
+// NULLs form one group, -0 equals +0, every NaN equals every NaN — so a
+// one-time GROUP BY, SELECT DISTINCT and COUNT(DISTINCT) over a table,
+// incremental and re-evaluated windows, and a partitioned window whose
+// groups span shards (re-aggregated in the merge) find the same groups.
+func TestGroupKeyRuleAgrees(t *testing.T) {
+	ctx := context.Background()
+	e := newCore(Config{Clock: metrics.NewManualClock(1_000_000)})
+	const windowed = "SELECT S.k, COUNT(*) AS n FROM [SELECT * FROM d] AS S GROUP BY S.k WINDOW ROWS 7 SLIDE 7"
+	for _, stmt := range []string{
+		"CREATE TABLE t (k DOUBLE, v INT)",
+		"CREATE BASKET d (k DOUBLE, v INT)",
+		"CREATE BASKET p (k DOUBLE, v INT, et INT) WITH (partitions = 2, partition_by = v)",
+		"CREATE CONTINUOUS QUERY inc WITH (window_mode = incremental, polling = true) AS " + windowed,
+		"CREATE CONTINUOUS QUERY re WITH (window_mode = reeval, polling = true) AS " + windowed,
+		`CREATE CONTINUOUS QUERY part WITH (polling = true, timestamp = et) AS
+			SELECT S.k, COUNT(*) AS n FROM [SELECT * FROM p] AS S GROUP BY S.k WINDOW RANGE 100 SLIDE 100`,
+	} {
+		if _, err := e.Exec(ctx, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	keys := []vector.Value{
+		vector.NewFloat(0), vector.NewFloat(math.Copysign(0, -1)),
+		vector.NewFloat(math.NaN()), vector.NewFloat(math.Float64frombits(0xfff8_0000_0000_0001)),
+		vector.NullValue(vector.Float64), vector.NullValue(vector.Float64), vector.NewFloat(1.5),
+	}
+	// v routes the two NaNs, and +0 and -0, to different shards of p.
+	vs := []int64{0, 1, 2, 1, 4, 5, 6}
+	var rows, timed [][]vector.Value
+	for i, k := range keys {
+		rows = append(rows, []vector.Value{k, vector.NewInt(vs[i])})
+		timed = append(timed, []vector.Value{k, vector.NewInt(vs[i]), vector.NewInt(int64(i))})
+	}
+	for v := int64(0); v < 8; v++ { // closes the window on every shard
+		timed = append(timed, []vector.Value{vector.NewFloat(9), vector.NewInt(v), vector.NewInt(1000)})
+	}
+	e.mu.Lock()
+	tbl := e.tables["t"]
+	e.mu.Unlock()
+	for _, row := range rows {
+		if err := tbl.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Ingest(ctx, "d", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Ingest(ctx, "p", timed); err != nil {
+		t.Fatal(err)
+	}
+	e.Drain()
+	if err := e.FlushWindows(); err != nil {
+		t.Fatal(err)
+	}
+	e.Drain()
+	if q, err := e.Query("part"); err != nil || q.Shards() != 2 {
+		t.Fatalf("part runs on %v lanes (%v), want 2", q.Shards(), err)
+	}
+
+	want := "[0|2 1.5|1 NULL|2 NaN|2]"
+	for _, query := range []string{
+		"SELECT t.k, COUNT(*) AS n FROM t GROUP BY t.k",
+		"SELECT k, n FROM inc_out",
+		"SELECT k, n FROM re_out",
+		"SELECT k, n FROM part_out",
+	} {
+		if got := fmt.Sprint(queryRows(t, e, query)); got != want {
+			t.Errorf("%s: %s, want %s", query, got, want)
+		}
+	}
+	if got := fmt.Sprint(queryRows(t, e, "SELECT DISTINCT t.k FROM t")); got != "[0 1.5 NULL NaN]" {
+		t.Errorf("SELECT DISTINCT: %s", got)
+	}
+	if got := fmt.Sprint(queryRows(t, e, "SELECT COUNT(DISTINCT t.k) AS n FROM t")); got != "[3]" {
+		t.Errorf("COUNT(DISTINCT): %s, want [3]: 0, NaN and 1.5", got)
 	}
 }

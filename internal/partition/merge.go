@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/algebra"
 	"repro/internal/basket"
 	"repro/internal/bat"
 	"repro/internal/catalog"
@@ -125,9 +124,7 @@ func Analyze(p plan.Node, stream, partitionBy, mergeSource string) Analysis {
 		return Analysis{OK: true, Mode: MergeConcat, ShardPlan: p}
 	}
 	for _, a := range agg.Aggs {
-		switch a.Kind {
-		case algebra.AggCount, algebra.AggCountAll, algebra.AggSum, algebra.AggMin, algebra.AggMax:
-		default:
+		if _, ok := a.Kind.Merge(); !ok {
 			return notPartitionable(fmt.Sprintf("%s partials cannot be merged across shards", a.Kind))
 		}
 	}
@@ -196,10 +193,11 @@ func distinctMergePlan(p plan.Node, source string) plan.Node {
 }
 
 // reaggMergePlan rebuilds the query's post-aggregation pipeline over a
-// global re-aggregation of the shards' partial aggregates: COUNT partials
-// are summed, SUM/MIN/MAX merge with themselves, then the original HAVING
-// filter and projection apply unchanged (the merged aggregate's output
-// schema is positionally identical to the per-shard one).
+// global re-aggregation of the shards' partial aggregates (AggKind.Merge:
+// COUNT partials are summed, SUM/MIN/MAX merge with themselves), then the
+// original HAVING filter and projection apply unchanged (the merged
+// aggregate's output schema is positionally identical to the per-shard
+// one).
 func reaggMergePlan(p plan.Node, agg *plan.Aggregate, source string) (plan.Node, error) {
 	partial := agg.Out
 	mergeAgg := &plan.Aggregate{Child: partialScan(partial, source), Out: partial}
@@ -210,10 +208,7 @@ func reaggMergePlan(p plan.Node, agg *plan.Aggregate, source string) (plan.Node,
 	for j, a := range agg.Aggs {
 		idx := len(agg.Keys) + j
 		c := partial.Columns[idx]
-		kind := a.Kind
-		if kind == algebra.AggCount || kind == algebra.AggCountAll {
-			kind = algebra.AggSum
-		}
+		kind, _ := a.Kind.Merge() // the caller has checked it folds
 		mergeAgg.Aggs = append(mergeAgg.Aggs, plan.AggSpec{
 			Kind: kind,
 			Arg:  &expr.ColRef{Index: idx, Name: c.Name, Typ: c.Type},

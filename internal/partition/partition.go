@@ -16,11 +16,11 @@ package partition
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/sql"
 	"repro/internal/vector"
@@ -146,11 +146,8 @@ func (r *Router) shardOfValue(v vector.Value) int {
 	case vector.Int64:
 		return int(mix64(uint64(v.I)) % n)
 	case vector.Float64:
-		f := v.F
-		if f == 0 {
-			f = 0 // -0 equals +0, so it must share its shard
-		}
-		return int(mix64(math.Float64bits(f)) % n)
+		// Keys one group holds (-0 and +0, every NaN) share a shard.
+		return int(mix64(algebra.FloatKey(v.F)) % n)
 	case vector.Bool:
 		if v.B {
 			return int(mix64(1) % n)

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/algebra"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/window"
@@ -88,9 +87,7 @@ func AnalyzeWindowed(p plan.Node, stream, partitionBy, mergeSource string, w *sq
 		return WindowedAnalysis{OK: true, Aligned: true, ShardPlan: p}
 	}
 	for _, a := range agg.Aggs {
-		switch a.Kind {
-		case algebra.AggCount, algebra.AggCountAll, algebra.AggSum, algebra.AggMin, algebra.AggMax:
-		default:
+		if _, ok := a.Kind.Merge(); !ok {
 			return windowedFallback(fmt.Sprintf("%s partials cannot be merged across shards", a.Kind))
 		}
 	}

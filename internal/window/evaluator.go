@@ -35,58 +35,38 @@ func (p *PlanEvaluator) Eval(win *storage.Relation) (*storage.Relation, error) {
 // Schema implements Evaluator.
 func (p *PlanEvaluator) Schema() *catalog.Schema { return p.Plan.Schema() }
 
-// aggState is the mergeable per-group accumulator for one aggregate.
-type aggState struct {
-	count    int64 // non-NULL inputs (COUNT(e)); rows for COUNT(*)
-	sumI     int64
-	sumF     float64
-	min      vector.Value
-	max      vector.Value
-	seen     bool
-	isFlt    bool
-	distinct map[vector.Value]struct{} // COUNT(DISTINCT e) only
+// paneSummary is one pane's partial-aggregate relation: the group keys,
+// then each aggregate's partial columns (see partialKinds), one row per
+// group in first-seen order — a scalar aggregate's pane has exactly one
+// row. pairs holds, per COUNT(DISTINCT) aggregate in spec order, the
+// pane's distinct (keys…, argument) rows.
+type paneSummary struct {
+	cols  []*vector.Vector
+	pairs [][]*vector.Vector
 }
 
-func (s *aggState) merge(o *aggState) {
-	s.count += o.count
-	s.sumI += o.sumI
-	s.sumF += o.sumF
-	if o.seen {
-		if !s.seen {
-			s.min, s.max, s.seen = o.min, o.max, true
-		} else {
-			if vector.Compare(o.min, s.min) < 0 {
-				s.min = o.min
-			}
-			if vector.Compare(o.max, s.max) > 0 {
-				s.max = o.max
-			}
-		}
+// partialKinds lists the aggregates a pane computes for an aggregate of
+// kind k, one partial column each; Merge folds every column by its
+// AggKind.Merge. AVG keeps a SUM of its argument as DOUBLE (algebra.Float)
+// and a COUNT; COUNT(DISTINCT) keeps no column, only the pane's distinct
+// pairs.
+func partialKinds(k algebra.AggKind) []algebra.AggKind {
+	switch k {
+	case algebra.AggAvg:
+		return []algebra.AggKind{algebra.AggSum, algebra.AggCount}
+	case algebra.AggCountDistinct:
+		return nil
+	default:
+		return []algebra.AggKind{k}
 	}
-	if o.distinct != nil {
-		if s.distinct == nil {
-			s.distinct = map[vector.Value]struct{}{}
-		}
-		for v := range o.distinct {
-			s.distinct[v] = struct{}{}
-		}
-	}
-	s.isFlt = s.isFlt || o.isFlt
-}
-
-// groupSummary is one pane's digest: per composite group key, the states
-// of every aggregate, plus a representative key row.
-type groupSummary struct {
-	keys   map[string][]vector.Value // group signature → key values
-	states map[string][]*aggState
-	order  []string // first-seen order for deterministic output
 }
 
 // IncrementalAggEvaluator implements the basic-window model for plans of
 // the shape Project(Select?(Aggregate(Scan))) — grouped or scalar
-// aggregation over a single stream. Panes are summarized once into
-// per-group {count, sum, min, max} states; window results are synthesized
-// by merging the pane states and then applying the plan's HAVING and
+// aggregation over a single stream. Each pane is summarized once, by the
+// kernel's Group and Aggregate, into a partial-aggregate relation; a
+// window result regroups its panes' partials with the same operators,
+// folds them (AggKind.Merge), and applies the plan's HAVING and
 // projection expressions over the merged aggregate output.
 type IncrementalAggEvaluator struct {
 	filter    expr.Expr      // Scan filter over the buffered schema
@@ -189,28 +169,19 @@ func recognizeAgg(agg *plan.Aggregate) (*IncrementalAggEvaluator, bool) {
 // Schema implements PaneEvaluator.
 func (e *IncrementalAggEvaluator) Schema() *catalog.Schema { return e.outSchema }
 
-func groupSig(vals []vector.Value) string {
-	var b strings.Builder
-	for _, v := range vals {
-		if v.Null {
-			b.WriteString("\x00N")
-		} else {
-			b.WriteString(v.String())
-		}
-		b.WriteByte('\x1f')
-	}
-	return b.String()
-}
-
 // Summarize implements PaneEvaluator.
 func (e *IncrementalAggEvaluator) Summarize(pane *storage.Relation) (Summary, error) {
-	cands := bat.All(pane.NumRows())
+	var cands bat.Candidates // nil: every row
 	if e.filter != nil {
 		mask, err := expr.Eval(e.filter, pane.Cols, nil)
 		if err != nil {
 			return nil, err
 		}
 		cands = algebra.MaskSelect(mask, nil)
+	}
+	n := pane.NumRows()
+	if cands != nil {
+		n = len(cands)
 	}
 	keyVecs := make([]*vector.Vector, len(e.keys))
 	for i, k := range e.keys {
@@ -232,114 +203,73 @@ func (e *IncrementalAggEvaluator) Summarize(pane *storage.Relation) (Summary, er
 		argVecs[i] = av
 	}
 
-	gs := &groupSummary{keys: map[string][]vector.Value{}, states: map[string][]*aggState{}}
-	for row := 0; row < len(cands); row++ {
-		keyVals := make([]vector.Value, len(keyVecs))
-		for i, kv := range keyVecs {
-			keyVals[i] = kv.Get(row)
+	gids, ngroups, reps := algebra.Group(keyVecs, nil) // nil gids: scalar
+	sum := &paneSummary{cols: take(keyVecs, reps)}
+	all := bat.All(n)
+	for i, s := range e.specs {
+		if s.Kind == algebra.AggCountDistinct {
+			pair := append(keyVecs[:len(keyVecs):len(keyVecs)], argVecs[i])
+			sum.pairs = append(sum.pairs, take(pair, algebra.Distinct(pair, nil)))
+			continue
 		}
-		sig := groupSig(keyVals)
-		states, ok := gs.states[sig]
-		if !ok {
-			states = make([]*aggState, len(e.specs))
-			for i := range states {
-				states[i] = &aggState{}
-			}
-			gs.states[sig] = states
-			gs.keys[sig] = keyVals
-			gs.order = append(gs.order, sig)
+		arg := argVecs[i]
+		if s.Kind == algebra.AggAvg {
+			arg = algebra.Float(arg)
 		}
-		for i, spec := range e.specs {
-			st := states[i]
-			if spec.Kind == algebra.AggCountAll {
-				st.count++
-				continue
-			}
-			v := argVecs[i].Get(row)
-			if v.Null {
-				continue
-			}
-			if spec.Kind == algebra.AggCountDistinct {
-				if st.distinct == nil {
-					st.distinct = map[vector.Value]struct{}{}
-				}
-				st.distinct[v] = struct{}{}
-				continue
-			}
-			st.count++
-			switch v.Typ {
-			case vector.Float64:
-				st.sumF += v.F
-				st.isFlt = true
-			default:
-				st.sumI += v.I
-				st.sumF += float64(v.I)
-			}
-			if !st.seen {
-				st.min, st.max, st.seen = v, v, true
-			} else {
-				if vector.Compare(v, st.min) < 0 {
-					st.min = v
-				}
-				if vector.Compare(v, st.max) > 0 {
-					st.max = v
-				}
-			}
+		for _, k := range partialKinds(s.Kind) {
+			sum.cols = append(sum.cols, algebra.Aggregate(k, arg, all, gids, ngroups))
 		}
 	}
-	return gs, nil
+	return sum, nil
 }
 
-// Merge implements PaneEvaluator.
+// Merge implements PaneEvaluator. One pane's partials are its result
+// already; several panes' are concatenated, regrouped by key, and folded.
 func (e *IncrementalAggEvaluator) Merge(panes []Summary) (*storage.Relation, error) {
-	merged := &groupSummary{keys: map[string][]vector.Value{}, states: map[string][]*aggState{}}
-	for _, p := range panes {
-		gs, ok := p.(*groupSummary)
+	if len(panes) == 0 {
+		return nil, fmt.Errorf("window: merge of no panes")
+	}
+	sums := make([]*paneSummary, len(panes))
+	for i, p := range panes {
+		ps, ok := p.(*paneSummary)
 		if !ok {
 			return nil, fmt.Errorf("window: unexpected summary type %T", p)
 		}
-		for _, sig := range gs.order {
-			dst, exists := merged.states[sig]
-			if !exists {
-				dst = make([]*aggState, len(e.specs))
-				for i := range dst {
-					dst[i] = &aggState{}
-				}
-				merged.states[sig] = dst
-				merged.keys[sig] = gs.keys[sig]
-				merged.order = append(merged.order, sig)
-			}
-			for i, st := range gs.states[sig] {
-				dst[i].merge(st)
+		sums[i] = ps
+	}
+	nk := len(e.keys)
+	cols := sums[0].cols
+	if len(sums) > 1 && len(cols) > 0 {
+		cols = concat(sums, func(s *paneSummary) []*vector.Vector { return s.cols })
+		gids, ngroups, reps := algebra.Group(cols[:nk], nil)
+		folded := append(take(cols[:nk], reps), make([]*vector.Vector, len(cols)-nk)...)
+		all := bat.All(cols[0].Len())
+		c := nk
+		for _, s := range e.specs {
+			for _, k := range partialKinds(s.Kind) {
+				mk, _ := k.Merge()
+				folded[c] = algebra.Aggregate(mk, cols[c], all, gids, ngroups)
+				c++
 			}
 		}
+		cols = folded
 	}
 
-	// A scalar aggregate (no GROUP BY) over an empty window still yields
-	// one row — COUNT 0, NULL extremes — matching the kernel's aggregate
-	// operator, so both evaluation modes and the shard-merge stage agree
-	// on empty windows.
-	if len(e.keys) == 0 && len(merged.order) == 0 {
-		states := make([]*aggState, len(e.specs))
-		for i := range states {
-			states[i] = &aggState{}
+	// The aggregate output [keys…, aggs…].
+	aggRel := &storage.Relation{Schema: e.aggSchema, Cols: append([]*vector.Vector(nil), cols[:nk]...)}
+	c, d := nk, 0
+	for _, s := range e.specs {
+		switch s.Kind {
+		case algebra.AggCountDistinct:
+			aggRel.Cols = append(aggRel.Cols, countDistinct(cols[:nk], sums, d))
+			d++
+		case algebra.AggAvg:
+			aggRel.Cols = append(aggRel.Cols, algebra.Avg(cols[c], cols[c+1]))
+			c += 2
+		default:
+			aggRel.Cols = append(aggRel.Cols, cols[c])
+			c++
 		}
-		sig := groupSig(nil)
-		merged.states[sig] = states
-		merged.keys[sig] = nil
-		merged.order = append(merged.order, sig)
-	}
-
-	// Materialize the aggregate output [keys…, aggs…].
-	aggRel := storage.NewRelation(e.aggSchema)
-	for _, sig := range merged.order {
-		row := make([]vector.Value, 0, e.aggSchema.Len())
-		row = append(row, merged.keys[sig]...)
-		for i, spec := range e.specs {
-			st := merged.states[sig][i]
-			row = append(row, finishAgg(spec.Kind, st, e.aggSchema.Columns[len(e.keys)+i].Type))
-		}
-		aggRel.AppendRow(row)
 	}
 
 	// HAVING.
@@ -363,36 +293,55 @@ func (e *IncrementalAggEvaluator) Merge(panes []Summary) (*storage.Relation, err
 	return out, nil
 }
 
-func finishAgg(kind algebra.AggKind, st *aggState, outType vector.Type) vector.Value {
-	switch kind {
-	case algebra.AggCount, algebra.AggCountAll:
-		return vector.NewInt(st.count)
-	case algebra.AggCountDistinct:
-		return vector.NewInt(int64(len(st.distinct)))
-	case algebra.AggSum:
-		if st.count == 0 {
-			return vector.NullValue(outType)
-		}
-		if outType == vector.Float64 {
-			return vector.NewFloat(st.sumF)
-		}
-		return vector.NewInt(st.sumI)
-	case algebra.AggAvg:
-		if st.count == 0 {
-			return vector.NullValue(vector.Float64)
-		}
-		return vector.NewFloat(st.sumF / float64(st.count))
-	case algebra.AggMin:
-		if !st.seen {
-			return vector.NullValue(outType)
-		}
-		return st.min
-	case algebra.AggMax:
-		if !st.seen {
-			return vector.NullValue(outType)
-		}
-		return st.max
-	default:
-		return vector.NullValue(outType)
+// countDistinct finishes the d-th COUNT(DISTINCT) aggregate of a window:
+// the panes' distinct (keys…, argument) pairs, concatenated, are counted
+// per merged group (keys), each distinct non-NULL argument once.
+func countDistinct(keys []*vector.Vector, sums []*paneSummary, d int) *vector.Vector {
+	pairs := concat(sums, func(s *paneSummary) []*vector.Vector { return s.pairs[d] })
+	nk := len(keys)
+	arg := pairs[nk]
+	if nk == 0 {
+		return algebra.Aggregate(algebra.AggCountDistinct, arg, nil, nil, 0)
 	}
+	// Number the pairs' keys by the merged groups: those come first and
+	// are distinct, so they keep ids 0…ngroups-1.
+	both := make([]*vector.Vector, nk)
+	for j, k := range keys {
+		both[j] = vector.NewWithCap(k.Type(), k.Len()+arg.Len())
+		both[j].AppendVector(k)
+		both[j].AppendVector(pairs[j])
+	}
+	gids, _, _ := algebra.Group(both, nil)
+	ngroups := keys[0].Len()
+	return algebra.Aggregate(algebra.AggCountDistinct, arg, nil, gids[ngroups:], ngroups)
+}
+
+// concat appends, column by column, the columns part selects from every
+// pane summary.
+func concat(sums []*paneSummary, part func(*paneSummary) []*vector.Vector) []*vector.Vector {
+	first := part(sums[0])
+	if len(sums) == 1 {
+		return first
+	}
+	out := make([]*vector.Vector, len(first))
+	for j, c := range first {
+		n := 0
+		for _, s := range sums {
+			n += part(s)[j].Len()
+		}
+		out[j] = vector.NewWithCap(c.Type(), n)
+		for _, s := range sums {
+			out[j].AppendVector(part(s)[j])
+		}
+	}
+	return out
+}
+
+// take gathers the rows at pos from every column.
+func take(cols []*vector.Vector, pos []int) []*vector.Vector {
+	out := make([]*vector.Vector, len(cols))
+	for j, c := range cols {
+		out[j] = c.Take(pos)
+	}
+	return out
 }

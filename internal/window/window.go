@@ -288,13 +288,13 @@ func (r *Runner) Append(rel *storage.Relation) ([]Result, error) {
 // the batch minimum, tuples behind the emitted frontier are counted late
 // and dropped, and the survivors are placed in timestamp order.
 func (r *Runner) appendTime(rel *storage.Relation) {
-	ts := rel.Cols[r.spec.TSIndex]
+	ts := rel.Cols[r.spec.TSIndex].Ints()
 	n := rel.NumRows()
-	lo, hi := ts.Get(0).I, ts.Get(0).I
+	lo, hi := ts[0], ts[0]
 	sorted := true
 	for i := 1; i < n; i++ {
-		v := ts.Get(i).I
-		if v < ts.Get(i-1).I {
+		v := ts[i]
+		if v < ts[i-1] {
 			sorted = false
 		}
 		if v < lo {
@@ -330,7 +330,7 @@ func (r *Runner) appendTime(rel *storage.Relation) {
 		cut := r.cutoff()
 		keep := make([]int, 0, n)
 		for i := 0; i < n; i++ {
-			if ts.Get(i).I >= cut {
+			if ts[i] >= cut {
 				keep = append(keep, i)
 			}
 		}
@@ -339,12 +339,12 @@ func (r *Runner) appendTime(rel *storage.Relation) {
 			return
 		}
 		rel = rel.Take(keep)
-		ts = rel.Cols[r.spec.TSIndex]
+		ts = rel.Cols[r.spec.TSIndex].Ints()
 		n = rel.NumRows()
-		lo = ts.Get(0).I
+		lo = ts[0]
 		sorted = true
 		for i := 1; i < n; i++ {
-			if ts.Get(i).I < ts.Get(i-1).I {
+			if ts[i] < ts[i-1] {
 				sorted = false
 				break
 			}
@@ -352,7 +352,7 @@ func (r *Runner) appendTime(rel *storage.Relation) {
 	}
 
 	inOrder := sorted
-	if b := r.buf.NumRows(); inOrder && b > 0 && lo < r.buf.Cols[r.spec.TSIndex].Get(b-1).I {
+	if b := r.buf.NumRows(); inOrder && b > 0 && lo < r.buf.Cols[r.spec.TSIndex].Ints()[b-1] {
 		inOrder = false
 	}
 	r.buf.AppendRelation(rel)
@@ -369,23 +369,23 @@ func (r *Runner) appendTime(rel *storage.Relation) {
 // order (resident rows before batch rows), matching a stable sort of
 // the whole buffer.
 func (r *Runner) restoreOrder(appended int) {
-	ts := r.buf.Cols[r.spec.TSIndex]
+	ts := r.buf.Cols[r.spec.TSIndex].Ints()
 	n := r.buf.NumRows()
 	old := n - appended
 	batch := make([]int, appended)
 	for i := range batch {
 		batch[i] = old + i
 	}
-	sort.SliceStable(batch, func(a, b int) bool { return ts.Get(batch[a]).I < ts.Get(batch[b]).I })
+	sort.SliceStable(batch, func(a, b int) bool { return ts[batch[a]] < ts[batch[b]] })
 	// The prefix strictly below the batch minimum is untouched.
-	lo := ts.Get(batch[0]).I
-	k := sort.Search(old, func(i int) bool { return ts.Get(i).I >= lo })
+	lo := ts[batch[0]]
+	k := sort.Search(old, func(i int) bool { return ts[i] >= lo })
 	// Two-pointer merge of the resident rows [k, old) with the sorted
 	// batch; resident rows win ties.
 	perm := make([]int, 0, n-k)
 	i, j := k, 0
 	for i < old && j < appended {
-		if ts.Get(i).I <= ts.Get(batch[j]).I {
+		if ts[i] <= ts[batch[j]] {
 			perm = append(perm, i)
 			i++
 		} else {
@@ -518,8 +518,8 @@ func (r *Runner) emitCount() (Result, bool, error) {
 // lowerBound returns the first buffer position whose timestamp is >= t
 // (the buffer is ts-ordered for time windows).
 func (r *Runner) lowerBound(t int64) int {
-	ts := r.buf.Cols[r.spec.TSIndex]
-	return sort.Search(r.buf.NumRows(), func(i int) bool { return ts.Get(i).I >= t })
+	ts := r.buf.Cols[r.spec.TSIndex].Ints()
+	return sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
 }
 
 func (r *Runner) emitTime(end int64) (Result, bool, error) {
