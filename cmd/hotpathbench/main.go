@@ -177,7 +177,10 @@ func drive(sc scenario) row {
 			subscribers.Add(1)
 			go func(q *datacell.Query) {
 				defer subscribers.Done()
-				for range q.Subscription().C() {
+				for {
+					if _, err := q.Subscription().Recv(ctx); err != nil {
+						return
+					}
 				}
 			}(q)
 		}

@@ -87,8 +87,8 @@ type Config = idc.Config
 type Query = idc.Query
 
 // Subscription is a handle on a continuous query's result delivery:
-// Recv(ctx) or C() to consume, Close() to detach without stopping the
-// query, Err() for the close reason.
+// Recv(ctx) or TryRecv() to consume, Close() to detach without stopping
+// the query, Err() for the close reason.
 type Subscription = idc.Subscription
 
 // Strategy selects a continuous query's input arrangement (§2.5 of the

@@ -72,13 +72,11 @@ func TestPublicAPIWindowModes(t *testing.T) {
 	eng.Drain()
 	for _, name := range []string{"re", "inc"} {
 		q, _ := eng.Query(name)
-		select {
-		case rel := <-q.Subscription().C():
-			if rel.Cols[0].Get(0).I != 7 {
-				t.Errorf("%s: sum = %v", name, rel.Row(0))
-			}
-		default:
+		rel, _ := q.Subscription().TryRecv()
+		if rel == nil {
 			t.Errorf("%s: no window result", name)
+		} else if rel.Cols[0].Get(0).I != 7 {
+			t.Errorf("%s: sum = %v", name, rel.Row(0))
 		}
 	}
 }

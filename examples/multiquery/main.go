@@ -89,13 +89,11 @@ func runCascade() (time.Duration, int64) {
 	var matched int64
 	for i := 0; i < c.Stages(); i++ {
 		for {
-			select {
-			case rel := <-c.Subscription(i).C():
-				matched += int64(rel.NumRows())
-				continue
-			default:
+			rel, _ := c.Subscription(i).TryRecv()
+			if rel == nil {
+				break
 			}
-			break
+			matched += int64(rel.NumRows())
 		}
 	}
 	return elapsed, matched

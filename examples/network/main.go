@@ -81,13 +81,11 @@ func main() {
 
 	foreignHits := 0
 	for {
-		select {
-		case rel := <-foreign.Subscription().C():
-			foreignHits += rel.NumRows()
-			continue
-		default:
+		rel, _ := foreign.Subscription().TryRecv()
+		if rel == nil {
+			break
 		}
-		break
+		foreignHits += rel.NumRows()
 	}
 
 	fmt.Printf("ingested %d payments\n\n", n)

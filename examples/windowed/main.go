@@ -172,11 +172,10 @@ func eventTimeDemo(ctx context.Context, eng *datacell.Engine, rng *rand.Rand) {
 func drain(q *datacell.Query) []*datacell.Relation {
 	var out []*datacell.Relation
 	for {
-		select {
-		case rel := <-q.Subscription().C():
-			out = append(out, rel)
-		default:
+		rel, _ := q.Subscription().TryRecv()
+		if rel == nil {
 			return out
 		}
+		out = append(out, rel)
 	}
 }

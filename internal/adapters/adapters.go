@@ -11,7 +11,7 @@
 // daemon's two loops in internal/server), ParseTuple and FormatTuple
 // between text and a []Value (the embedding API, bench/'s probes). How one
 // field reads and prints is internal/vector's, and shared by both shapes.
-// ChannelEmitter is the emitter transition behind a Subscription.
+// ChannelEmitter is the emitter behind a Subscription.
 package adapters
 
 import (
@@ -131,10 +131,13 @@ func (b Backpressure) String() string {
 }
 
 // ChannelEmitter delivers result batches to a Go channel instead of a
-// writer — the embedding API's subscription mechanism. It implements
-// scheduler.Transition, and has a second caller besides the scheduler:
-// Offer, through which the routed shared scan hands a member's rows over
-// during the firing that derived them. Both send through deliver.
+// writer — the embedding API's subscription mechanism. It has no
+// transition of its own: Fire drains the output basket into the channel
+// and is called by whoever can make that possible — the firing that
+// appended the rows (as the basket's append listener) and the consumer
+// whose receive made room. Offer is the routed shared scan's hand-off of
+// a member's rows during the firing that derived them. Both send through
+// deliver.
 type ChannelEmitter struct {
 	name   string
 	source *basket.Basket
@@ -145,16 +148,16 @@ type ChannelEmitter struct {
 	// against Close: a sender checks for room and sends under it, so no
 	// send blocks and ch is never closed while a send is in flight. Fire
 	// drains source under it too, so Offer cannot overtake rows Fire has
-	// taken but not yet sent.
+	// taken but not yet sent, and a Fire that finds the channel full and
+	// a receive that makes room cannot miss each other: the receiver's
+	// next Fire runs after the full-channel check and sees the rows.
 	sendMu  sync.Mutex
-	closed  atomic.Bool // written under sendMu; Ready reads it without
+	closed  bool // guarded by sendMu
 	dropped int64
-	// parked records that a firing was declined because the channel was
-	// full (blocking policy); see Unparked.
-	parked atomic.Bool
-	// handoffs and overflows count Offer's outcomes: batches handed to the
-	// subscriber, and batches its caller appended to source instead.
-	handoffs, overflows atomic.Int64
+	// batches counts relations sent to the subscriber; handoffs and
+	// overflows count Offer's outcomes: batches handed to the subscriber,
+	// and batches its caller appended to source instead.
+	batches, handoffs, overflows atomic.Int64
 
 	// Durability hooks (guarded by sendMu). delivered counts rows handed
 	// to the subscriber since the query registered; after a restart the
@@ -189,8 +192,8 @@ func (e *ChannelEmitter) SetLatencyObserver(now func() int64, fn func(deliveryNS
 
 // StampE2E marks the in-flight result batch as a latency sample.
 // ingestTS is the newest input-tuple timestamp the batch covers (<= 0
-// when unknown). Called from the factory result hook, i.e. after the
-// results reached the output basket but before the emitter fires.
+// when unknown). Called from the factory result hook, before the results
+// reach the output basket: the append delivers them.
 func (e *ChannelEmitter) StampE2E(ingestTS int64) {
 	e.sendMu.Lock()
 	if e.latFn != nil {
@@ -214,26 +217,11 @@ func NewChannelEmitter(name string, source *basket.Basket, depth int, policy Bac
 	}
 }
 
-// Name implements scheduler.Transition.
+// Name returns the emitter's name (EXPLAIN's deliver row).
 func (e *ChannelEmitter) Name() string { return e.name }
 
 // Policy returns the emitter's backpressure policy.
 func (e *ChannelEmitter) Policy() Backpressure { return e.policy }
-
-// Ready implements scheduler.Transition. Under the blocking policy the
-// emitter stays not-ready while the subscriber's channel is full, exerting
-// back-pressure instead of dropping results; under drop-oldest it is ready
-// whenever results wait.
-func (e *ChannelEmitter) Ready() bool {
-	if e.source.Len() == 0 || e.closed.Load() {
-		return false
-	}
-	if e.room() {
-		return true
-	}
-	e.parked.Store(true)
-	return false
-}
 
 // room reports whether a send would not block: always under drop-oldest
 // (deliver evicts), while the channel has a free slot under blocking.
@@ -243,19 +231,14 @@ func (e *ChannelEmitter) room() bool {
 	return e.policy == BackpressureDropOldest || len(e.ch) < cap(e.ch)
 }
 
-// Unparked reports, once per episode, that the emitter declined a firing
-// on a full channel which has room again. Appends wake an emitter, the
-// subscriber's receive does not, so whoever scheduled a blocking emitter
-// polls this and wakes the transition when it turns true.
-func (e *ChannelEmitter) Unparked() bool {
-	return e.parked.Load() && len(e.ch) < cap(e.ch) && e.parked.CompareAndSwap(true, false)
-}
-
 // C returns the subscription channel. It is closed by Close.
 func (e *ChannelEmitter) C() <-chan *storage.Relation { return e.ch }
 
 // Dropped returns the number of batches evicted under drop-oldest.
 func (e *ChannelEmitter) Dropped() int64 { return atomic.LoadInt64(&e.dropped) }
+
+// Batches returns the number of relations sent to the subscriber.
+func (e *ChannelEmitter) Batches() int64 { return e.batches.Load() }
 
 // Dispositions returns how many batches Offer handed to the subscriber
 // (handoff) and how many it declined, leaving them to the output basket
@@ -269,8 +252,8 @@ func (e *ChannelEmitter) Dispositions() (handoff, overflow int64) {
 // once and concurrently with Fire and Offer.
 func (e *ChannelEmitter) Close() {
 	e.sendMu.Lock()
-	if !e.closed.Load() {
-		e.closed.Store(true)
+	if !e.closed {
+		e.closed = true
 		close(e.ch)
 	}
 	e.sendMu.Unlock()
@@ -285,7 +268,7 @@ func (e *ChannelEmitter) Delivered() int64 {
 }
 
 // SetDelivered seeds the delivered counter (recovery: the checkpointed
-// frontier). Call before the emitter is scheduled.
+// frontier). Call before anything fires into the emitter.
 func (e *ChannelEmitter) SetDelivered(n int64) {
 	e.sendMu.Lock()
 	e.delivered = n
@@ -294,7 +277,7 @@ func (e *ChannelEmitter) SetDelivered(n int64) {
 
 // SetSuppress arranges for the next n emitted rows to be trimmed rather
 // than sent — recovery replay re-derives results that were already
-// delivered before the crash. Call before the emitter is scheduled.
+// delivered before the crash. Call before anything fires into the emitter.
 func (e *ChannelEmitter) SetSuppress(n int64) {
 	e.sendMu.Lock()
 	if n > 0 {
@@ -311,18 +294,14 @@ func (e *ChannelEmitter) OnDeliver(fn func(delivered int64)) {
 	e.sendMu.Unlock()
 }
 
-// Fire implements scheduler.Transition: everything the output basket
-// holds becomes one relation for the subscriber. On a full blocking
-// channel (an Offer may have filled it since Ready) the rows stay in the
-// basket and the emitter parks.
+// Fire drains the output basket: everything it holds becomes one
+// relation for the subscriber. On a full blocking channel the rows stay
+// in the basket until the consumer makes room and calls Fire again; on a
+// closed emitter they stay for good. Fire never blocks on the consumer.
 func (e *ChannelEmitter) Fire() error {
 	e.sendMu.Lock()
 	defer e.sendMu.Unlock()
-	if e.closed.Load() {
-		return nil
-	}
-	if !e.room() {
-		e.parked.Store(true)
+	if e.closed || !e.room() {
 		return nil
 	}
 	e.source.Lock()
@@ -348,7 +327,7 @@ func (e *ChannelEmitter) Offer(rel *storage.Relation, n int) bool {
 		return false
 	}
 	defer e.sendMu.Unlock()
-	if e.closed.Load() || !e.room() || e.source.Len() > 0 {
+	if e.closed || !e.room() || e.source.Len() > 0 {
 		e.overflows.Add(1)
 		return false
 	}
@@ -386,6 +365,7 @@ func (e *ChannelEmitter) deliver(rel *storage.Relation, n int) {
 		}
 	}
 	e.ch <- rel
+	e.batches.Add(1)
 	e.markDelivered(n)
 }
 

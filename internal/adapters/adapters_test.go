@@ -61,13 +61,10 @@ func TestChannelEmitter(t *testing.T) {
 	clk := metrics.NewManualClock(1)
 	b := basket.New("out", schemaIV(), clk)
 	e := NewChannelEmitter("sub", b, 2, BackpressureBlock)
-	if e.Ready() {
-		t.Error("empty basket: not ready")
+	if err := e.Fire(); err != nil || len(e.C()) != 0 {
+		t.Fatalf("empty basket: Fire sent %d batches (err %v)", len(e.C()), err)
 	}
 	_ = b.AppendRows([][]vector.Value{{vector.NewInt(9), vector.NewFloat(9.5)}})
-	if !e.Ready() {
-		t.Fatal("should be ready")
-	}
 	if err := e.Fire(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,35 +76,45 @@ func TestChannelEmitter(t *testing.T) {
 	default:
 		t.Fatal("nothing on channel")
 	}
+	if b.Len() != 0 || e.Batches() != 1 || e.Delivered() != 1 {
+		t.Errorf("after delivery: %d rows left, batches %d, delivered %d", b.Len(), e.Batches(), e.Delivered())
+	}
 }
 
+// TestChannelEmitterBackpressure: under the blocking policy a Fire that
+// finds the channel full leaves the rows in the basket and returns; the
+// next Fire after a receive made room delivers them all, in order, as one
+// batch. Nothing is dropped and no Fire waits on the consumer.
 func TestChannelEmitterBackpressure(t *testing.T) {
 	clk := metrics.NewManualClock(1)
 	b := basket.New("out", schemaIV(), clk)
 	e := NewChannelEmitter("sub", b, 1, BackpressureBlock)
-	_ = b.AppendRows([][]vector.Value{{vector.NewInt(1), vector.NewFloat(1)}})
+	row := func(i int64) [][]vector.Value {
+		return [][]vector.Value{{vector.NewInt(i), vector.NewFloat(float64(i))}}
+	}
+	_ = b.AppendRows(row(1))
 	_ = e.Fire()
-	_ = b.AppendRows([][]vector.Value{{vector.NewInt(2), vector.NewFloat(2)}})
-	if e.Unparked() {
-		t.Error("an emitter that never declined a firing has nothing to report")
+	_ = b.AppendRows(row(2))
+	_ = e.Fire()
+	_ = b.AppendRows(row(3))
+	_ = e.Fire()
+	if len(e.C()) != 1 || b.Len() != 2 {
+		t.Fatalf("full channel: %d batches sent, %d rows retained; want 1 and 2", len(e.C()), b.Len())
 	}
-	// Channel full: emitter reports not ready instead of dropping.
-	if e.Ready() {
-		t.Error("full channel should gate readiness")
+	if rel := <-e.C(); rel.Cols[0].Get(0).I != 1 {
+		t.Fatalf("first batch carried %v", rel.Row(0))
 	}
-	if e.Unparked() {
-		t.Error("parked on a channel that is still full: no wake is due")
+	_ = e.Fire()
+	rel := <-e.C()
+	if rel.NumRows() != 2 || rel.Cols[0].Get(0).I != 2 || rel.Cols[0].Get(1).I != 3 {
+		t.Fatalf("retained rows arrived as %v", rel)
 	}
-	<-e.C()
-	// The receive wakes nobody; Unparked is how the scheduler's owner
-	// learns, exactly once, that the emitter can run again.
-	if !e.Unparked() {
-		t.Error("the consumer made room: the parked emitter needs a wake")
+	if b.Len() != 0 || e.Dropped() != 0 || e.Delivered() != 3 {
+		t.Errorf("after the refill: %d rows retained, %d dropped, %d delivered", b.Len(), e.Dropped(), e.Delivered())
 	}
-	if e.Unparked() {
-		t.Error("Unparked must report an episode once")
-	}
-	if !e.Ready() {
-		t.Error("drained channel should unblock")
+	e.Close()
+	_ = b.AppendRows(row(4))
+	if err := e.Fire(); err != nil || b.Len() != 1 {
+		t.Errorf("closed emitter: Fire took rows (%d left, err %v)", b.Len(), err)
 	}
 }

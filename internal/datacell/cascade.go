@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/adapters"
 	"repro/internal/algebra"
 	"repro/internal/basket"
 	"repro/internal/bat"
@@ -175,8 +174,7 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 			return fail(err)
 		}
 		undo = append(undo, func() { _ = e.cat.Drop(out.Name()) })
-		emitter := adapters.NewChannelEmitter(fmt.Sprintf("%s_s%d_emit", name, i), out, 64, adapters.BackpressureBlock)
-		sub := newSubscription(e, emitter)
+		sub := newSubscription(e, fmt.Sprintf("%s_s%d_emit", name, i), out, 64, BackpressureBlock)
 		undo = append(undo, func() { sub.closeWith(ErrSubscriptionClosed) })
 		c.stages = append(c.stages, &cascadeStage{
 			name:    fmt.Sprintf("%s_s%d", name, i),
@@ -193,14 +191,12 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 	// Nothing below can fail. Cascades are Go-only (no DDL spelling) and
 	// therefore not journaled for recovery, but their firings are still
 	// gated so a checkpoint cut never splits one. Each stage wakes on
-	// appends to its input basket, each emitter on appends to its stage's
-	// output.
+	// appends to its input basket and delivers its matches itself: its
+	// append to the stage's output runs the subscription's listener.
 	for _, st := range c.stages {
+		st.sub.listen()
 		h := e.addTransition(st, 0)
 		st.in.Subscribe(h.Wake)
-		eh := e.addTransition(st.sub.em, 0)
-		st.out.Subscribe(eh.Wake)
-		st.sub.scheduled(eh)
 	}
 	e.mu.Lock()
 	// Copy-on-write: see Query.attachInput.

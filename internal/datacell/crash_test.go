@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
@@ -46,12 +47,14 @@ func crashRow(i int) [2]int64 {
 // checked under. The filter query qf keeps its text and changes only its
 // input arrangement; extra DDL adds bystanders on the same stream. unread
 // is how many rows just before the checkpoint are drained but whose
-// deliveries nobody receives until after it.
+// deliveries nobody receives until after it. slowReader receives qf's
+// results on a goroutine of its own while the rows are delivered.
 var crashArrangements = []struct {
 	name       string
 	filterWith string
 	extra      []string
 	unread     int
+	slowReader bool
 }{
 	{name: "separate"},
 	// A routed member: the scan frontier and the member's admission point
@@ -70,6 +73,10 @@ var crashArrangements = []struct {
 	// the image is cut with delivered rows in the channel and undelivered
 	// ones in the place.
 	{name: "routed with a full depth-1 subscription", filterWith: " WITH (strategy = routed, depth = 1)", unread: 4},
+	// A flat query whose blocking depth-1 subscriber pauses between
+	// receives: results wait in qf_out, and the receive that makes room
+	// delivers them, concurrently with the drains and the checkpoint.
+	{name: "flat with a slow depth-1 subscriber", filterWith: " WITH (depth = 1)", slowReader: true},
 }
 
 const crashFilterSQL = ` AS SELECT * FROM [SELECT * FROM S] AS x WHERE x.a > 40`
@@ -209,6 +216,10 @@ func crashRecoveryProperty(t *testing.T, arrangement int) {
 	// the WAL logs it after ingest i's record.
 	deliveredAt := make([]int, crashTotalRows)
 	unread := crashArrangements[arrangement].unread
+	stopReader := func() {}
+	if crashArrangements[arrangement].slowReader {
+		stopReader = slowReader(live.sub)
+	}
 	for i := 0; i < crashTotalRows; i++ {
 		ingestPairs(t, e, "S", [][2]int64{crashRow(i)})
 		if i < crashDeliveredRows {
@@ -216,14 +227,20 @@ func crashRecoveryProperty(t *testing.T, arrangement int) {
 			if i < crashCheckpointRow-unread || i >= crashCheckpointRow {
 				collectAll(e, t)
 			}
+			if i == crashDeliveredRows-1 {
+				// Everything derived so far leaves qf_out before the
+				// undelivered tail is acked.
+				stopReader()
+				collectAll(e, t)
+			}
 		}
 		deliveredAt[i] = int(live.sub.em.Delivered())
 		if i == crashCheckpointRow-1 {
 			if unread > 0 {
 				handoff, overflow := live.sub.em.Dispositions()
-				if len(live.Subscription().C()) != 1 || live.Out().Len() == 0 || handoff == 0 || overflow == 0 {
+				if len(live.sub.em.C()) != 1 || live.Out().Len() == 0 || handoff == 0 || overflow == 0 {
 					t.Fatalf("cut with %d batches in the channel, %d rows in qf_out, handoff=%d overflow=%d: want all non-zero",
-						len(live.Subscription().C()), live.Out().Len(), handoff, overflow)
+						len(live.sub.em.C()), live.Out().Len(), handoff, overflow)
 				}
 			}
 			if err := e.Checkpoint(ctx); err != nil {
@@ -438,14 +455,17 @@ func shardedCrashProperty(t *testing.T, query string) {
 	}
 
 	// One batch taken part-way by hand: lane 0 fires and the merge takes
-	// its emission (into q_out, or into window buckets that wait for lane
-	// 1's frontier), then lane 1 fires and its emission rests in its sink.
+	// its emission (delivering it, or into window buckets that wait for
+	// lane 1's frontier), then lane 1 fires and its emission rests in its
+	// sink. What the merge delivered is in the channel: delivered before
+	// the crash.
 	ingestPairs(t, e, "S", shardedRows(shardedDeliveredRows, shardedCheckpointRows))
 	for _, fire := range []func() error{q.facts[0].Fire, q.merge.Fire, q.facts[1].Fire} {
 		if err := fire(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	pre = append(pre, flattenRows(collect(q))...)
 	inSinks := 0
 	show := exec(e, "SHOW BASKETS")
 	for r := 0; r < show.NumRows(); r++ {
@@ -589,3 +609,22 @@ func collectAll(e *Engine, t *testing.T) {
 }
 
 func stopQuiet(e *Engine) { _ = e.Stop(context.Background()) }
+
+// slowReader receives from sub until stopped, pausing up to 300 µs after
+// each batch, so receives — and the deliveries they make room for —
+// overlap whatever the caller runs meanwhile.
+func slowReader(sub *Subscription) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(11))
+		for {
+			if _, err := sub.Recv(ctx); err != nil {
+				return
+			}
+			time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
+		}
+	}()
+	return func() { cancel(); <-done }
+}

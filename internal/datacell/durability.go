@@ -542,6 +542,14 @@ func (e *Engine) initDurability(cfg Config) error {
 		e.dur = nil
 		return err
 	}
+	// The restored output baskets were filled without an append, so no
+	// listener has delivered them; with suppression armed and the WAL
+	// open again for frontier records, deliver what they hold.
+	for _, q := range e.Queries() {
+		if q.sub != nil {
+			q.sub.deliver()
+		}
+	}
 	return nil
 }
 

@@ -550,7 +550,7 @@ func TestDurableReplaysEveryWithKey(t *testing.T) {
 	describe := func(q *Query) string {
 		depth := -1
 		if q.Subscription() != nil {
-			depth = cap(q.Subscription().C())
+			depth = q.topo.cfg.subDepth
 		}
 		return fmt.Sprintf("strategy=%s shards=%d depth=%d durable=%t",
 			q.Strategy, q.Shards(), depth, q.Checkpoint().Durable)

@@ -132,14 +132,10 @@ type Engine struct {
 	// the engine down; context watchers and every other Stop wait on it.
 	done chan struct{}
 
-	// The tick's work list — everything the passage of time, rather than
-	// an append, can make fireable. install and its undo maintain both
-	// sets, so a tick costs nothing per query that is in neither.
-	// windowed holds the factories that own a window runner: time may
-	// close their windows with no arrival. rewakes holds the transitions
-	// that can become ready with no append to wake them.
+	// windowed is the tick's work list: the factories that own a window
+	// runner, which time may close with no arrival. install and its undo
+	// maintain it, so a tick costs nothing per query without a window.
 	windowed tickSet[*factory.Factory]
-	rewakes  tickSet[*rewake]
 }
 
 // tickSet is a copy-on-write list: writers hold e.mu, the tick goroutine
@@ -161,31 +157,6 @@ func (s *tickSet[T]) add(x T) {
 func (s *tickSet[T]) remove(x T) {
 	next := slices.DeleteFunc(slices.Clone(s.list()), func(y T) bool { return y == x })
 	s.p.Store(&next)
-}
-
-// rewake is a transition whose firing condition can turn true without an
-// append to any of its input places, so no listener wakes it: a blocking
-// subscription's emitter parked on a full channel (the consumer's receive
-// makes room), and a windowed merge (a shard's window frontier can pass a
-// buffered window without that shard emitting anything). The tick wakes
-// the handle when due reports the condition.
-type rewake struct {
-	h   *scheduler.Handle
-	due func() bool
-}
-
-// tickRewake enrols a transition in the tick's re-wake set and returns
-// the inverse.
-func (e *Engine) tickRewake(h *scheduler.Handle, due func() bool) (undo func()) {
-	rw := &rewake{h: h, due: due}
-	e.mu.Lock()
-	e.rewakes.add(rw)
-	e.mu.Unlock()
-	return func() {
-		e.mu.Lock()
-		e.rewakes.remove(rw)
-		e.mu.Unlock()
-	}
 }
 
 // stream is one ingestion point: the primary (shared) basket plus the
@@ -346,7 +317,7 @@ func (e *Engine) Start(ctx context.Context) error {
 			case <-stop:
 				return
 			case <-tick.C:
-				e.tick()
+				_ = e.FlushWindows()
 			}
 		}
 	}()
@@ -418,8 +389,8 @@ func (e *Engine) Stop(ctx context.Context) error {
 }
 
 // drainRunning waits for the concurrent scheduler to go quiescent: every
-// transition unready, or no firing progress for a grace period (a blocked
-// emitter must not wedge shutdown), or ctx done.
+// transition unready, or no firing progress for a grace period (an
+// always-ready transition must not wedge shutdown), or ctx done.
 func (e *Engine) drainRunning(ctx context.Context) error {
 	const stallLimit = 50 * time.Millisecond
 	idleSince := time.Time{}
@@ -969,11 +940,17 @@ func (e *Engine) Query(name string) (*Query, error) {
 }
 
 // FlushWindows advances every windowed query to the current clock,
-// emitting time-based windows that closed without new arrivals.
+// emitting time-based windows that closed without new arrivals. The
+// running engine calls it every 5 ms; nothing else runs on a timer.
 func (e *Engine) FlushWindows() error {
 	if e.dur != nil {
 		e.gate.RLock()
 		defer e.gate.RUnlock()
+		// What a flush closes is delivered at once; after Stop began, that
+		// could land behind the final checkpoint.
+		if err := e.guard(nil); err != nil {
+			return err
+		}
 	}
 	for _, f := range e.windowed.list() {
 		if err := f.FlushWindows(); err != nil {
@@ -981,16 +958,4 @@ func (e *Engine) FlushWindows() error {
 		}
 	}
 	return nil
-}
-
-// tick is one beat of the running engine's 5 ms timer: close the windows
-// time has closed, then wake the transitions that became ready with no
-// append. It touches only the two tick sets, never the query table.
-func (e *Engine) tick() {
-	_ = e.FlushWindows()
-	for _, rw := range e.rewakes.list() {
-		if rw.due() {
-			rw.h.Wake()
-		}
-	}
 }

@@ -54,12 +54,11 @@ func ingestPairs(t *testing.T, e *Engine, stream string, pairs [][2]int64) {
 func collect(q *Query) []*storage.Relation {
 	var out []*storage.Relation
 	for {
-		select {
-		case rel := <-q.Subscription().C():
-			out = append(out, rel)
-		default:
+		rel, _ := q.Subscription().TryRecv()
+		if rel == nil {
 			return out
 		}
+		out = append(out, rel)
 	}
 }
 
@@ -371,14 +370,12 @@ func TestCascadeStrategy(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		got := 0
 		for {
-			select {
-			case rel := <-c.Subscription(i).C():
-				got += rel.NumRows()
-			default:
-				goto done
+			rel, _ := c.Subscription(i).TryRecv()
+			if rel == nil {
+				break
 			}
+			got += rel.NumRows()
 		}
-	done:
 		if got != 10 {
 			t.Errorf("stage %d rows = %d, want 10", i, got)
 		}
@@ -459,14 +456,14 @@ func TestConcurrentModeEndToEnd(t *testing.T) {
 		}
 	}()
 	got := 0
-	deadline := time.After(10 * time.Second)
+	rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	for got < 1000 {
-		select {
-		case rel := <-q.Subscription().C():
-			got += rel.NumRows()
-		case <-deadline:
-			t.Fatalf("timeout: got %d of 1000", got)
+		rel, err := q.Subscription().Recv(rctx)
+		if err != nil {
+			t.Fatalf("got %d of 1000: %v", got, err)
 		}
+		got += rel.NumRows()
 	}
 	if got != 1000 {
 		t.Errorf("evens = %d", got)

@@ -138,12 +138,13 @@ func (e *Engine) explainAnalyze(name string) (*storage.Relation, error) {
 		detail := fmt.Sprintf("policy=%s dropped_batches=%d", em.Policy(), em.Dropped())
 		if q.routed != nil {
 			// Batches the scan handed straight to the subscription, and
-			// batches that went through <q>_out and the emitter instead.
+			// batches that went through <q>_out instead.
 			handoff, overflow := em.Dispositions()
 			detail += fmt.Sprintf(" handoff=%d overflow=%d", handoff, overflow)
 		}
+		// Delivery is no transition: its firings are the batches it sent.
 		row("deliver", em.Name(), nullInt, detail,
-			nullInt, n(em.Delivered()), n(q.sub.h.Fired()), nullInt)
+			nullInt, n(em.Delivered()), n(em.Batches()), nullInt)
 	}
 	return rel, nil
 }

@@ -147,8 +147,9 @@ func TestRoutedHandoffOrderUnderBackpressure(t *testing.T) {
 
 // TestRoutedSteadyStateHandsOff: 100 drop-oldest routed members nobody
 // reads (fanout_1k's shape) and a probe drained promptly. Past warm-up no
-// member's emitter fires — the scan hands every result to the channel —
-// and what each member delivered is exactly what it produced.
+// member's results overflow into <q>_out — the scan hands every result
+// to the channel — and what each member delivered is exactly what it
+// produced.
 func TestRoutedSteadyStateHandsOff(t *testing.T) {
 	ctx := context.Background()
 	e := newCore(Config{Workers: 2})
@@ -177,7 +178,11 @@ func TestRoutedSteadyStateHandsOff(t *testing.T) {
 	var received, sent int64
 	var mu sync.Mutex
 	go func() {
-		for rel := range probe.Subscription().C() {
+		for {
+			rel, err := probe.Subscription().Recv(ctx)
+			if err != nil {
+				return
+			}
 			mu.Lock()
 			received += int64(rel.NumRows())
 			mu.Unlock()
@@ -205,25 +210,26 @@ func TestRoutedSteadyStateHandsOff(t *testing.T) {
 			return received == sent
 		})
 	}
-	firings := func(i int) int64 {
+	overflows := func(i int) int64 {
 		q, err := e.Query(fmt.Sprintf("m%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return q.sub.h.Fired()
+		_, overflow := q.sub.em.Dispositions()
+		return overflow
 	}
 
 	burst(20) // warm-up
 	before := make([]int64, members)
 	for i := range before {
-		before[i] = firings(i)
+		before[i] = overflows(i)
 	}
 	burst(50)
 	for i := 0; i < members; i++ {
 		name := fmt.Sprintf("m%d", i)
 		q, _ := e.Query(name)
-		if d := firings(i) - before[i]; d != 0 {
-			t.Errorf("%s: emitter fired %d times past warm-up, want 0", name, d)
+		if d := overflows(i) - before[i]; d != 0 {
+			t.Errorf("%s: %d batches overflowed past warm-up, want 0", name, d)
 		}
 		if out, del := q.Stats().TuplesOut, q.sub.em.Delivered(); out != del {
 			t.Errorf("%s: produced %d rows, delivered %d", name, out, del)
@@ -232,8 +238,9 @@ func TestRoutedSteadyStateHandsOff(t *testing.T) {
 			t.Errorf("%s: %d rows left in %s_out", name, q.Out().Len(), name)
 		}
 	}
+	m7, _ := e.Query("m7")
 	detail, fired := explainDeliver(t, e, "m7")
-	if fired != firings(7) || !strings.Contains(detail, "handoff=") || strings.Contains(detail, "handoff=0 ") {
+	if fired != m7.sub.em.Batches() || !strings.Contains(detail, "handoff=") || strings.Contains(detail, "handoff=0 ") {
 		t.Errorf("EXPLAIN ANALYZE m7 deliver row: detail %q firings %d", detail, fired)
 	}
 }

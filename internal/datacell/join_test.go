@@ -461,21 +461,23 @@ func TestStreamTableJoinConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() { // subscription drain: every row's name must match its key
 		defer wg.Done()
+		rctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go func() {
+			<-stop
+			cancel()
+		}()
 		for {
-			select {
-			case rel, ok := <-q.Subscription().C():
-				if !ok {
+			rel, err := q.Subscription().Recv(rctx)
+			if err != nil {
+				return
+			}
+			for i := 0; i < rel.NumRows(); i++ {
+				row := rel.Row(i)
+				if want := fmt.Sprintf("n%d", row[0].I); row[1].S != want {
+					t.Errorf("row %v: name mismatch", row)
 					return
 				}
-				for i := 0; i < rel.NumRows(); i++ {
-					row := rel.Row(i)
-					if want := fmt.Sprintf("n%d", row[0].I); row[1].S != want {
-						t.Errorf("row %v: name mismatch", row)
-						return
-					}
-				}
-			case <-stop:
-				return
 			}
 		}
 	}()

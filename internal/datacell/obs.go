@@ -38,7 +38,7 @@ type engineObs struct {
 
 	// Per-stage pipeline latency: firing duration and wake→run queue
 	// delay, labeled by stage (fire = shard factory, merge = merge
-	// transition, deliver = subscription emitter).
+	// transition). Delivery runs inside the firing that appends.
 	fireNS  map[string]*obs.Histogram
 	queueNS map[string]*obs.Histogram
 
@@ -59,9 +59,8 @@ type engineObs struct {
 }
 
 const (
-	stageFire    = "fire"
-	stageMerge   = "merge"
-	stageDeliver = "deliver"
+	stageFire  = "fire"
+	stageMerge = "merge"
 )
 
 // newEngineObs builds the registry, the direct instruments, and the
@@ -90,7 +89,7 @@ func newEngineObs(e *Engine) *engineObs {
 
 		routeRowsEvaluated: reg.Counter("dc_route_rows_evaluated_total", "Rows handed to member plans by shared-scan routing (candidate rows per evaluated plan group).", nil),
 	}
-	for _, st := range []string{stageFire, stageMerge, stageDeliver} {
+	for _, st := range []string{stageFire, stageMerge} {
 		o.fireNS[st] = reg.Histogram("dc_stage_fire_ns", "Transition firing duration by pipeline stage, ns.", obs.Labels{"stage": st})
 		o.queueNS[st] = reg.Histogram("dc_stage_queue_ns", "Wake-to-execution queue delay by pipeline stage, ns.", obs.Labels{"stage": st})
 	}
@@ -244,8 +243,8 @@ func factoryDelta(f *factory.Factory) func() (int64, int64) {
 	}
 }
 
-// counterDelta adapts a single cumulative counter (merged rows,
-// delivered rows) the same way; the count appears as both in and out.
+// counterDelta adapts a single cumulative counter (the merge's merged
+// rows) the same way; the count appears as both in and out.
 func counterDelta(read func() int64) func() (int64, int64) {
 	var last atomic.Int64
 	return func() (int64, int64) {
@@ -258,7 +257,9 @@ func counterDelta(read func() int64) func() (int64, int64) {
 // armQueryObservers instruments one query's pipeline at install time:
 // per-stage scheduler observers feeding the histograms and the trace
 // ring, plus — when the query has a subscription — delivery/e2e latency
-// sampling via the factory result hook and the emitter.
+// sampling via the factory result hook and the emitter. The hook runs
+// before the factory appends, and the append delivers, so a stamp
+// always describes the batch being delivered.
 func (e *Engine) armQueryObservers(q *Query) {
 	q.trace = obs.NewTraceRing(traceRingDepth)
 	if q.sub != nil {

@@ -251,9 +251,9 @@ func TestPartitionedDropTeardown(t *testing.T) {
 		SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 0`); err != nil {
 		t.Fatal(err)
 	}
-	// 4 shard factories + merge + emitter.
-	if got := len(part.Scheduler().Transitions()); got != baseline+6 {
-		t.Fatalf("transitions = %d, want %d", got, baseline+6)
+	// 4 shard factories + merge; delivery is no transition.
+	if got := len(part.Scheduler().Transitions()); got != baseline+5 {
+		t.Fatalf("transitions = %d, want %d", got, baseline+5)
 	}
 	if err := part.Ingest(ctx, "s", kvRows([][2]int64{{1, 1}, {2, 2}, {3, 3}, {4, 4}})); err != nil {
 		t.Fatal(err)

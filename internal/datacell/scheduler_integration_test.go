@@ -7,6 +7,7 @@ package datacell
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,13 +156,133 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestBlockedEmitterResumesWhenConsumerDrains: a blocking subscription
-// whose channel is full parks its emitter, and the consumer's receive
-// appends nothing, so no listener wakes it. With no further ingest the
-// retained results must still arrive once the consumer makes room — the
-// tick's re-wake set is the only thing that can deliver them.
+// whose channel is full leaves the next results in q_out. Nothing polls
+// for room — the rows wait there through several ticks — and with no
+// further ingest they still arrive once the consumer receives: the Recv
+// that makes room delivers them before it returns.
 func TestBlockedEmitterResumesWhenConsumerDrains(t *testing.T) {
 	ctx := context.Background()
 	e := newCore(Config{Workers: 2})
+	q := blockingDepth1(t, e)
+	if err := e.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop(ctx)
+	sub := q.Subscription()
+
+	if err := e.Ingest(ctx, "s", intRows(1)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the first batch to fill the channel", func() bool { return len(sub.em.C()) == 1 })
+	if err := e.Ingest(ctx, "s", intRows(2)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the second result to wait in q_out", func() bool { return q.Out().Len() == 1 })
+	time.Sleep(30 * time.Millisecond) // six ticks
+	if q.Out().Len() != 1 || len(sub.em.C()) != 1 {
+		t.Fatalf("with nobody receiving, q_out holds %d rows and the channel %d batches; want 1 and 1", q.Out().Len(), len(sub.em.C()))
+	}
+	recvInOrder(t, sub, 1, 2)
+}
+
+// TestBlockedDeliveryResumesWithoutStart is the same hand-over on an
+// engine that is never started: no tick, no pool, Drain fires the
+// factory, and the receive alone moves the waiting row into the channel.
+func TestBlockedDeliveryResumesWithoutStart(t *testing.T) {
+	ctx := context.Background()
+	e := newCore(Config{})
+	q := blockingDepth1(t, e)
+	sub := q.Subscription()
+	for v := int64(1); v <= 2; v++ {
+		if err := e.Ingest(ctx, "s", intRows(v)); err != nil {
+			t.Fatal(err)
+		}
+		e.Drain()
+	}
+	if len(sub.em.C()) != 1 || q.Out().Len() != 1 {
+		t.Fatalf("channel holds %d batches, q_out %d rows; want 1 and 1", len(sub.em.C()), q.Out().Len())
+	}
+	rel, err := sub.TryRecv()
+	if err != nil || rel == nil || rel.Cols[0].Get(0).I != 1 {
+		t.Fatalf("first receive: %v, %v", rel, err)
+	}
+	if len(sub.em.C()) != 1 || q.Out().Len() != 0 {
+		t.Fatalf("after the receive the channel holds %d batches, q_out %d rows; want 1 and 0", len(sub.em.C()), q.Out().Len())
+	}
+	recvInOrder(t, sub, 2)
+}
+
+// TestBlockingDeliveryStress: four ingesters, one depth-1 blocking
+// consumer pausing at random. Every row arrives exactly once, and each
+// ingester's rows in the order it sent them.
+func TestBlockingDeliveryStress(t *testing.T) {
+	ctx := context.Background()
+	e := newCore(Config{Workers: 2})
+	if _, err := e.Exec(ctx, "CREATE BASKET s (w INT, seq INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Exec(ctx, `CREATE CONTINUOUS QUERY q WITH (depth = 1) AS
+		SELECT * FROM [SELECT * FROM s] AS x WHERE x.seq >= 0`); err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.Query("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop(ctx)
+	const ingesters, batches, rows = 4, 150, 4
+	var wg sync.WaitGroup
+	for w := 0; w < ingesters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				batch := make([][]vector.Value, rows)
+				for i := range batch {
+					batch[i] = []vector.Value{vector.NewInt(int64(w)), vector.NewInt(int64(b*rows + i))}
+				}
+				if err := e.Ingest(ctx, "s", batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	rng := rand.New(rand.NewSource(3))
+	next := make([]int64, ingesters)
+	for got := 0; got < ingesters*batches*rows; {
+		rel, err := q.Subscription().Recv(rctx)
+		if err != nil {
+			t.Fatalf("received %d of %d rows: %v", got, ingesters*batches*rows, err)
+		}
+		for i := 0; i < rel.NumRows(); i++ {
+			w, seq := rel.Cols[0].Get(i).I, rel.Cols[1].Get(i).I
+			if seq != next[w] {
+				t.Fatalf("ingester %d: row %d arrived where %d was due", w, seq, next[w])
+			}
+			next[w]++
+		}
+		got += rel.NumRows()
+		if rng.Intn(4) == 0 {
+			time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
+		}
+	}
+	wg.Wait()
+	if rel, _ := q.Subscription().TryRecv(); rel != nil || q.Out().Len() != 0 {
+		t.Fatalf("rows beyond the ingested ones: %v, %d in q_out", rel, q.Out().Len())
+	}
+}
+
+// blockingDepth1 registers q, a flat pass-through query over s(v) with a
+// blocking depth-1 subscription.
+func blockingDepth1(t *testing.T, e *Engine) *Query {
+	t.Helper()
+	ctx := context.Background()
 	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -169,47 +290,25 @@ func TestBlockedEmitterResumesWhenConsumerDrains(t *testing.T) {
 		SELECT * FROM [SELECT * FROM s] AS x WHERE x.v >= 0`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop(ctx)
 	q, err := e.Query("q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := q.Subscription()
-	emitterMisses := func() int64 {
-		for _, tr := range e.Stats().Scheduler.Transitions {
-			if tr.Name == "q_emit" {
-				return tr.ClaimMisses
-			}
-		}
-		return 0
-	}
+	return q
+}
 
-	if err := e.Ingest(ctx, "s", intRows(1)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the first batch to fill the channel", func() bool { return len(sub.C()) == 1 })
-	missed := emitterMisses()
-	if err := e.Ingest(ctx, "s", intRows(2)); err != nil {
-		t.Fatal(err)
-	}
-	// The second result's append woke the emitter, which found the channel
-	// full: it is parked with a row waiting in q_out.
-	waitFor(t, "the emitter to park on the full channel", func() bool {
-		return emitterMisses() > missed && q.Out().Len() == 1
-	})
-
-	for want := int64(1); want <= 2; want++ {
-		rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+// recvInOrder receives one batch per value and checks each carries it.
+func recvInOrder(t *testing.T, sub *Subscription, want ...int64) {
+	t.Helper()
+	for _, v := range want {
+		rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		rel, err := sub.Recv(rctx)
 		cancel()
 		if err != nil {
-			t.Fatalf("batch %d never arrived: %v", want, err)
+			t.Fatalf("batch %d never arrived: %v", v, err)
 		}
-		if got := rel.Cols[0].Get(0).I; got != want {
-			t.Fatalf("batch %d carried v = %d", want, got)
+		if got := rel.Cols[0].Get(0).I; got != v {
+			t.Fatalf("batch %d carried v = %d", v, got)
 		}
 	}
 }
@@ -283,11 +382,11 @@ func TestTimeWindowClosesWithoutArrivals(t *testing.T) {
 	}
 }
 
-// TestTickVisitsOnlyTimeDrivenTransitions: the 5 ms tick walks two sets
-// that install and drop maintain, never the query table. Queries that
-// only appends can make fireable are in neither; a window-bearing
-// factory, a windowed merge and a blocking subscription each enrol, and
-// leave again when their query drops.
+// TestTickVisitsOnlyTimeDrivenTransitions: the 5 ms tick walks one set
+// that install and drop maintain, never the query table: the factories
+// that own a window runner. Subscriptions and windowed merges are not in
+// it — appends and frontier advances wake them — and a window-bearing
+// factory leaves the set when its query drops.
 func TestTickVisitsOnlyTimeDrivenTransitions(t *testing.T) {
 	ctx := context.Background()
 	e := newCore(Config{})
@@ -299,26 +398,25 @@ func TestTickVisitsOnlyTimeDrivenTransitions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sets := func() [2]int { return [2]int{len(e.windowed.list()), len(e.rewakes.list())} }
 	steps := []struct {
 		ddl  string
-		want [2]int // window-bearing factories, re-wake handles
+		want int // window-bearing factories
 	}{
-		{"CREATE CONTINUOUS QUERY r1 WITH (strategy = routed, backpressure = drop_oldest) AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.k = 1", [2]int{0, 0}},
-		{"CREATE CONTINUOUS QUERY r2 WITH (strategy = routed, polling = true) AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.k = 2", [2]int{0, 0}},
-		{"CREATE CONTINUOUS QUERY blk AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.k = 3", [2]int{0, 1}},
-		{"CREATE CONTINUOUS QUERY win WITH (polling = true) AS SELECT SUM(x.v) AS sv FROM [SELECT * FROM s] AS x WINDOW RANGE 100 SLIDE 100", [2]int{1, 1}},
-		{"CREATE CONTINUOUS QUERY wm WITH (polling = true) AS SELECT x.g, SUM(x.v) AS sv FROM [SELECT * FROM p] AS x GROUP BY x.g WINDOW RANGE 100 SLIDE 100", [2]int{5, 2}},
-		{"DROP CONTINUOUS QUERY wm", [2]int{1, 1}},
-		{"DROP CONTINUOUS QUERY win", [2]int{0, 1}},
-		{"DROP CONTINUOUS QUERY blk", [2]int{0, 0}},
+		{"CREATE CONTINUOUS QUERY r1 WITH (strategy = routed, backpressure = drop_oldest) AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.k = 1", 0},
+		{"CREATE CONTINUOUS QUERY r2 WITH (strategy = routed, polling = true) AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.k = 2", 0},
+		{"CREATE CONTINUOUS QUERY blk AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.k = 3", 0},
+		{"CREATE CONTINUOUS QUERY win WITH (polling = true) AS SELECT SUM(x.v) AS sv FROM [SELECT * FROM s] AS x WINDOW RANGE 100 SLIDE 100", 1},
+		{"CREATE CONTINUOUS QUERY wm AS SELECT x.g, SUM(x.v) AS sv FROM [SELECT * FROM p] AS x GROUP BY x.g WINDOW RANGE 100 SLIDE 100", 5},
+		{"DROP CONTINUOUS QUERY wm", 1},
+		{"DROP CONTINUOUS QUERY win", 0},
+		{"DROP CONTINUOUS QUERY blk", 0},
 	}
 	for _, st := range steps {
 		if _, err := e.Exec(ctx, st.ddl); err != nil {
 			t.Fatal(err)
 		}
-		if got := sets(); got != st.want {
-			t.Fatalf("after %q the tick sets hold %v (window factories, re-wakes), want %v", st.ddl, got, st.want)
+		if got := len(e.windowed.list()); got != st.want {
+			t.Fatalf("after %q the tick visits %d window factories, want %d", st.ddl, got, st.want)
 		}
 	}
 }

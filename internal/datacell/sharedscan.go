@@ -86,7 +86,7 @@ type scanMember struct {
 	name    string
 	out     *basket.Basket
 	joinSeq bat.OID // deliver only batches starting at or after this OID
-	// emit is the subscription's emitter once install has scheduled it
+	// emit is the subscription's emitter once install has attached it
 	// (nil for a polling query): the firing offers it the member's rows
 	// and appends to out only what it declines.
 	emit      atomic.Pointer[adapters.ChannelEmitter]

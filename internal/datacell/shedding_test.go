@@ -96,13 +96,14 @@ func TestAutoFlushClosesTimeWindows(t *testing.T) {
 	if err := e.Ingest(context.Background(), "m", [][]vector.Value{{vector.NewInt(1)}, {vector.NewInt(2)}}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case rel := <-q.Subscription().C():
-		if rel.Cols[0].Get(0).I != 2 {
-			t.Errorf("window count = %v", rel.Row(0))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("time window never closed without new arrivals")
+	rctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rel, err := q.Subscription().Recv(rctx)
+	if err != nil {
+		t.Fatalf("time window never closed without new arrivals: %v", err)
+	}
+	if rel.Cols[0].Get(0).I != 2 {
+		t.Errorf("window count = %v", rel.Row(0))
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/adapters"
-	"repro/internal/scheduler"
+	"repro/internal/basket"
 	"repro/internal/storage"
 )
 
@@ -22,49 +22,72 @@ const (
 )
 
 // Subscription is a handle on a continuous query's result delivery: a
-// channel emitter scheduled as a Petri-net transition, wrapped with
-// lifecycle control. It is created by the engine (one per subscribing
-// query, and one per cascade stage) and stays valid until Close, the
-// owning query's drop, or engine Stop.
+// channel emitter on the query's output basket, wrapped with lifecycle
+// control. Delivery is no transition of its own. The firing that appends
+// results to the output basket delivers them, as the basket's append
+// listener; under the blocking policy rows that find the channel full
+// stay in the basket, and the Recv that makes room delivers them. It is
+// created by the engine (one per subscribing query, and one per cascade
+// stage) and stays valid until Close, the owning query's drop, or engine
+// Stop.
 type Subscription struct {
 	eng *Engine
 	em  *adapters.ChannelEmitter
-	h   *scheduler.Handle // the emitter's transition; set before the query goes live
+	out *basket.Basket
 
-	mu     sync.Mutex
-	closed bool
-	err    error
-	// unpark leaves the tick's re-wake set (nil unless blocking and
-	// scheduled).
-	unpark func()
+	mu       sync.Mutex
+	closed   bool
+	err      error
+	listener uint64 // the delivery listener on out; 0 until listen
 }
 
-func newSubscription(e *Engine, em *adapters.ChannelEmitter) *Subscription {
-	s := &Subscription{eng: e, em: em}
+func newSubscription(e *Engine, name string, out *basket.Basket, depth int, policy Backpressure) *Subscription {
+	s := &Subscription{eng: e, em: adapters.NewChannelEmitter(name, out, depth, policy), out: out}
 	e.mu.Lock()
 	e.subs = append(e.subs, s)
 	e.mu.Unlock()
 	return s
 }
 
-// scheduled records that the emitter runs as transition h. A blocking
-// emitter goes not-ready while its channel is full and no append will
-// wake it when the consumer makes room, so it joins the tick's re-wake
-// set; a drop-oldest emitter is ready whenever results wait.
-func (s *Subscription) scheduled(h *scheduler.Handle) {
-	s.h = h
-	if s.em.Policy() != BackpressureBlock {
-		return
-	}
-	unpark := s.eng.tickRewake(h, s.em.Unparked)
+// listen makes every append to the output basket deliver, and delivers
+// what it already holds. The listener runs inside the appending firing,
+// which holds the consistency gate already on a durable engine, so it
+// must not take the gate again (a read lock taken twice deadlocks once a
+// checkpoint waits for the write lock); the caller of listen holds it
+// too, or nothing can fire yet.
+func (s *Subscription) listen() {
+	id := s.out.Subscribe(s.deliver)
 	s.mu.Lock()
-	s.unpark = unpark
+	s.listener = id
 	s.mu.Unlock()
+	s.deliver()
 }
 
-// C returns the delivery channel: one relation per result batch. The
-// channel is closed when the subscription closes; Err explains why.
-func (s *Subscription) C() <-chan *storage.Relation { return s.em.C() }
+// deliver drains the output basket into the channel, unless another
+// transition reads the basket too (a chained query): its rows then
+// belong to that reader, as they do for the routed scan's hand-off.
+func (s *Subscription) deliver() {
+	if s.out.Listeners() == 1 {
+		_ = s.em.Fire()
+	}
+}
+
+// refill is the consumer's half of delivery: after a receive made room
+// it moves rows waiting in the output basket into the channel. On a
+// durable engine it holds the consistency gate, as a firing does — a
+// checkpoint must never see the basket drained with the delivered count
+// not yet advanced — and once Stop has begun it moves nothing, so no
+// delivery lands after the final checkpoint.
+func (s *Subscription) refill() {
+	if e := s.eng; e.dur != nil {
+		e.gate.RLock()
+		defer e.gate.RUnlock()
+		if e.guard(nil) != nil { // see FlushWindows
+			return
+		}
+	}
+	s.deliver()
+}
 
 // Recv waits for the next result batch, honoring ctx cancellation. After
 // the subscription closes (and its buffer drains) it returns Err().
@@ -74,16 +97,34 @@ func (s *Subscription) Recv(ctx context.Context) (*storage.Relation, error) {
 	}
 	select {
 	case rel, ok := <-s.em.C():
-		if !ok {
-			return nil, s.Err()
-		}
-		return rel, nil
+		return s.took(rel, ok)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-// Close detaches the emitter from the scheduler and closes the delivery
+// TryRecv is Recv without waiting: it returns nil, nil when no batch is
+// ready.
+func (s *Subscription) TryRecv() (*storage.Relation, error) {
+	select {
+	case rel, ok := <-s.em.C():
+		return s.took(rel, ok)
+	default:
+		return nil, nil
+	}
+}
+
+// took finishes a receive: a closed channel reports why, a batch makes
+// room that refill fills.
+func (s *Subscription) took(rel *storage.Relation, ok bool) (*storage.Relation, error) {
+	if !ok {
+		return nil, s.Err()
+	}
+	s.refill()
+	return rel, nil
+}
+
+// Close detaches delivery from the output basket and closes the delivery
 // channel. The query itself keeps running — its results keep accumulating
 // in the output basket, queryable via one-time SQL. Close is idempotent.
 func (s *Subscription) Close() error {
@@ -104,7 +145,7 @@ func (s *Subscription) Err() error {
 // backpressure policy.
 func (s *Subscription) Dropped() int64 { return s.em.Dropped() }
 
-// closeWith records the close reason, unschedules the emitter, and closes
+// closeWith records the close reason, detaches the listener, and closes
 // the channel. First reason wins.
 func (s *Subscription) closeWith(cause error) {
 	s.mu.Lock()
@@ -114,12 +155,11 @@ func (s *Subscription) closeWith(cause error) {
 	}
 	s.closed = true
 	s.err = cause
-	unpark := s.unpark
+	listener := s.listener
 	s.mu.Unlock()
-	if unpark != nil {
-		unpark()
+	if listener != 0 {
+		s.out.Unsubscribe(listener)
 	}
-	s.eng.sched.Remove(s.em.Name())
 	s.em.Close()
 	// Drop the engine's reference so repeated create/drop cycles don't
 	// accumulate dead subscriptions.

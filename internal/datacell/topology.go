@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adapters"
 	"repro/internal/basket"
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -431,7 +430,7 @@ func (q *Query) build() error {
 	}
 
 	if cfg.subDepth > 0 {
-		q.sub = newSubscription(e, adapters.NewChannelEmitter(name+"_emit", q.out, cfg.subDepth, cfg.policy))
+		q.sub = newSubscription(e, name+"_emit", q.out, cfg.subDepth, cfg.policy)
 		q.onUndo(func() { q.sub.closeWith(ErrSubscriptionClosed) })
 	}
 
@@ -451,16 +450,15 @@ func (q *Query) build() error {
 		q.schedule(f, stageFire, factoryDelta(f), f.InputBaskets())
 	}
 	if q.merge != nil {
-		h := q.schedule(q.merge, stageMerge, counterDelta(q.merge.Merged), q.sinks)
-		if t.merge == mergeWindowed {
-			q.onUndo(e.tickRewake(h, q.merge.Ready))
-		}
+		q.schedule(q.merge, stageMerge, counterDelta(q.merge.Merged), q.sinks)
 	}
 	if q.sub != nil {
-		q.sub.scheduled(q.schedule(q.sub.em, stageDeliver, counterDelta(q.sub.em.Delivered), []*basket.Basket{q.out}))
+		// Every append to <q>_out delivers from here on; the undo pushed
+		// with the subscription detaches the listener.
+		q.sub.listen()
 		if q.routed != nil {
 			// From here on the shared scan hands this member's rows to the
-			// subscription; <q>_out and the emitter are the overflow path.
+			// subscription; <q>_out is the overflow path.
 			q.routed.member.emit.Store(q.sub.em)
 		}
 	}
@@ -538,6 +536,8 @@ func (q *Query) addLane(lane int, latency *obs.Histogram) error {
 		}
 		fopts = append(fopts, factory.WithWindow(runner))
 		if t.merge == mergeWindowed {
+			// Tagged lanes also notify their sink, whose listener is the
+			// merge, whenever their window frontier moves.
 			fopts = append(fopts, factory.WithWindowEndTag())
 		}
 	}
@@ -603,7 +603,7 @@ func (q *Query) attachInput(spec inputSpec, lane, idx int) factory.Input {
 // transitions it can enable instead of rescanning the net. The undo
 // detaches the wake-ups first, so nothing re-enqueues the transition
 // while Remove fences its last firing.
-func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int64, int64), wakeOn []*basket.Basket) *scheduler.Handle {
+func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int64, int64), wakeOn []*basket.Basket) {
 	e := q.engine
 	h := e.addTransition(t, q.topo.cfg.priority)
 	e.observeStage(q.trace, h, stage, t.Name(), delta)
@@ -617,5 +617,4 @@ func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int
 		}
 		e.sched.Remove(t.Name())
 	})
-	return h
 }

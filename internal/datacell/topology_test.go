@@ -47,12 +47,12 @@ func topoEngine(t *testing.T) *Engine {
 
 // netFootprint is everything a registration may leave behind: catalog
 // entries, fan-out replicas, shard-routing switches, shared readers,
-// scheduler transitions, subscriptions, the tick's work sets, and claimed
+// scheduler transitions, subscriptions, the tick's work set, and claimed
 // query and cascade names.
 func netFootprint(e *Engine) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "catalog=%v transitions=%d", e.cat.Names(), len(e.sched.Transitions()))
-	fmt.Fprintf(&b, " windowed=%d rewakes=%d", len(e.windowed.list()), len(e.rewakes.list()))
+	fmt.Fprintf(&b, " windowed=%d", len(e.windowed.list()))
 	e.mu.Lock()
 	fmt.Fprintf(&b, " queries=%d cascades=%d subs=%d", len(e.queries), len(e.cascades), len(e.subs))
 	var streams []*stream

@@ -366,7 +366,10 @@ func TestPartitionedWindowedConcurrentIngest(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for range q.Subscription().C() {
+		for {
+			if _, err := q.Subscription().Recv(ctx); err != nil {
+				return
+			}
 		}
 	}()
 
@@ -417,9 +420,9 @@ func TestPartitionedWindowedTeardown(t *testing.T) {
 		SELECT x.g, SUM(x.v) AS sv FROM [SELECT * FROM s] AS x GROUP BY x.g WINDOW RANGE 100 SLIDE 100`); err != nil {
 		t.Fatal(err)
 	}
-	// 4 shard factories + windowed merge + emitter.
-	if got := len(part.Scheduler().Transitions()); got != baseline+6 {
-		t.Fatalf("transitions = %d, want %d", got, baseline+6)
+	// 4 shard factories + windowed merge; delivery is no transition.
+	if got := len(part.Scheduler().Transitions()); got != baseline+5 {
+		t.Fatalf("transitions = %d, want %d", got, baseline+5)
 	}
 	if _, err := part.Exec(ctx, "DROP CONTINUOUS QUERY q"); err != nil {
 		t.Fatal(err)

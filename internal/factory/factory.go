@@ -90,7 +90,8 @@ type Factory struct {
 
 	// onResult, when set, receives every non-empty result batch along with
 	// the max input timestamp it covers (for latency accounting). Called
-	// outside all basket locks.
+	// outside all basket locks, before the batch is appended: an append
+	// can deliver it downstream at once.
 	onResult func(rel *storage.Relation, maxInputTS int64)
 
 	// Window state (nil for unwindowed queries). runnerMu serializes the
@@ -102,8 +103,12 @@ type Factory struct {
 	runnerMu sync.Mutex
 	// tagWindowEnd appends each emitted window's end boundary as an extra
 	// column — shard pipelines of a partitioned windowed query mark their
-	// partials so the merge can align pane grids across shards.
+	// partials so the merge can align pane grids across shards. Such a
+	// lane also notifies its outputs whenever WindowFrontier moves: the
+	// merge waits on the frontier, and a lane can pass a window without
+	// appending anything. reported is the frontier last notified.
 	tagWindowEnd bool
+	reported     int64
 	// frontier is the delivered window frontier (atomic): every window
 	// whose end is <= frontier has been appended to the output baskets.
 	// Initialized to math.MinInt64.
@@ -146,8 +151,9 @@ func WithMinTuples(n int) Option {
 
 // SetResultHook chains fn onto the factory's result callback: fn runs
 // after any previously installed callback, for every non-empty result
-// batch, outside all basket locks. It must be called before the factory
-// is scheduled (it is not synchronized with firings).
+// batch, outside all basket locks and before the batch is appended to
+// the outputs. It must be called before the factory is scheduled (it is
+// not synchronized with firings).
 func (f *Factory) SetResultHook(fn func(rel *storage.Relation, maxInputTS int64)) {
 	if fn == nil {
 		return
@@ -171,7 +177,8 @@ func WithWindow(r *window.Runner) Option {
 
 // WithWindowEndTag appends each emitted window's end timestamp as a
 // trailing column of the result (shard pipelines of partitioned windowed
-// queries, whose merge stage aligns windows by that boundary).
+// queries, whose merge stage aligns windows by that boundary), and makes
+// every move of WindowFrontier notify the outputs' listeners, the merge.
 func WithWindowEndTag() Option {
 	return func(f *Factory) { f.tagWindowEnd = true }
 }
@@ -220,6 +227,7 @@ func New(name string, p plan.Node, cat *catalog.Catalog, inputs []Input, outputs
 		minTuples: 1,
 		Latency:   obs.NewHistogram(),
 		frontier:  math.MinInt64,
+		reported:  math.MinInt64,
 	}
 	f.seen = make([]bat.OID, len(f.inputs))
 	for i := range f.inputs {
@@ -297,15 +305,19 @@ func (f *Factory) WindowWatermark() (int64, bool) {
 // tuple yet the live watermark stands in (there is nothing pending to
 // deliver), so an empty shard never stalls a windowed merge.
 func (f *Factory) WindowFrontier() int64 {
-	fr := atomic.LoadInt64(&f.frontier)
 	if f.runner == nil {
-		return fr
+		return atomic.LoadInt64(&f.frontier)
 	}
 	f.runnerMu.Lock()
-	started := f.runner.Started()
+	defer f.runnerMu.Unlock()
+	return f.windowFrontierLocked()
+}
+
+// windowFrontierLocked is WindowFrontier for a caller holding runnerMu.
+func (f *Factory) windowFrontierLocked() int64 {
+	fr := atomic.LoadInt64(&f.frontier)
 	wm, ok := f.runner.Watermark()
-	f.runnerMu.Unlock()
-	if !started && ok && wm > fr {
+	if !f.runner.Started() && ok && wm > fr {
 		return wm
 	}
 	return fr
@@ -476,7 +488,9 @@ func (f *Factory) Fire() error {
 	f.mu.Unlock()
 	unlock()
 
-	return f.deliver(rel, maxTS, total)
+	err = f.deliver(rel, maxTS, total)
+	f.notifyOutputs()
+	return err
 }
 
 // fireWindowed moves the unseen tuples of the (single) input into the
@@ -521,8 +535,11 @@ func (f *Factory) fireWindowed(p pinned, unlock func(), groupMax int64, hasGroup
 }
 
 // deliverWindows appends emitted window results to the outputs and then
-// publishes the delivered frontier; the caller holds runnerMu.
+// publishes the delivered frontier; the caller holds runnerMu. The
+// outputs' listeners run once, after the last append: a firing's windows
+// reach a subscriber as one delivery.
 func (f *Factory) deliverWindows(results []window.Result) error {
+	var err error
 	for _, res := range results {
 		rel := res.Rel
 		if f.tagWindowEnd {
@@ -532,14 +549,15 @@ func (f *Factory) deliverWindows(results []window.Result) error {
 			}
 			rel = &storage.Relation{Schema: rel.Schema, Cols: append(append([]*vector.Vector(nil), rel.Cols...), wend)}
 		}
-		if err := f.deliver(rel, f.windowTS(res), 0); err != nil {
-			return err
+		if err = f.deliver(rel, f.windowTS(res), 0); err != nil {
+			break
 		}
 	}
+	notify := len(results) > 0
 	// The frontier moves only after the results above are in the output
 	// baskets — a windowed merge reading it can rely on every window at
 	// or below it being fully appended.
-	if wm, ok := f.runner.Watermark(); ok {
+	if wm, ok := f.runner.Watermark(); ok && err == nil {
 		for {
 			cur := atomic.LoadInt64(&f.frontier)
 			if wm <= cur || atomic.CompareAndSwapInt64(&f.frontier, cur, wm) {
@@ -547,7 +565,19 @@ func (f *Factory) deliverWindows(results []window.Result) error {
 			}
 		}
 	}
-	return nil
+	// Both callers ran the runner first, so WindowFrontier can have moved
+	// by the CAS above or, for a runner yet to see a tuple, by the group
+	// watermark ObserveGroup admitted.
+	if f.tagWindowEnd {
+		if fr := f.windowFrontierLocked(); fr > f.reported {
+			f.reported = fr
+			notify = true
+		}
+	}
+	if notify {
+		f.notifyOutputs()
+	}
+	return err
 }
 
 // windowTS converts a window result boundary into a latency reference:
@@ -686,12 +716,21 @@ func (f *Factory) RestoreState(st *State) error {
 	return nil
 }
 
+// deliver appends one result batch to the outputs and counts it. It
+// leaves the outputs' listeners to the caller (notifyOutputs), which runs
+// them once per firing.
 func (f *Factory) deliver(rel *storage.Relation, maxTS int64, tuplesIn int) error {
 	if maxTS > 0 {
 		f.Latency.Observe(f.clock.Now() - maxTS)
 	}
+	if f.onResult != nil && rel.NumRows() > 0 {
+		f.onResult(rel, maxTS)
+	}
 	for _, out := range f.outputs {
-		if err := out.AppendRelation(rel); err != nil {
+		out.Lock()
+		err := out.LockedAppendRelation(rel)
+		out.Unlock()
+		if err != nil {
 			return fmt.Errorf("factory %s: output %s: %w", f.name, out.Name(), err)
 		}
 	}
@@ -703,8 +742,13 @@ func (f *Factory) deliver(rel *storage.Relation, maxTS int64, tuplesIn int) erro
 	f.stats.TuplesIn += int64(tuplesIn)
 	f.stats.TuplesOut += int64(rel.NumRows())
 	f.mu.Unlock()
-	if f.onResult != nil && rel.NumRows() > 0 {
-		f.onResult(rel, maxTS)
-	}
 	return nil
+}
+
+// notifyOutputs runs the output baskets' append listeners: the
+// transitions an emission wakes, and a subscription's delivery.
+func (f *Factory) notifyOutputs() {
+	for _, out := range f.outputs {
+		out.NotifyAppend()
+	}
 }

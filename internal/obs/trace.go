@@ -3,11 +3,11 @@ package obs
 import "sync"
 
 // TraceEvent is one recorded pipeline firing: a transition (shard
-// factory, merge stage, or emitter) ran once, with its queue delay and
-// execution time and the tuple counts it moved.
+// factory or merge stage) ran once, with its queue delay and execution
+// time and the tuple counts it moved.
 type TraceEvent struct {
 	Seq        int64  // per-ring sequence number, increasing
-	Stage      string // "fire", "merge", "deliver"
+	Stage      string // "fire", "merge"
 	Transition string // transition name (shard factories carry :sN)
 	Start      int64  // engine-clock ns at which execution began
 	QueueNS    int64  // wake -> execution delay (0 when not pool-driven)

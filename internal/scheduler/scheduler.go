@@ -1,6 +1,6 @@
 // Package scheduler implements the DataCell's Petri-net processing model
-// (§2.4): receptors, factories, and emitters are transitions; baskets are
-// token places. A transition fires when all of its input places hold
+// (§2.4): factories (and the engine's merge and shared-scan stages) are
+// transitions; baskets are token places. A transition fires when all of its input places hold
 // enough tuples. The scheduler continuously re-evaluates firing conditions
 // and runs fireable transitions.
 //
@@ -28,9 +28,7 @@
 // of its run-queue, so a continuously-ready transition keeps running
 // without starving others and without any periodic polling in the workers.
 // There is no broadcast wake: whoever makes a transition fireable by
-// other means than an append (the engine's timer goroutine, for windows
-// that time closes and emitters a consumer un-blocks) wakes that
-// transition's Handle.
+// other means than an append wakes that transition's Handle.
 package scheduler
 
 import (
@@ -41,7 +39,7 @@ import (
 	"time"
 )
 
-// Transition is a Petri-net transition: a receptor, factory, or emitter.
+// Transition is a Petri-net transition: a factory or another firing stage.
 type Transition interface {
 	// Name identifies the transition in diagnostics.
 	Name() string

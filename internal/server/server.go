@@ -29,7 +29,6 @@ import (
 	"repro/internal/adapters"
 	"repro/internal/catalog"
 	"repro/internal/sql"
-	"repro/internal/storage"
 	"repro/internal/vector"
 )
 
@@ -312,19 +311,15 @@ func (s *Server) ServeResults(conn io.ReadWriteCloser) {
 		out = out[:0]
 		return err == nil
 	}
-	ch := sub.C()
 	for {
-		var rel *storage.Relation
-		var open bool
-		select {
-		case rel, open = <-ch:
-		default:
+		rel, err := sub.TryRecv()
+		if rel == nil && err == nil {
 			if !flush() {
 				return
 			}
-			rel, open = <-ch
+			rel, err = sub.Recv(context.Background())
 		}
-		if !open {
+		if err != nil {
 			flush()
 			return
 		}

@@ -535,3 +535,100 @@ func TestBadLineInTheMiddleOfABatch(t *testing.T) {
 		t.Errorf("%d lines logged, want one per rejected line (%d): %q", len(lines), len(bad), lines)
 	}
 }
+
+// TestServeResultsResumesAfterAStalledReader is wire_filter's shape over
+// loopback: one blocking subscription behind ServeResults, whose reader
+// stops reading until more than depth batches are pending — the socket
+// buffers are full, the channel is full, and results wait in the output
+// basket. Nothing polls for room: when the reader resumes, the receives
+// ServeResults makes deliver the rest, and every row arrives, the last
+// within a second.
+func TestServeResultsResumesAfterAStalledReader(t *testing.T) {
+	ctx := context.Background()
+	eng, err := datacell.Open(ctx, datacell.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop(ctx)
+	s := New(eng)
+	defer s.Close()
+	const depth = 4
+	if err := s.RunScript(ctx, fmt.Sprintf(`
+		CREATE BASKET ev (seq INT, v INT);
+		CREATE CONTINUOUS QUERY pass WITH (depth = %d) AS
+			SELECT * FROM [SELECT * FROM ev] AS e WHERE e.v >= 0;
+	`, depth)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	q, err := eng.Query("pass")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 64 KiB socket buffers bound what the stalled reader lets pile up in
+	// the kernel, without the tiny-window stalls of smaller ones.
+	const sockBuf = 64 << 10
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		_ = conn.(*net.TCPConn).SetWriteBuffer(sockBuf)
+		s.ServeResults(conn)
+	}()
+	reader := dial(t, ln.Addr())
+	_ = reader.(*net.TCPConn).SetReadBuffer(sockBuf)
+	fmt.Fprintln(reader, "pass")
+
+	// Ingest until results wait in pass_out: the socket buffers are full,
+	// ServeResults is blocked writing, and the channel is full behind it.
+	const rows = 64
+	batches := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for q.Out().Len() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d batches in, the stalled reader never backed results up into pass_out", batches)
+		}
+		batch := make([][]datacell.Value, rows)
+		for i := range batch {
+			seq := int64(batches*rows + i)
+			batch[i] = []datacell.Value{datacell.Int(seq), datacell.Int(seq % 7)}
+		}
+		if err := eng.Ingest(ctx, "ev", batch); err != nil {
+			t.Fatal(err)
+		}
+		batches++
+		if batches%16 == 0 {
+			time.Sleep(time.Millisecond) // let the pipeline catch up to the socket
+		}
+	}
+
+	t.Logf("%d rows ingested", batches*rows)
+	resumed := time.Now()
+	_ = reader.SetReadDeadline(resumed.Add(10 * time.Second))
+	sc := bufio.NewScanner(reader)
+	for want := int64(0); want < int64(batches*rows); want++ {
+		if !sc.Scan() {
+			t.Fatalf("stream ended after %d of %d rows: %v", want, batches*rows, sc.Err())
+		}
+		if line, exp := sc.Text(), fmt.Sprintf("%d,%d", want, want%7); line != exp {
+			t.Fatalf("row %d: got %q, want %q", want, line, exp)
+		}
+	}
+	if took := time.Since(resumed); took > time.Second {
+		t.Errorf("the last row arrived %v after the reader resumed, want under 1s", took)
+	}
+	// Stopping the engine closes the subscription, which ends ServeResults.
+	_ = eng.Stop(ctx)
+	<-served
+}
