@@ -396,15 +396,11 @@ func shardedRows(lo, hi int) [][2]int64 {
 	return rows
 }
 
-// settle runs the net to quiescence the way the running engine's tick
-// would: fire, let the lanes republish their frontiers against the
-// stream-wide watermark, fire what that unblocked.
+// settle runs the net to quiescence: Drain consults every transition's
+// Ready, so lanes whose frontier the stream-wide watermark moved fire
+// too, and the merges that unblocks.
 func settle(t *testing.T, e *Engine) {
 	t.Helper()
-	e.Drain()
-	if err := e.FlushWindows(); err != nil {
-		t.Fatal(err)
-	}
 	e.Drain()
 }
 

@@ -51,6 +51,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -110,11 +111,13 @@ type durability struct {
 	lastCkptSeq  int64
 	lastCkptTime time.Time
 
-	// ckptMu serializes whole checkpoints (ticker vs Stop vs explicit).
+	// ckptMu serializes whole checkpoints (timer vs Stop vs explicit);
+	// closed, under it, is set by Stop's final one, after which none runs.
 	ckptMu sync.Mutex
-	// retime tells checkpointLoop that ckptEvery tightened while it was
-	// waiting out the previous cadence.
-	retime chan struct{}
+	closed bool
+	// ckptTimer paces the background checkpoints between Start and Stop
+	// (nil otherwise); tighten resets it.
+	ckptTimer *time.Timer
 
 	// Recovery-time switches; set only while Open replays, before the
 	// engine is visible to any other goroutine.
@@ -200,22 +203,50 @@ func (d *durability) logFrontier(query string, delivered int64) {
 	}
 }
 
-// tighten lowers the background checkpoint cadence to at most every.
+// tighten lowers the background checkpoint cadence to at most every. A
+// tightening re-arms the timer, so the first checkpoint under the new
+// cadence lands one new interval after the registration, not one old one.
 func (d *durability) tighten(every time.Duration) {
 	if d == nil || every <= 0 {
 		return
 	}
 	d.mu.Lock()
-	tightened := d.ckptEvery <= 0 || every < d.ckptEvery
-	if tightened {
+	defer d.mu.Unlock()
+	if d.ckptEvery <= 0 || every < d.ckptEvery {
 		d.ckptEvery = every
+		d.armCheckpointLocked()
 	}
-	d.mu.Unlock()
-	if tightened {
-		select {
-		case d.retime <- struct{}{}:
-		default: // a re-arm is already pending; it will read the new cadence
-		}
+}
+
+// checkpointTimer starts the background checkpoints (Start): run runs
+// every ckptEvery, re-armed after each run and by tighten; with the
+// cadence disabled the timer waits for a query to turn it on. A nil run
+// stops them for good (Stop).
+func (d *durability) checkpointTimer(run func()) {
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.ckptTimer != nil {
+		d.ckptTimer.Stop()
+		d.ckptTimer = nil
+	}
+	if run != nil {
+		d.ckptTimer = time.AfterFunc(math.MaxInt64, func() {
+			run()
+			d.mu.Lock()
+			d.armCheckpointLocked()
+			d.mu.Unlock()
+		})
+		d.armCheckpointLocked()
+	}
+}
+
+// armCheckpointLocked (re)starts the cadence; the caller holds d.mu.
+func (d *durability) armCheckpointLocked() {
+	if d.ckptTimer != nil && d.ckptEvery > 0 {
+		d.ckptTimer.Reset(d.ckptEvery)
 	}
 }
 
@@ -463,7 +494,7 @@ func (q *Query) restoreState(st *ckptQuery) error {
 
 // Checkpoint captures a consistent snapshot of all durable state,
 // installs it atomically, and prunes the WAL prefix it covers. The
-// background ticker calls this on the configured cadence; explicit
+// checkpoint timer calls this on the configured cadence; explicit
 // calls are safe any time the engine is not stopped.
 func (e *Engine) Checkpoint(ctx context.Context) error {
 	if e.dur == nil {
@@ -479,6 +510,10 @@ func (e *Engine) checkpoint(clean bool) error {
 	d := e.dur
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
+	if d.closed {
+		return ErrEngineStopped
+	}
+	d.closed = clean
 	start := time.Now()
 	defer func() {
 		e.obs.checkpoints.Inc()
@@ -534,7 +569,6 @@ func (e *Engine) initDurability(cfg Config) error {
 		dir:       cfg.DataDir,
 		wal:       w,
 		ckptEvery: every,
-		retime:    make(chan struct{}, 1),
 		delivered: map[string]int64{},
 	}
 	if err := e.recoverDurable(); err != nil {
@@ -660,33 +694,6 @@ func (e *Engine) recoverDurable() error {
 		d.delivered[key] = front
 	}
 	return nil
-}
-
-// checkpointLoop is the background checkpointer, launched by Start and
-// stopped with the flush ticker. The cadence is re-read every round, and
-// a query's checkpoint_interval option tightening it after Start re-arms
-// the round in progress, so the first checkpoint under the new cadence
-// lands one new interval after the registration, not one old one.
-func (e *Engine) checkpointLoop(stop chan struct{}) {
-	d := e.dur
-	for {
-		d.mu.Lock()
-		every := d.ckptEvery
-		d.mu.Unlock()
-		// A nil channel never fires: with the cadence disabled only Stop's
-		// final checkpoint runs, until a query turns it on.
-		var due <-chan time.Time
-		if every > 0 {
-			due = time.After(every)
-		}
-		select {
-		case <-stop:
-			return
-		case <-d.retime:
-		case <-due:
-			_ = e.checkpoint(false)
-		}
-	}
 }
 
 // EngineStats reports the engine's durability posture and the

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/basket"
 	"repro/internal/catalog"
 	"repro/internal/exec"
-	"repro/internal/factory"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/plan"
@@ -127,36 +125,13 @@ type Engine struct {
 	subs       []*Subscription
 	workers    int
 	state      int
-	flushStop  chan struct{}
 	// done is closed exactly once, as the last act of the Stop that shut
 	// the engine down; context watchers and every other Stop wait on it.
 	done chan struct{}
 
-	// windowed is the tick's work list: the factories that own a window
-	// runner, which time may close with no arrival. install and its undo
-	// maintain it, so a tick costs nothing per query without a window.
-	windowed tickSet[*factory.Factory]
-}
-
-// tickSet is a copy-on-write list: writers hold e.mu, the tick goroutine
-// reads it with one atomic load.
-type tickSet[T comparable] struct{ p atomic.Pointer[[]T] }
-
-func (s *tickSet[T]) list() []T {
-	if p := s.p.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (s *tickSet[T]) add(x T) {
-	next := append(slices.Clone(s.list()), x)
-	s.p.Store(&next)
-}
-
-func (s *tickSet[T]) remove(x T) {
-	next := slices.DeleteFunc(slices.Clone(s.list()), func(y T) bool { return y == x })
-	s.p.Store(&next)
+	// timers counts the armed window timers (laneTimer): zero on an idle
+	// engine and after every windowed query has dropped.
+	timers atomic.Int64
 }
 
 // stream is one ingestion point: the primary (shared) basket plus the
@@ -282,10 +257,13 @@ func (e *Engine) guard(ctx context.Context) error {
 	return nil
 }
 
-// Start launches the concurrent scheduler pool, plus a background ticker
-// that advances time-based windows so they close even when their stream
-// pauses. Cancelling ctx stops the engine. Start on a running engine is a
-// no-op; after Stop it returns ErrEngineStopped.
+// Start launches the concurrent scheduler pool and, on a durable engine,
+// arms the checkpoint timer; beyond the pool's workers it starts no
+// goroutine (a cancellable ctx gets a watcher). Time reaches the net as
+// wake-ups: a windowed query's timer, or its lanes' watermark group,
+// wakes the lanes a window close concerns. Cancelling ctx stops the
+// engine. Start on a running engine is a no-op; after Stop it returns
+// ErrEngineStopped.
 func (e *Engine) Start(ctx context.Context) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -305,30 +283,14 @@ func (e *Engine) Start(ctx context.Context) error {
 	}
 	e.state = stateRunning
 	w := e.workers
-	stop := make(chan struct{})
-	e.flushStop = stop
 	e.mu.Unlock()
 	e.sched.Start(w)
-	go func() {
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				_ = e.FlushWindows()
-			}
-		}
-	}()
-	if e.dur != nil {
-		go e.checkpointLoop(stop)
-	}
+	e.dur.checkpointTimer(func() { _ = e.checkpoint(false) })
 	e.watchContext(ctx)
 	return nil
 }
 
-// Stop shuts the engine down: the window ticker stops, in-flight work is
+// Stop shuts the engine down: the timers stop, in-flight work is
 // drained gracefully (bounded by ctx), the scheduler pool terminates, and
 // every subscription closes with ErrEngineStopped. Stop is idempotent and
 // safe before Start; once stopped, the engine rejects further work. Every
@@ -356,11 +318,12 @@ func (e *Engine) Stop(ctx context.Context) error {
 	}
 	wasRunning := e.state == stateRunning
 	e.state = stateStopped
-	stop := e.flushStop
-	e.flushStop = nil
 	e.mu.Unlock()
-	if stop != nil {
-		close(stop)
+	e.dur.checkpointTimer(nil)
+	for _, q := range e.Queries() {
+		if q.timer != nil {
+			q.timer.stop()
+		}
 	}
 	var drainErr error
 	if wasRunning {
@@ -937,25 +900,4 @@ func (e *Engine) Query(name string) (*Query, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, name)
 	}
 	return q, nil
-}
-
-// FlushWindows advances every windowed query to the current clock,
-// emitting time-based windows that closed without new arrivals. The
-// running engine calls it every 5 ms; nothing else runs on a timer.
-func (e *Engine) FlushWindows() error {
-	if e.dur != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
-		// What a flush closes is delivered at once; after Stop began, that
-		// could land behind the final checkpoint.
-		if err := e.guard(nil); err != nil {
-			return err
-		}
-	}
-	for _, f := range e.windowed.list() {
-		if err := f.FlushWindows(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -331,9 +331,6 @@ func TestWindowedTimeFlush(t *testing.T) {
 		t.Fatal("window emitted before time passed")
 	}
 	clk.Advance(5000)
-	if err := e.FlushWindows(); err != nil {
-		t.Fatal(err)
-	}
 	e.Drain()
 	rels := collect(q)
 	if len(rels) != 1 || rels[0].Cols[0].Get(0).I != 2 {

@@ -2,6 +2,7 @@ package datacell
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/catalog"
@@ -81,7 +82,7 @@ func (e *Engine) explainAnalyze(name string) (*storage.Relation, error) {
 		}
 		st := f.Stats()
 		detail := ""
-		if wm, ok := f.WindowWatermark(); ok {
+		if wm := f.WindowFrontier(); wm != math.MinInt64 {
 			detail = fmt.Sprintf("watermark=%d late=%d", wm, st.Late)
 		}
 		if st.JoinState > 0 || st.JoinEvictions > 0 {

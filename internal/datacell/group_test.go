@@ -173,10 +173,6 @@ func TestGroupKeyRuleAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Drain()
-	if err := e.FlushWindows(); err != nil {
-		t.Fatal(err)
-	}
-	e.Drain()
 	if q, err := e.Query("part"); err != nil || q.Shards() != 2 {
 		t.Fatalf("part runs on %v lanes (%v), want 2", q.Shards(), err)
 	}

@@ -52,10 +52,6 @@ func TestIntrospectionUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Drain()
-	if err := e.FlushWindows(); err != nil {
-		t.Fatal(err)
-	}
-	e.Drain()
 
 	var sb strings.Builder
 	for _, what := range []string{"QUERIES", "STREAMS", "BASKETS", "TABLES", "SCHEDULER"} {

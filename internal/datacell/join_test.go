@@ -643,9 +643,6 @@ func TestJoinKeyTypesAgree(t *testing.T) {
 				}
 			}
 			clk.Set(1_001_000)
-			if err := e.FlushWindows(); err != nil {
-				t.Fatal(err)
-			}
 			e.Drain()
 			if got := queryRows(t, e, "SELECT * FROM t2 JOIN ref ON t2.k = ref.id"); len(got) != 1 {
 				t.Errorf("one-time join: %d rows, want 1", len(got))

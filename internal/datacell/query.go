@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/plan"
+	"repro/internal/scheduler"
 	"repro/internal/sql"
 	"repro/internal/vector"
 	"repro/internal/window"
@@ -44,6 +46,7 @@ type Query struct {
 	merge   *partition.Merge // nil when unpartitioned
 	out     *basket.Basket
 	sub     *Subscription // nil when the query polls via SQL
+	timer   *laneTimer    // windowed queries only
 	routed  *routedQuery  // routed strategy only (shared-scan attachment)
 	durable bool          // state captured by checkpoints (durable engines only)
 
@@ -113,15 +116,9 @@ func (q *Query) LateTuples() int64 { return q.Stats().Late }
 func (q *Query) Watermark() (int64, bool) {
 	wm := int64(math.MaxInt64)
 	for _, f := range q.facts {
-		v, vok := f.WindowWatermark()
-		if !vok {
-			return 0, false
-		}
-		if v < wm {
-			wm = v
-		}
+		wm = min(wm, f.WindowFrontier())
 	}
-	return wm, len(q.facts) > 0
+	return wm, wm != math.MinInt64 && len(q.facts) > 0
 }
 
 // Latency returns the per-batch latency histogram. Shard pipelines of a
@@ -508,4 +505,81 @@ func basketExprStreams(sel *sql.SelectStmt) ([]string, error) {
 		return nil, fmt.Errorf("datacell: continuous queries need one basket expression (two for a stream-stream join), found %d", len(found))
 	}
 	return found, nil
+}
+
+// laneTimer brings time to a windowed query's lanes as wake-ups. For
+// arrival-time windows it is one runtime timer, armed at the earliest
+// close (window end plus lateness, on the engine clock) any lane holds
+// open, that wakes every lane when it fires; the lanes it closes for
+// report their moved closes, which re-arms it. Lanes that share a
+// watermark group are also woken by each other (Runner.WakeOnEnds
+// calls wake). No open window, no timer.
+type laneTimer struct {
+	e *Engine
+
+	mu    sync.Mutex
+	lanes []*factory.Factory  // nil before start and after stop: nothing to arm for
+	hs    []*scheduler.Handle // the lanes' handles, which wake wakes
+	t     *time.Timer         // armed for at; nil while no lane holds a window open
+	at    int64
+}
+
+// start hands the timer the scheduled lanes, wakes them once — a group
+// wake raised before the handles were known reached nobody — and arms
+// it for what they already hold open; stop disarms it for good (a drop,
+// or Stop).
+func (w *laneTimer) start(lanes []*factory.Factory, hs []*scheduler.Handle) {
+	w.mu.Lock()
+	w.lanes, w.hs = lanes, hs
+	w.mu.Unlock()
+	w.wake(-1)
+	w.rearm()
+}
+
+func (w *laneTimer) stop() {
+	w.mu.Lock()
+	w.lanes = nil
+	w.mu.Unlock()
+	w.rearm()
+}
+
+// wake wakes every lane but from: the watermark group's call, made by
+// the lane whose raise crossed a window end (the timer's is from -1).
+func (w *laneTimer) wake(from int) {
+	w.mu.Lock()
+	hs := w.hs
+	w.mu.Unlock()
+	for i, h := range hs {
+		if i != from {
+			h.Wake()
+		}
+	}
+}
+
+// rearm arms the timer at the earliest lane close, or disarms it when
+// there is none; a lane calls it when its close moves. A timer that
+// fired is not re-armed for the same close: the lanes it woke re-arm it
+// as their closes move, so a clock that does not move (a manual one)
+// arms nothing again.
+func (w *laneTimer) rearm() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	next := int64(math.MaxInt64)
+	for _, f := range w.lanes {
+		if c, ok := f.NextClose(); ok {
+			next = min(next, c)
+		}
+	}
+	if w.t != nil && next == w.at {
+		return
+	}
+	if w.t != nil {
+		w.t.Stop()
+		w.t = nil
+		w.e.timers.Add(-1)
+	}
+	if next != math.MaxInt64 {
+		w.t, w.at = time.AfterFunc(time.Duration(next-w.e.clock.Now()), func() { w.wake(-1) }), next
+		w.e.timers.Add(1)
+	}
 }

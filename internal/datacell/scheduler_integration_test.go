@@ -7,6 +7,7 @@ package datacell
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -382,41 +383,137 @@ func TestTimeWindowClosesWithoutArrivals(t *testing.T) {
 	}
 }
 
-// TestTickVisitsOnlyTimeDrivenTransitions: the 5 ms tick walks one set
-// that install and drop maintain, never the query table: the factories
-// that own a window runner. Subscriptions and windowed merges are not in
-// it — appends and frontier advances wake them — and a window-bearing
-// factory leaves the set when its query drops.
-func TestTickVisitsOnlyTimeDrivenTransitions(t *testing.T) {
+// TestIdleWindowsCostNothing: time reaches the net only as wake-ups. A
+// started engine with 2 000 arrival-time windowed queries that have seen
+// no tuple fires nothing and arms no timer; one tuple then opens a
+// window in every query, which each emits exactly once, within the
+// window plus 100 ms, after which nothing is armed again.
+func TestIdleWindowsCostNothing(t *testing.T) {
+	const queries = 2000
+	const window = 50 * time.Millisecond
 	ctx := context.Background()
-	e := newCore(Config{})
-	for _, ddl := range []string{
-		"CREATE BASKET s (k INT, g INT, v INT)",
-		"CREATE BASKET p (k INT, g INT, v INT) WITH (partitions = 4, partition_by = k)",
+	e := newCore(Config{Workers: 2})
+	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]*Subscription, queries)
+	for i := range subs {
+		q, err := register(e, fmt.Sprintf("w%d", i), "",
+			fmt.Sprintf("SELECT x.v, COUNT(*) AS n FROM [SELECT * FROM s] AS x GROUP BY x.v WINDOW RANGE %d SLIDE %d", window, window))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = q.Subscription()
+	}
+	if err := e.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop(ctx)
+	time.Sleep(50 * time.Millisecond) // Start's seeding wakes settle
+	fired := e.Scheduler().Fired()
+	time.Sleep(time.Second)
+	if now := e.Scheduler().Fired(); now != fired {
+		t.Errorf("an idle engine fired %d times in 1 s", now-fired)
+	}
+	if n := e.timers.Load(); n != 0 {
+		t.Errorf("an idle engine has %d timers armed", n)
+	}
+
+	start := time.Now()
+	if err := e.Ingest(ctx, "s", [][]vector.Value{{vector.NewInt(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	for i, sub := range subs {
+		rel, err := sub.Recv(rctx)
+		if err != nil {
+			t.Fatalf("w%d: the window never closed: %v", i, err)
+		}
+		if rel.NumRows() != 1 || rel.Cols[1].Get(0).I != 1 {
+			t.Fatalf("w%d emitted %d rows, first %v; want one row of count 1", i, rel.NumRows(), rel.Row(0))
+		}
+	}
+	took := time.Since(start)
+	t.Logf("the last of %d windows arrived %v after the tuple", queries, took)
+	slack := 100 * time.Millisecond
+	if raceEnabled {
+		slack *= 8 // 2 000 instrumented firings
+	}
+	if took > window+slack {
+		t.Errorf("the last window arrived %v after the tuple; a window is %v", took, window)
+	}
+	time.Sleep(2 * window) // time for a stray timer to fire
+	for i, sub := range subs {
+		if rel, _ := sub.TryRecv(); rel != nil {
+			t.Fatalf("w%d emitted again: %d rows", i, rel.NumRows())
+		}
+	}
+	if n := e.timers.Load(); n != 0 {
+		t.Errorf("%d timers armed with every window closed", n)
+	}
+}
+
+// TestEventTimeLanesWakeEachOther: on a started engine, a 4-shard
+// event-time query whose tuples all hash to one shard still merges its
+// windows. The three empty lanes see no input; the watermark group wakes
+// them when the stream crosses a window end, and their frontiers move.
+func TestEventTimeLanesWakeEachOther(t *testing.T) {
+	ctx := context.Background()
+	e := newCore(Config{Workers: 2})
+	for _, stmt := range []string{
+		"CREATE BASKET s (k INT, g INT, v INT, et INT) WITH (partitions = 4, partition_by = k)",
+		`CREATE CONTINUOUS QUERY w WITH (timestamp = et) AS
+			SELECT x.g, SUM(x.v) AS sv FROM [SELECT * FROM s] AS x GROUP BY x.g WINDOW RANGE 100 SLIDE 100`,
 	} {
-		if _, err := e.Exec(ctx, ddl); err != nil {
+		if _, err := e.Exec(ctx, stmt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	steps := []struct {
-		ddl  string
-		want int // window-bearing factories
-	}{
-		{"CREATE CONTINUOUS QUERY r1 WITH (strategy = routed, backpressure = drop_oldest) AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.k = 1", 0},
-		{"CREATE CONTINUOUS QUERY r2 WITH (strategy = routed, polling = true) AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.k = 2", 0},
-		{"CREATE CONTINUOUS QUERY blk AS SELECT * FROM [SELECT * FROM s] AS x WHERE x.k = 3", 0},
-		{"CREATE CONTINUOUS QUERY win WITH (polling = true) AS SELECT SUM(x.v) AS sv FROM [SELECT * FROM s] AS x WINDOW RANGE 100 SLIDE 100", 1},
-		{"CREATE CONTINUOUS QUERY wm AS SELECT x.g, SUM(x.v) AS sv FROM [SELECT * FROM p] AS x GROUP BY x.g WINDOW RANGE 100 SLIDE 100", 5},
-		{"DROP CONTINUOUS QUERY wm", 1},
-		{"DROP CONTINUOUS QUERY win", 0},
-		{"DROP CONTINUOUS QUERY blk", 0},
+	q, err := e.Query("w")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, st := range steps {
-		if _, err := e.Exec(ctx, st.ddl); err != nil {
+	if q.topo.merge != mergeWindowed || q.Shards() != 4 {
+		t.Fatalf("merge kind %d on %d lanes, want a windowed merge on 4", q.topo.merge, q.Shards())
+	}
+	if err := e.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop(ctx)
+	// et 0..349, 50 tuples a batch, all k = 7: windows [0,100), [100,200)
+	// and [200,300) close; [300,400) stays open.
+	for lo := int64(0); lo < 350; lo += 50 {
+		var rows [][]vector.Value
+		for et := lo; et < lo+50; et++ {
+			rows = append(rows, []vector.Value{vector.NewInt(7), vector.NewInt(et % 2), vector.NewInt(1), vector.NewInt(et)})
+		}
+		if err := e.Ingest(ctx, "s", rows); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(e.windowed.list()); got != st.want {
-			t.Fatalf("after %q the tick visits %d window factories, want %d", st.ddl, got, st.want)
+	}
+	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	var sum int64
+	for sum < 300 {
+		rel, err := q.Subscription().Recv(rctx)
+		if err != nil {
+			t.Fatalf("merged windows stalled at sum %d of 300: %v", sum, err)
 		}
+		for i := 0; i < rel.NumRows(); i++ {
+			sum += rel.Cols[1].Get(i).I
+		}
+	}
+	if sum != 300 {
+		t.Fatalf("merged windows summed to %d, want 300", sum)
+	}
+	busy := 0
+	for _, b := range e.streams["s"].shards {
+		if h, n := b.Bounds(); int(h)+n > 0 {
+			busy++
+		}
+	}
+	if busy != 1 {
+		t.Errorf("%d shards received tuples, want 1", busy)
 	}
 }

@@ -82,7 +82,9 @@ func (s *Subscription) refill() {
 	if e := s.eng; e.dur != nil {
 		e.gate.RLock()
 		defer e.gate.RUnlock()
-		if e.guard(nil) != nil { // see FlushWindows
+		// Firings end before the final checkpoint; a receive can come
+		// after it.
+		if e.guard(nil) != nil {
 			return
 		}
 	}

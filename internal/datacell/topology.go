@@ -395,6 +395,9 @@ func (q *Query) build() error {
 		q.onUndo(func() { e.dropRouted(q) })
 	}
 
+	if t.window != nil {
+		q.timer = &laneTimer{e: e}
+	}
 	var latency *obs.Histogram // nil: a single lane keeps the factory's own
 	if t.lanes > 1 {
 		latency = obs.NewHistogram() // shared, so it is the whole query's distribution
@@ -446,8 +449,9 @@ func (q *Query) build() error {
 	// Observability arming must precede scheduling: hooks are not
 	// synchronized with firings once a transition is registered.
 	e.armQueryObservers(q)
-	for _, f := range q.facts {
-		q.schedule(f, stageFire, factoryDelta(f), f.InputBaskets())
+	lanes := make([]*scheduler.Handle, len(q.facts))
+	for i, f := range q.facts {
+		lanes[i] = q.schedule(f, stageFire, factoryDelta(f), f.InputBaskets())
 	}
 	if q.merge != nil {
 		q.schedule(q.merge, stageMerge, counterDelta(q.merge.Merged), q.sinks)
@@ -462,21 +466,11 @@ func (q *Query) build() error {
 			q.routed.member.emit.Store(q.sub.em)
 		}
 	}
-	// Last, so the tick flushes only fully scheduled pipelines, and first
-	// to go on a drop.
-	if t.window != nil {
-		e.mu.Lock()
-		for _, f := range q.facts {
-			e.windowed.add(f)
-		}
-		e.mu.Unlock()
-		q.onUndo(func() {
-			e.mu.Lock()
-			for _, f := range q.facts {
-				e.windowed.remove(f)
-			}
-			e.mu.Unlock()
-		})
+	// Last, so time wakes only fully scheduled lanes, and first to go on
+	// a drop.
+	if q.timer != nil {
+		q.timer.start(q.facts, lanes)
+		q.onUndo(q.timer.stop)
 	}
 	return nil
 }
@@ -534,7 +528,8 @@ func (q *Query) addLane(lane int, latency *obs.Histogram) error {
 		if err != nil {
 			return err
 		}
-		fopts = append(fopts, factory.WithWindow(runner))
+		runner.WakeOnEnds(lane, q.timer.wake)
+		fopts = append(fopts, factory.WithWindow(runner), factory.WithCloseHook(q.timer.rearm))
 		if t.merge == mergeWindowed {
 			// Tagged lanes also notify their sink, whose listener is the
 			// merge, whenever their window frontier moves.
@@ -603,7 +598,7 @@ func (q *Query) attachInput(spec inputSpec, lane, idx int) factory.Input {
 // transitions it can enable instead of rescanning the net. The undo
 // detaches the wake-ups first, so nothing re-enqueues the transition
 // while Remove fences its last firing.
-func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int64, int64), wakeOn []*basket.Basket) {
+func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int64, int64), wakeOn []*basket.Basket) *scheduler.Handle {
 	e := q.engine
 	h := e.addTransition(t, q.topo.cfg.priority)
 	e.observeStage(q.trace, h, stage, t.Name(), delta)
@@ -617,4 +612,5 @@ func (q *Query) schedule(t scheduler.Transition, stage string, delta func() (int
 		}
 		e.sched.Remove(t.Name())
 	})
+	return h
 }

@@ -47,12 +47,12 @@ func topoEngine(t *testing.T) *Engine {
 
 // netFootprint is everything a registration may leave behind: catalog
 // entries, fan-out replicas, shard-routing switches, shared readers,
-// scheduler transitions, subscriptions, the tick's work set, and claimed
+// scheduler transitions, subscriptions, armed window timers, and claimed
 // query and cascade names.
 func netFootprint(e *Engine) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "catalog=%v transitions=%d", e.cat.Names(), len(e.sched.Transitions()))
-	fmt.Fprintf(&b, " windowed=%d", len(e.windowed.list()))
+	fmt.Fprintf(&b, " timers=%d", e.timers.Load())
 	e.mu.Lock()
 	fmt.Fprintf(&b, " queries=%d cascades=%d subs=%d", len(e.queries), len(e.cascades), len(e.subs))
 	var streams []*stream
@@ -301,6 +301,7 @@ func TestInstallFailureLeavesNothing(t *testing.T) {
 // it was — for every shape.
 func TestDropRestoresFootprint(t *testing.T) {
 	e := topoEngine(t)
+	const openWindow = "CREATE CONTINUOUS QUERY q AS SELECT COUNT(*) AS n FROM [SELECT * FROM f] AS x WINDOW RANGE 3600000000000"
 	for _, ddl := range []string{
 		"CREATE CONTINUOUS QUERY q AS SELECT * FROM [SELECT * FROM f] AS x",
 		"CREATE CONTINUOUS QUERY q WITH (strategy = shared) AS SELECT * FROM [SELECT * FROM f] AS x",
@@ -308,6 +309,7 @@ func TestDropRestoresFootprint(t *testing.T) {
 		"CREATE CONTINUOUS QUERY q AS SELECT * FROM [SELECT * FROM up_out] AS x",
 		"CREATE CONTINUOUS QUERY q AS SELECT * FROM [SELECT * FROM s] AS x",
 		"CREATE CONTINUOUS QUERY q AS SELECT SUM(x.v) AS sv FROM [SELECT * FROM s] AS x WINDOW RANGE 100",
+		openWindow,
 		"CREATE CONTINUOUS QUERY q AS SELECT a.k AS k FROM [SELECT * FROM fl] AS a JOIN [SELECT * FROM fr] AS b ON a.k = b.k",
 		"CREATE CONTINUOUS QUERY q AS SELECT a.k AS k FROM [SELECT * FROM l] AS a JOIN [SELECT * FROM r] AS b ON a.k = b.k",
 	} {
@@ -317,6 +319,16 @@ func TestDropRestoresFootprint(t *testing.T) {
 		}
 		if netFootprint(e) == before {
 			t.Fatalf("%s: install left no footprint; the probe is blind", ddl)
+		}
+		if ddl == openWindow {
+			// A tuple in a window an hour long arms the query's timer.
+			if err := e.Ingest(context.Background(), "f", [][]vector.Value{{vector.NewInt(1), vector.NewInt(1), vector.NewInt(1), vector.NewInt(1)}}); err != nil {
+				t.Fatal(err)
+			}
+			e.Drain()
+			if n := e.timers.Load(); n != 1 {
+				t.Fatalf("%s: %d timers armed with a window open, want 1", ddl, n)
+			}
 		}
 		if _, err := e.Exec(context.Background(), "DROP CONTINUOUS QUERY q"); err != nil {
 			t.Fatalf("%s: drop: %v", ddl, err)

@@ -97,12 +97,8 @@ func runWindowedCompare(t *testing.T, query string, rows [][]vector.Value) *Quer
 		if err := e.Ingest(ctx, "s", rows); err != nil {
 			t.Fatal(err)
 		}
-		// Drain, then flush so shard frontiers republish against the final
-		// group watermark, then drain the unblocked merges.
-		e.Drain()
-		if err := e.FlushWindows(); err != nil {
-			t.Fatal(err)
-		}
+		// Drain: shard frontiers republish against the final group
+		// watermark, and the merges they unblock fire.
 		e.Drain()
 	}
 	got := sortedRows(t, drainOut(t, part, "q"))

@@ -94,24 +94,28 @@ type Factory struct {
 	// can deliver it downstream at once.
 	onResult func(rel *storage.Relation, maxInputTS int64)
 
-	// Window state (nil for unwindowed queries). runnerMu serializes the
-	// scheduler-driven Append path against asynchronous FlushWindows
-	// calls (the engine's window ticker), held across result delivery so
-	// emitted windows reach the output baskets in window order and the
-	// delivered frontier never runs ahead of the appended results.
+	// Window state (nil for unwindowed queries). Only the factory's own
+	// firing changes the runner; runnerMu serves the readers (Stats,
+	// CaptureState).
 	runner   *window.Runner
 	runnerMu sync.Mutex
+	// closeAt is when the earliest window holding a tuple closes: its end
+	// plus lateness, on the timestamp axis (math.MaxInt64: none). Ready
+	// reads it without runnerMu; for arrival-time windows it is a clock
+	// reading, and onClose tells the query's timer when it moves.
+	closeAt atomic.Int64
+	onClose func()
 	// tagWindowEnd appends each emitted window's end boundary as an extra
 	// column — shard pipelines of a partitioned windowed query mark their
 	// partials so the merge can align pane grids across shards. Such a
-	// lane also notifies its outputs whenever WindowFrontier moves: the
+	// lane also notifies its outputs whenever its frontier moves: the
 	// merge waits on the frontier, and a lane can pass a window without
-	// appending anything. reported is the frontier last notified.
+	// appending anything.
 	tagWindowEnd bool
-	reported     int64
-	// frontier is the delivered window frontier (atomic): every window
-	// whose end is <= frontier has been appended to the output baskets.
-	// Initialized to math.MinInt64.
+	// frontier is the delivered window frontier (atomic; only the
+	// factory's firing writes it): every window whose end is <= frontier
+	// has been appended to the output baskets. Initialized to
+	// math.MinInt64.
 	frontier int64
 
 	// join is the persistent streaming join state of a join query (nil
@@ -175,6 +179,13 @@ func WithWindow(r *window.Runner) Option {
 	return func(f *Factory) { f.runner = r }
 }
 
+// WithCloseHook sets fn to run after every firing that moves the
+// factory's NextClose (outside all locks). It must be set before the
+// factory is scheduled.
+func WithCloseHook(fn func()) Option {
+	return func(f *Factory) { f.onClose = fn }
+}
+
 // WithWindowEndTag appends each emitted window's end timestamp as a
 // trailing column of the result (shard pipelines of partitioned windowed
 // queries, whose merge stage aligns windows by that boundary), and makes
@@ -227,7 +238,6 @@ func New(name string, p plan.Node, cat *catalog.Catalog, inputs []Input, outputs
 		minTuples: 1,
 		Latency:   obs.NewHistogram(),
 		frontier:  math.MinInt64,
-		reported:  math.MinInt64,
 	}
 	f.seen = make([]bat.OID, len(f.inputs))
 	for i := range f.inputs {
@@ -249,6 +259,7 @@ func New(name string, p plan.Node, cat *catalog.Catalog, inputs []Input, outputs
 	for _, o := range opts {
 		o(f)
 	}
+	f.closeAt.Store(math.MaxInt64)
 	return f, nil
 }
 
@@ -288,40 +299,13 @@ func (f *Factory) Stats() Stats {
 	return st
 }
 
-// WindowWatermark returns the runner's event-time watermark; ok is false
-// for unwindowed factories and before any timestamp was observed.
-func (f *Factory) WindowWatermark() (int64, bool) {
-	if f.runner == nil {
-		return 0, false
-	}
-	f.runnerMu.Lock()
-	defer f.runnerMu.Unlock()
-	return f.runner.Watermark()
-}
-
 // WindowFrontier reports how far this factory's emitted windows have
 // progressed: every window ending at or before the returned boundary has
-// been delivered to the output baskets. For a runner that has not seen a
-// tuple yet the live watermark stands in (there is nothing pending to
-// deliver), so an empty shard never stalls a windowed merge.
-func (f *Factory) WindowFrontier() int64 {
-	if f.runner == nil {
-		return atomic.LoadInt64(&f.frontier)
-	}
-	f.runnerMu.Lock()
-	defer f.runnerMu.Unlock()
-	return f.windowFrontierLocked()
-}
-
-// windowFrontierLocked is WindowFrontier for a caller holding runnerMu.
-func (f *Factory) windowFrontierLocked() int64 {
-	fr := atomic.LoadInt64(&f.frontier)
-	wm, ok := f.runner.Watermark()
-	if !f.runner.Started() && ok && wm > fr {
-		return wm
-	}
-	return fr
-}
+// been delivered to the output baskets. Every firing moves it to the
+// runner's watermark, so it is the watermark a firing left (SHOW's), a
+// lane that has not seen a tuple yet follows its group, and an empty
+// shard never stalls a windowed merge. math.MinInt64 before any reading.
+func (f *Factory) WindowFrontier() int64 { return atomic.LoadInt64(&f.frontier) }
 
 // Close unregisters shared readers so retained tuples are freed.
 func (f *Factory) Close() {
@@ -332,12 +316,24 @@ func (f *Factory) Close() {
 	}
 }
 
+// NextClose returns the engine-clock reading at which the factory's
+// earliest open window closes; ok is false with no open window, and for
+// windows that do not close on the clock (count and event-time windows).
+func (f *Factory) NextClose() (int64, bool) {
+	c := f.closeAt.Load()
+	return c, c != math.MaxInt64 && !f.runner.Spec().EventTime
+}
+
 // Ready implements scheduler.Transition: all inputs must hold at least
 // minTuples unseen tuples (§2.4: a transition with multiple inputs needs
 // tokens in every input place). Symmetric-join factories instead fire
 // when ANY input has tuples — their other side's matches live in the
-// join state, not in the basket.
+// join state, not in the basket. A windowed factory is also ready when
+// time alone would close a window or move its frontier (timeDue).
 func (f *Factory) Ready() bool {
+	if f.runner != nil && f.timeDue() {
+		return true
+	}
 	for i := range f.inputs {
 		n := f.available(i)
 		if f.fireAny {
@@ -351,6 +347,25 @@ func (f *Factory) Ready() bool {
 		}
 	}
 	return !f.fireAny
+}
+
+// timeDue reports whether a firing with no input would close a window or
+// move a window-aligned lane's frontier across a window end: the clock
+// has passed an arrival-time close, or the lanes' group maximum has
+// passed a close or, less the lateness, the window end after the
+// frontier. A window-aligned lane needs no window of its own open: the
+// merge waits on its frontier. Atomic loads only, no runnerMu.
+func (f *Factory) timeDue() bool {
+	spec, c := f.runner.Spec(), f.closeAt.Load()
+	if c != math.MaxInt64 && !spec.EventTime && f.clock.Now() >= c {
+		return true
+	}
+	g, ok := f.runner.GroupMax()
+	if !ok || g >= c {
+		return ok
+	}
+	fr := atomic.LoadInt64(&f.frontier)
+	return f.tagWindowEnd && (fr == math.MinInt64 || spec.NextEnd(fr) <= g-spec.Lateness)
 }
 
 func (f *Factory) available(i int) int {
@@ -403,11 +418,6 @@ func (f *Factory) Fire() error {
 	for _, in := range locked {
 		in.Basket.Lock()
 	}
-	unlock := func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			locked[i].Basket.Unlock()
-		}
-	}
 
 	// Pin a consistent snapshot of every input.
 	pins := make([]pinned, len(f.inputs))
@@ -432,13 +442,12 @@ func (f *Factory) Fire() error {
 		}
 		pins[i] = p
 	}
-	if total == 0 {
-		unlock()
-		return nil
-	}
-
 	if f.runner != nil {
-		return f.fireWindowed(pins[0], unlock, groupMax, hasGroup)
+		return f.fireWindowed(pins[0], locked, total, groupMax, hasGroup)
+	}
+	if total == 0 {
+		unlockInputs(locked)
+		return nil
 	}
 
 	ctx := exec.NewContext(f.catalog)
@@ -450,7 +459,7 @@ func (f *Factory) Fire() error {
 	}
 	rel, err := exec.Run(f.plan, ctx)
 	if err != nil {
-		unlock()
+		unlockInputs(locked)
 		return fmt.Errorf("factory %s: %w", f.name, err)
 	}
 
@@ -486,52 +495,86 @@ func (f *Factory) Fire() error {
 		}
 	}
 	f.mu.Unlock()
-	unlock()
+	unlockInputs(locked)
 
 	err = f.deliver(rel, maxTS, total)
 	f.notifyOutputs()
 	return err
 }
 
-// fireWindowed moves the unseen tuples of the (single) input into the
-// window runner and emits any completed windows. The batch is copied
-// before consumption so basket compaction cannot disturb it. runnerMu is
-// held across delivery so concurrent FlushWindows calls cannot
-// interleave their emissions between ours.
-func (f *Factory) fireWindowed(p pinned, unlock func(), groupMax int64, hasGroup bool) error {
-	rows := p.n - p.offset
-	batch := &storage.Relation{Schema: p.in.Basket.Schema(), Cols: p.view.CloneColumns()}
-	switch p.in.Mode {
-	case Owned:
-		p.in.Basket.LockedDropPrefix(p.n)
-		f.mu.Lock()
-		f.seen[0] = p.hseq + bat.OID(p.n)
-		f.mu.Unlock()
-	case Shared:
-		p.in.Basket.LockedSetMark(p.in.ReaderID, p.hseq+bat.OID(p.n))
+// unlockInputs releases the input baskets Fire locked, in reverse order.
+func unlockInputs(locked []Input) {
+	for i := len(locked) - 1; i >= 0; i-- {
+		locked[i].Basket.Unlock()
 	}
-	// runnerMu must be taken BEFORE the basket locks are released:
-	// FlushWindows treats "backlog empty" as proof that every routed
-	// tuple reached the runner, but a pin drains the basket before the
-	// tuples are appended. Holding runnerMu across the gap means a
-	// flusher that saw the drained basket blocks here until the pinned
-	// batch is in — otherwise it can admit a group reading and seal
-	// windows this batch still belongs to, mislabeling it late.
-	f.runnerMu.Lock()
-	defer f.runnerMu.Unlock()
-	unlock()
+}
 
+// fireWindowed moves the unseen tuples of the (single) input into the
+// window runner and emits any completed windows; with none, it advances
+// the runner to the time that enabled the firing. The batch is copied
+// before consumption so basket compaction cannot disturb it.
+func (f *Factory) fireWindowed(p pinned, locked []Input, total int, groupMax int64, hasGroup bool) error {
+	var batch *storage.Relation
+	if total > 0 {
+		batch = &storage.Relation{Schema: p.in.Basket.Schema(), Cols: p.view.CloneColumns()}
+		switch p.in.Mode {
+		case Owned:
+			p.in.Basket.LockedDropPrefix(p.n)
+			f.mu.Lock()
+			f.seen[0] = p.hseq + bat.OID(p.n)
+			f.mu.Unlock()
+		case Shared:
+			p.in.Basket.LockedSetMark(p.in.ReaderID, p.hseq+bat.OID(p.n))
+		}
+	}
+	unlockInputs(locked)
+	return f.runWindows(groupMax, hasGroup, batch)
+}
+
+// runWindows admits the group reading taken before the pin, appends
+// batch to the runner — or, a firing with no input, advances it to the
+// clock — and delivers what closed. The empty pin is what makes a flush's
+// group reading safe: every tuple below it that this lane owns was
+// already processed. A moved close reaches the query's timer after
+// runnerMu is released.
+func (f *Factory) runWindows(groupMax int64, hasGroup bool, batch *storage.Relation) error {
+	f.runnerMu.Lock()
 	if hasGroup {
 		f.runner.ObserveGroup(groupMax)
 	}
-	results, err := f.runner.Append(batch)
-	if err != nil {
-		return fmt.Errorf("factory %s: %w", f.name, err)
+	var results []window.Result
+	var err error
+	if batch != nil {
+		results, err = f.runner.Append(batch)
+	} else {
+		results, err = f.runner.Flush(f.clock.Now())
 	}
-	f.mu.Lock()
-	f.stats.TuplesIn += int64(rows)
-	f.mu.Unlock()
-	return f.deliverWindows(results)
+	if err == nil {
+		err = f.deliverWindows(results)
+		if batch != nil {
+			f.mu.Lock()
+			f.stats.TuplesIn += int64(batch.NumRows())
+			f.mu.Unlock()
+		}
+	} else {
+		err = fmt.Errorf("factory %s: %w", f.name, err)
+	}
+	moved := f.closeMovedLocked()
+	f.runnerMu.Unlock()
+	if moved && f.onClose != nil {
+		f.onClose()
+	}
+	return err
+}
+
+// closeMovedLocked republishes closeAt from the runner and reports
+// whether it moved; the caller holds runnerMu.
+func (f *Factory) closeMovedLocked() bool {
+	c, ok := f.runner.OpenClose()
+	if !ok {
+		c = math.MaxInt64
+	}
+	return f.closeAt.Swap(c) != c
 }
 
 // deliverWindows appends emitted window results to the outputs and then
@@ -556,23 +599,11 @@ func (f *Factory) deliverWindows(results []window.Result) error {
 	notify := len(results) > 0
 	// The frontier moves only after the results above are in the output
 	// baskets — a windowed merge reading it can rely on every window at
-	// or below it being fully appended.
-	if wm, ok := f.runner.Watermark(); ok && err == nil {
-		for {
-			cur := atomic.LoadInt64(&f.frontier)
-			if wm <= cur || atomic.CompareAndSwapInt64(&f.frontier, cur, wm) {
-				break
-			}
-		}
-	}
-	// Both callers ran the runner first, so WindowFrontier can have moved
-	// by the CAS above or, for a runner yet to see a tuple, by the group
-	// watermark ObserveGroup admitted.
-	if f.tagWindowEnd {
-		if fr := f.windowFrontierLocked(); fr > f.reported {
-			f.reported = fr
-			notify = true
-		}
+	// or below it being fully appended. A tagged lane's move wakes the
+	// merge.
+	if wm, ok := f.runner.Watermark(); ok && err == nil && wm > atomic.LoadInt64(&f.frontier) {
+		atomic.StoreInt64(&f.frontier, wm)
+		notify = notify || f.tagWindowEnd
 	}
 	if notify {
 		f.notifyOutputs()
@@ -590,38 +621,6 @@ func (f *Factory) windowTS(res window.Result) int64 {
 		return res.End
 	}
 	return 0
-}
-
-// FlushWindows advances time-based windows to the current clock and
-// delivers any completed results (used when the stream pauses).
-// Event-time runners ignore the clock but still republish their
-// frontier.
-func (f *Factory) FlushWindows() error {
-	if f.runner == nil {
-		return nil
-	}
-	// A group reading may only be admitted while our backlog is empty:
-	// with unprocessed input pending, the group may already be past
-	// tuples we have not appended yet (read the group FIRST — anything
-	// arriving after the read carries timestamps at or beyond it, within
-	// the lateness bound). An empty backlog can also mean a concurrent
-	// Fire pinned the batch moments ago; that is safe only because
-	// fireWindowed acquires runnerMu before releasing its basket locks,
-	// so taking runnerMu below orders us after that batch's Append.
-	groupMax, hasGroup := f.runner.GroupMax()
-	if hasGroup && f.available(0) > 0 {
-		hasGroup = false
-	}
-	f.runnerMu.Lock()
-	defer f.runnerMu.Unlock()
-	if hasGroup {
-		f.runner.ObserveGroup(groupMax)
-	}
-	results, err := f.runner.Flush(f.clock.Now())
-	if err != nil {
-		return err
-	}
-	return f.deliverWindows(results)
 }
 
 // State is the serializable image of a factory for checkpoints: the
@@ -700,9 +699,13 @@ func (f *Factory) RestoreState(st *State) error {
 		}
 		f.runnerMu.Lock()
 		err := f.runner.Restore(st.Window)
+		moved := f.closeMovedLocked()
 		f.runnerMu.Unlock()
 		if err != nil {
 			return fmt.Errorf("factory %s: %w", f.name, err)
+		}
+		if moved && f.onClose != nil {
+			f.onClose()
 		}
 	}
 	if st.Join != nil {

@@ -274,7 +274,10 @@ func TestFactoryNameAndPlanAccessors(t *testing.T) {
 	if f.Name() != "myf" || f.Plan() == nil {
 		t.Error("accessors broken")
 	}
-	if err := f.FlushWindows(); err != nil {
-		t.Errorf("FlushWindows on unwindowed factory: %v", err)
+	if f.Ready() {
+		t.Error("an idle unwindowed factory reports ready")
+	}
+	if err := f.Fire(); err != nil {
+		t.Errorf("firing an idle unwindowed factory: %v", err)
 	}
 }

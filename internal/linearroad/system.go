@@ -94,10 +94,9 @@ func NewSystem() (*System, error) {
 func (s *System) Feed(t int64, batch []Record) error {
 	start := time.Now()
 	s.clock.Set(t * int64(time.Second))
-	// Close any simulated-time windows that ended before t.
-	if err := s.eng.FlushWindows(); err != nil {
-		return err
-	}
+	// Close any simulated-time windows that ended before t: Drain fires
+	// every factory whose window the clock has closed.
+	s.eng.Drain()
 	if len(batch) > 0 {
 		rows := make([][]vector.Value, len(batch))
 		for i, r := range batch {

@@ -240,6 +240,7 @@ func (s *Server) ServeIngest(conn io.ReadWriteCloser) {
 	b, err := s.eng.Stream(streamName)
 	if err != nil {
 		fmt.Fprintf(conn, "ERR %v\n", err)
+		hangUp(conn, r)
 		return
 	}
 	userSchema := &catalog.Schema{Columns: b.Schema().Columns[:b.UserWidth()]}
@@ -281,10 +282,35 @@ func (s *Server) ServeIngest(conn io.ReadWriteCloser) {
 	}
 }
 
+// hangUp ends a connection after an ERR reply without losing the reply
+// to a reset: closing a socket with unread input makes the kernel answer
+// RST, which can discard the ERR before the peer reads it. So the write
+// side shuts first, where the connection can, and what the peer still
+// sends is read and dropped — at most lingerBytes, for at most
+// lingerWait — before the deferred Close.
+func hangUp(conn io.ReadWriteCloser, r io.Reader) {
+	if c, ok := conn.(interface{ CloseWrite() error }); ok {
+		_ = c.CloseWrite()
+	}
+	if d, ok := conn.(readDeadliner); ok {
+		_ = d.SetReadDeadline(time.Now().Add(lingerWait))
+	}
+	_, _ = io.CopyN(io.Discard, r, lingerBytes)
+}
+
+// lingerWait and lingerBytes bound hangUp's drain of a refused client.
+const (
+	lingerWait  = 2 * time.Second
+	lingerBytes = 16 << 20
+)
+
 // ServeResults handles one subscriber connection: result rows are printed
 // from the relation's columns into one buffer, which is written when the
 // subscription has nothing more ready (or at resultChunk bytes) — one
-// write per batch while the client keeps up, fewer when it does not.
+// write per batch while the client keeps up, fewer when it does not. The
+// client sends nothing after the query name, so a read that returns means
+// it hung up (EOF) or the connection failed: that ends a wait in Recv,
+// and the handler, at once rather than at its next write.
 func (s *Server) ServeResults(conn io.ReadWriteCloser) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
@@ -302,6 +328,17 @@ func (s *Server) ServeResults(conn io.ReadWriteCloser) {
 		fmt.Fprintf(conn, "ERR query %q has no subscription (polling mode)\n", q.Name)
 		return
 	}
+	ctx, hungUp := context.WithCancel(context.Background())
+	reading := make(chan struct{})
+	go func() {
+		defer close(reading)
+		_, _ = io.Copy(io.Discard, r)
+		hungUp()
+	}()
+	defer func() {
+		_ = conn.Close() // ends the read if the client has not hung up
+		<-reading
+	}()
 	var out []byte
 	flush := func() bool {
 		if len(out) == 0 {
@@ -317,7 +354,7 @@ func (s *Server) ServeResults(conn io.ReadWriteCloser) {
 			if !flush() {
 				return
 			}
-			rel, err = sub.Recv(context.Background())
+			rel, err = sub.Recv(ctx)
 		}
 		if err != nil {
 			flush()

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -631,4 +632,91 @@ func TestServeResultsResumesAfterAStalledReader(t *testing.T) {
 	// Stopping the engine closes the subscription, which ends ServeResults.
 	_ = eng.Stop(ctx)
 	<-served
+}
+
+// A results client that hangs up ends its handler at once, not at the
+// handler's next write: after 1 000 loopback connect/hang-up cycles on a
+// query that never emits, no handler is left parked in Recv.
+func TestServeResultsEndsWhenTheClientHangsUp(t *testing.T) {
+	s, _ := newServer(t)
+	addr, err := s.ListenResults("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(conn, "hot")
+		_ = conn.Close()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10 s after 1 000 hang-ups, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A client that connects after another one hung up receives every row
+// emitted after that: the first handler is gone and takes no batch with
+// it to a dead connection.
+func TestServeResultsReconnectLosesNothing(t *testing.T) {
+	s, eng := newServer(t)
+	first, srv := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.ServeResults(srv)
+	}()
+	fmt.Fprintln(first, "hot")
+	_ = first.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeResults still serving a client that hung up")
+	}
+
+	second, srv := net.Pipe()
+	defer second.Close()
+	go s.ServeResults(srv)
+	fmt.Fprintln(second, "hot")
+	_ = second.SetReadDeadline(time.Now().Add(5 * time.Second))
+	sc := bufio.NewScanner(second)
+	for i := int64(0); i < 4; i++ {
+		if err := eng.Ingest(context.Background(), "sensors", [][]datacell.Value{{datacell.Int(i), datacell.Float(40)}}); err != nil {
+			t.Fatal(err)
+		}
+		if !sc.Scan() {
+			t.Fatalf("row %d never arrived: %v", i, sc.Err())
+		}
+		if want := fmt.Sprintf("%d,40", i); !strings.HasPrefix(sc.Text(), want) {
+			t.Fatalf("row %d = %q, want %s...", i, sc.Text(), want)
+		}
+	}
+}
+
+// A client that names an unknown stream and sends 1 MiB of tuples in one
+// go, before it reads, still gets the ERR line: the server half-closes
+// and drains what was sent instead of closing on unread input, which
+// would answer with a reset that can discard the reply.
+func TestIngestErrSurvivesUnreadInput(t *testing.T) {
+	s, _ := newServer(t)
+	addr, err := s.ListenIngest("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dial(t, addr)
+	payload := append([]byte("nosuch\n"), bytes.Repeat([]byte("1,35.5\n"), (1<<20)/7)...)
+	if _, err := conn.Write(payload); err != nil {
+		t.Logf("write: %v", err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil || !strings.HasPrefix(reply, "ERR ") {
+		t.Fatalf("reply = %q, %v; want an ERR line", reply, err)
+	}
 }

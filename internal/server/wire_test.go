@@ -86,8 +86,8 @@ func openWireEngine(tb testing.TB, stmts ...string) *datacell.Engine {
 func queuedResults(tb testing.TB, n int) (*datacell.Engine, int64) {
 	tb.Helper()
 	ctx := context.Background()
-	// depth: the subscription must take every batch, or the emitter parks
-	// and only the 5 ms tick wakes it again.
+	// depth: the subscription must take every batch, or the rest waits in
+	// pass_out until ServeResults' receives make room.
 	eng := openWireEngine(tb, fmt.Sprintf(
 		"CREATE CONTINUOUS QUERY pass WITH (depth = %d) AS SELECT * FROM [SELECT * FROM ev] AS e WHERE e.v > 0.5", 2*n/128+2))
 	var want int64

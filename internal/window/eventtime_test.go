@@ -317,3 +317,41 @@ func TestEmptyWindowScalarModesAgree(t *testing.T) {
 		prev = results
 	}
 }
+
+// TestGroupWakesOnlyAtWindowEnds: the group wakes its lanes on the first
+// raise and on a raise whose watermark crosses a window end, never on the
+// raises in between.
+func TestGroupWakesOnlyAtWindowEnds(t *testing.T) {
+	// Windows start on multiples of 50 and last 120: ends at 20 + 50k.
+	spec := Spec{Kind: sql.WindowRange, Size: 120, Slide: 50, Lateness: 10}
+	for _, c := range [][2]int64{{99, 120}, {120, 170}, {-7, 20}, {-30, 20}} {
+		if got := spec.NextEnd(c[0]); got != c[1] {
+			t.Errorf("NextEnd(%d) = %d, want %d", c[0], got, c[1])
+		}
+	}
+	g := NewWatermarkGroup()
+	wakes := 0
+	r, err := NewRunner(spec, ReEvaluate, &PlanEvaluator{}, nil, streamSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ShareWatermark(g)
+	r.WakeOnEnds(0, func(int) { wakes++ })
+	for _, step := range []struct {
+		raise int64
+		want  int
+	}{
+		{25, 1},  // first reading
+		{79, 2},  // watermark 69: end 20
+		{80, 3},  // watermark 70: end 70
+		{90, 3},  // watermark 80
+		{85, 3},  // no raise
+		{129, 3}, // watermark 119
+		{300, 4}, // watermark 290: ends 120..270 at once
+	} {
+		g.Raise(step.raise)
+		if wakes != step.want {
+			t.Fatalf("after Raise(%d): %d wakes, want %d", step.raise, wakes, step.want)
+		}
+	}
+}

@@ -116,14 +116,28 @@ type Result struct {
 	Rel        *storage.Relation
 }
 
+// NextEnd returns the first window end past t: windows start on
+// multiples of Slide, so their ends lie on the grid k·Slide + Size.
+// math.MaxInt64 when no end past t is representable.
+func (s Spec) NextEnd(t int64) int64 {
+	e := t - mod(t-s.Size, s.Slide) + s.Slide
+	if e <= t {
+		return math.MaxInt64
+	}
+	return e
+}
+
 // WatermarkGroup is a shared event-time clock for the shard runners of
 // one partitioned windowed query: every runner raises it with the
-// timestamps it sees, and every runner's watermark reads the group
-// maximum. A shard whose own partition lags (or is empty) still closes
-// its windows once the stream as a whole has moved past them — bounded
-// disorder is a property of the stream, not of one shard's subsequence.
+// timestamps it sees (and, on arrival time, with its flush readings of
+// the clock), and every runner's watermark reads the group maximum. A
+// shard whose own partition lags (or is empty) still closes its windows
+// once the stream as a whole has moved past them — bounded disorder is a
+// property of the stream, not of one shard's subsequence.
 type WatermarkGroup struct {
-	max int64 // atomic; noTS until the first Raise
+	max  int64 // atomic; noTS until the first Raise
+	spec Spec  // the window grid wake watches; both set before the group is shared
+	wake func(from int)
 }
 
 // NewWatermarkGroup returns an empty group clock.
@@ -134,10 +148,23 @@ func NewWatermarkGroup() *WatermarkGroup {
 }
 
 // Raise lifts the group maximum to at least ts.
-func (g *WatermarkGroup) Raise(ts int64) {
+func (g *WatermarkGroup) Raise(ts int64) { g.raise(ts, -1) }
+
+// raise is Raise by lane from. The first raise, and one that moves the
+// maximum, less the lateness, across a window end of the runner
+// Runner.WakeOnEnds armed the group for, runs its wake for the lanes but
+// from: a sibling's window may close, or its frontier move, with no
+// arrival of its own. Other raises wake nothing.
+func (g *WatermarkGroup) raise(ts int64, from int) {
 	for {
 		cur := atomic.LoadInt64(&g.max)
-		if ts <= cur || atomic.CompareAndSwapInt64(&g.max, cur, ts) {
+		if ts <= cur {
+			return
+		}
+		if atomic.CompareAndSwapInt64(&g.max, cur, ts) {
+			if g.wake != nil && (cur == noTS || g.spec.NextEnd(cur-g.spec.Lateness) <= ts-g.spec.Lateness) {
+				g.wake(from)
+			}
 			return
 		}
 	}
@@ -168,6 +195,7 @@ type Runner struct {
 	late    int64 // tuples dropped because they arrived behind the emitted frontier
 
 	group *WatermarkGroup // optional shared clock (partitioned shard runners)
+	lane  int             // this runner's lane in the group's wake
 	// groupSeen is the group reading this runner is allowed to act on.
 	// The watermark never reads the group live: a faster shard may have
 	// raised it past tuples still sitting unprocessed in this shard's
@@ -215,9 +243,6 @@ func (r *Runner) Mode() Mode { return r.mode }
 // Spec returns the window specification.
 func (r *Runner) Spec() Spec { return r.spec }
 
-// Started reports whether a time-based runner has seen any tuple.
-func (r *Runner) Started() bool { return r.started }
-
 // Late returns the number of tuples dropped because they arrived behind
 // an already-emitted window boundary.
 func (r *Runner) Late() int64 { return r.late }
@@ -246,6 +271,27 @@ func (r *Runner) ObserveGroup(ts int64) {
 	if ts > r.groupSeen {
 		r.groupSeen = ts
 	}
+}
+
+// WakeOnEnds arms the runner's watermark group, if it shares one, to
+// call wake(from) whenever a raise by lane from crosses one of the
+// runner's window ends; this runner raises as lane. Call it before the
+// group is shared.
+func (r *Runner) WakeOnEnds(lane int, wake func(from int)) {
+	if r.group != nil {
+		r.lane, r.group.spec, r.group.wake = lane, r.spec, wake
+	}
+}
+
+// OpenClose returns when the earliest window that holds a buffered tuple
+// closes: its end plus the lateness, on the timestamp axis. ok is false
+// for count windows and while no tuple waits in an unemitted window —
+// time alone then closes nothing worth a firing.
+func (r *Runner) OpenClose() (int64, bool) {
+	if r.spec.Kind != sql.WindowRange || !r.started || r.buf.NumRows() == 0 {
+		return 0, false
+	}
+	return r.winStart + r.spec.Size + r.spec.Lateness, true
 }
 
 // Watermark returns the event-time watermark — the boundary up to which
@@ -308,7 +354,7 @@ func (r *Runner) appendTime(rel *storage.Relation) {
 		r.maxTS = hi
 	}
 	if r.group != nil {
-		r.group.Raise(hi)
+		r.group.raise(hi, r.lane)
 	}
 	aligned := lo - mod(lo, r.spec.Slide)
 	if !r.started {
@@ -417,16 +463,22 @@ func (r *Runner) cutoff() int64 {
 
 // Flush advances arrival-time windows to the given clock reading,
 // emitting windows whose end passed watermark-deep into the past even if
-// no later tuple arrived. Event-time windows never take the clock
-// reading — the wall clock says nothing about how far the event domain
-// has progressed — but they still re-check completion, because a shared
-// watermark group may have advanced since the last append.
+// no later tuple arrived; a shared group is raised to the reading.
+// Event-time windows never take the clock reading — the wall clock says
+// nothing about how far the event domain has progressed — but they still
+// re-check completion, because a shared watermark group may have
+// advanced since the last append.
 func (r *Runner) Flush(now int64) ([]Result, error) {
 	if r.spec.Kind != sql.WindowRange {
 		return nil, nil
 	}
 	if !r.spec.EventTime && now > r.flushTS {
 		r.flushTS = now
+		if r.group != nil {
+			// The clock moved every lane's watermark: what it closes here
+			// it closes for the siblings too.
+			r.group.raise(now, r.lane)
+		}
 	}
 	if !r.started {
 		return nil, nil
