@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/basket"
@@ -128,10 +127,6 @@ type Engine struct {
 	// done is closed exactly once, as the last act of the Stop that shut
 	// the engine down; context watchers and every other Stop wait on it.
 	done chan struct{}
-
-	// timers counts the armed window timers (laneTimer): zero on an idle
-	// engine and after every windowed query has dropped.
-	timers atomic.Int64
 }
 
 // stream is one ingestion point: the primary (shared) basket plus the

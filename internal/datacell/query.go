@@ -559,8 +559,7 @@ func (w *laneTimer) wake(from int) {
 // rearm arms the timer at the earliest lane close, or disarms it when
 // there is none; a lane calls it when its close moves. A timer that
 // fired is not re-armed for the same close: the lanes it woke re-arm it
-// as their closes move, so a clock that does not move (a manual one)
-// arms nothing again.
+// as their closes move.
 func (w *laneTimer) rearm() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -576,10 +575,33 @@ func (w *laneTimer) rearm() {
 	if w.t != nil {
 		w.t.Stop()
 		w.t = nil
-		w.e.timers.Add(-1)
 	}
 	if next != math.MaxInt64 {
-		w.t, w.at = time.AfterFunc(time.Duration(next-w.e.clock.Now()), func() { w.wake(-1) }), next
-		w.e.timers.Add(1)
+		w.arm(next)
 	}
+}
+
+// arm starts the timer for the engine-clock reading at; the caller holds
+// mu. The runtime timer counts monotonic time, so a timer can fire while
+// the engine clock still reads before at — the wall clock stepped back.
+// It then re-arms for what is left instead of waking the lanes, for
+// nothing would close. A clock that has not moved since the arming (a
+// manual one) wakes them as if it had.
+func (w *laneTimer) arm(at int64) {
+	armed := w.e.clock.Now()
+	var t *time.Timer
+	t = time.AfterFunc(time.Duration(at-armed), func() {
+		w.mu.Lock()
+		now := w.e.clock.Now()
+		early := w.t == t && now < at && now != armed
+		if early {
+			armed = now
+			t.Reset(time.Duration(at - now))
+		}
+		w.mu.Unlock()
+		if !early {
+			w.wake(-1)
+		}
+	})
+	w.t, w.at = t, at
 }

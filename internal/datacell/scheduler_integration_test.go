@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/vector"
 )
 
@@ -415,7 +416,7 @@ func TestIdleWindowsCostNothing(t *testing.T) {
 	if now := e.Scheduler().Fired(); now != fired {
 		t.Errorf("an idle engine fired %d times in 1 s", now-fired)
 	}
-	if n := e.timers.Load(); n != 0 {
+	if n := armedTimers(e.Queries()...); n != 0 {
 		t.Errorf("an idle engine has %d timers armed", n)
 	}
 
@@ -449,8 +450,91 @@ func TestIdleWindowsCostNothing(t *testing.T) {
 			t.Fatalf("w%d emitted again: %d rows", i, rel.NumRows())
 		}
 	}
-	if n := e.timers.Load(); n != 0 {
+	if n := armedTimers(e.Queries()...); n != 0 {
 		t.Errorf("%d timers armed with every window closed", n)
+	}
+}
+
+// TestScalarWindowsCloseOnTimeWhenIdle: an empty window of a scalar
+// aggregate yields a row (a count of 0), so after its one tuple the
+// query's timer keeps running and every later window arrives on time,
+// with no arrival to carry it.
+func TestScalarWindowsCloseOnTimeWhenIdle(t *testing.T) {
+	const window = 50 * time.Millisecond
+	ctx := context.Background()
+	e := newCore(Config{Workers: 1})
+	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	q, err := register(e, "w", "", fmt.Sprintf("SELECT COUNT(*) AS n FROM [SELECT * FROM s] AS x WINDOW RANGE %d", window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop(ctx)
+	if err := e.Ingest(ctx, "s", [][]vector.Value{{vector.NewInt(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	var counts []int64
+	for len(counts) < 4 {
+		rel, err := q.Subscription().Recv(rctx)
+		if err != nil {
+			t.Fatalf("after %v windows: %v", counts, err)
+		}
+		for i := 0; i < rel.NumRows(); i++ {
+			counts = append(counts, rel.Cols[0].Get(i).I)
+		}
+	}
+	if counts[0] != 1 || counts[1] != 0 || counts[2] != 0 || counts[3] != 0 {
+		t.Errorf("window counts %v, want 1 then 0s", counts)
+	}
+	if took := time.Since(start); took > 4*window+time.Second {
+		t.Errorf("four windows took %v; a window is %v", took, window)
+	}
+}
+
+// TestWindowTimerSurvivesClockStepBack: the runtime timer counts
+// monotonic time, the engine clock need not. A clock stepped back after
+// the timer was armed makes it fire before the window's close on the
+// engine clock; it re-arms for what is left rather than waking lanes
+// that close nothing and never arming again, so the window still closes
+// once the clock has caught up, with no arrival and no Drain.
+func TestWindowTimerSurvivesClockStepBack(t *testing.T) {
+	const window = 100 * time.Millisecond
+	ctx := context.Background()
+	clk := metrics.NewManualClock(0)
+	e := newCore(Config{Clock: clk, Workers: 1})
+	if _, err := e.Exec(ctx, "CREATE BASKET s (v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	q, err := register(e, "w", "", fmt.Sprintf("SELECT x.v, COUNT(*) AS n FROM [SELECT * FROM s] AS x GROUP BY x.v WINDOW RANGE %d", window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop(ctx)
+	if err := e.Ingest(ctx, "s", [][]vector.Value{{vector.NewInt(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	e.Drain() // the window [0, 100 ms) is open; the timer is armed for 100 ms
+	clk.Set(int64(-5 * window))
+	time.Sleep(window + window/2) // the timer fires while the clock reads before the close
+	clk.Set(int64(2 * window))
+	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	rel, err := q.Subscription().Recv(rctx)
+	if err != nil {
+		t.Fatalf("the window never closed after the clock caught up: %v", err)
+	}
+	if rel.NumRows() != 1 || rel.Cols[1].Get(0).I != 1 {
+		t.Fatalf("the window emitted %d rows; want one row of count 1", rel.NumRows())
 	}
 }
 

@@ -45,6 +45,21 @@ func topoEngine(t *testing.T) *Engine {
 	return e
 }
 
+// armedTimers counts the queries among qs whose window timer is armed.
+func armedTimers(qs ...*Query) int {
+	n := 0
+	for _, q := range qs {
+		if q.timer != nil {
+			q.timer.mu.Lock()
+			if q.timer.t != nil {
+				n++
+			}
+			q.timer.mu.Unlock()
+		}
+	}
+	return n
+}
+
 // netFootprint is everything a registration may leave behind: catalog
 // entries, fan-out replicas, shard-routing switches, shared readers,
 // scheduler transitions, subscriptions, armed window timers, and claimed
@@ -52,7 +67,7 @@ func topoEngine(t *testing.T) *Engine {
 func netFootprint(e *Engine) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "catalog=%v transitions=%d", e.cat.Names(), len(e.sched.Transitions()))
-	fmt.Fprintf(&b, " timers=%d", e.timers.Load())
+	fmt.Fprintf(&b, " timers=%d", armedTimers(e.Queries()...))
 	e.mu.Lock()
 	fmt.Fprintf(&b, " queries=%d cascades=%d subs=%d", len(e.queries), len(e.cascades), len(e.subs))
 	var streams []*stream
@@ -326,12 +341,16 @@ func TestDropRestoresFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.Drain()
-			if n := e.timers.Load(); n != 1 {
+			if n := armedTimers(e.Queries()...); n != 1 {
 				t.Fatalf("%s: %d timers armed with a window open, want 1", ddl, n)
 			}
 		}
+		q, _ := e.Query("q")
 		if _, err := e.Exec(context.Background(), "DROP CONTINUOUS QUERY q"); err != nil {
 			t.Fatalf("%s: drop: %v", ddl, err)
+		}
+		if armedTimers(q) != 0 {
+			t.Errorf("%s: the drop left the query's timer armed", ddl)
 		}
 		if after := netFootprint(e); after != before {
 			t.Errorf("%s: create+drop changed engine state:\nbefore %s\nafter  %s", ddl, before, after)

@@ -535,8 +535,7 @@ func (f *Factory) fireWindowed(p pinned, locked []Input, total int, groupMax int
 // batch to the runner — or, a firing with no input, advances it to the
 // clock — and delivers what closed. The empty pin is what makes a flush's
 // group reading safe: every tuple below it that this lane owns was
-// already processed. A moved close reaches the query's timer after
-// runnerMu is released.
+// already processed.
 func (f *Factory) runWindows(groupMax int64, hasGroup bool, batch *storage.Relation) error {
 	f.runnerMu.Lock()
 	if hasGroup {
@@ -549,32 +548,29 @@ func (f *Factory) runWindows(groupMax int64, hasGroup bool, batch *storage.Relat
 	} else {
 		results, err = f.runner.Flush(f.clock.Now())
 	}
-	if err == nil {
-		err = f.deliverWindows(results)
-		if batch != nil {
-			f.mu.Lock()
-			f.stats.TuplesIn += int64(batch.NumRows())
-			f.mu.Unlock()
-		}
-	} else {
+	if err != nil {
 		err = fmt.Errorf("factory %s: %w", f.name, err)
+	} else if err = f.deliverWindows(results); batch != nil {
+		f.mu.Lock()
+		f.stats.TuplesIn += int64(batch.NumRows())
+		f.mu.Unlock()
 	}
-	moved := f.closeMovedLocked()
-	f.runnerMu.Unlock()
-	if moved && f.onClose != nil {
-		f.onClose()
-	}
+	f.unlockRunner()
 	return err
 }
 
-// closeMovedLocked republishes closeAt from the runner and reports
-// whether it moved; the caller holds runnerMu.
-func (f *Factory) closeMovedLocked() bool {
+// unlockRunner republishes closeAt from the runner, releases runnerMu,
+// and then tells the query's timer if the close moved.
+func (f *Factory) unlockRunner() {
 	c, ok := f.runner.OpenClose()
 	if !ok {
 		c = math.MaxInt64
 	}
-	return f.closeAt.Swap(c) != c
+	moved := f.closeAt.Swap(c) != c
+	f.runnerMu.Unlock()
+	if moved && f.onClose != nil {
+		f.onClose()
+	}
 }
 
 // deliverWindows appends emitted window results to the outputs and then
@@ -699,13 +695,9 @@ func (f *Factory) RestoreState(st *State) error {
 		}
 		f.runnerMu.Lock()
 		err := f.runner.Restore(st.Window)
-		moved := f.closeMovedLocked()
-		f.runnerMu.Unlock()
+		f.unlockRunner()
 		if err != nil {
 			return fmt.Errorf("factory %s: %w", f.name, err)
-		}
-		if moved && f.onClose != nil {
-			f.onClose()
 		}
 	}
 	if st.Join != nil {

@@ -7,6 +7,7 @@ package window
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -315,6 +316,89 @@ func TestEmptyWindowScalarModesAgree(t *testing.T) {
 			}
 		}
 		prev = results
+	}
+}
+
+// TestIdleGapCostsNoEmptyWindows: an arrival-time window one second
+// long sliding every 10 ms, one tuple, an idle day, one more tuple. A
+// grouped aggregate skips the 8.6 M empty windows of the gap — the
+// firing that takes the second tuple stays fast and emits only the
+// windows that hold a tuple — and arms nothing while its buffer is
+// empty. A scalar aggregate, whose empty windows yield a row each, keeps
+// reporting its next close, so a timer emits them on time.
+func TestIdleGapCostsNoEmptyWindows(t *testing.T) {
+	const sec, slide, day = int64(1e9), int64(1e7), int64(86400e9)
+	spec := Spec{Kind: sql.WindowRange, Size: sec, Slide: slide, TSIndex: 2}
+	one := func(ts int64) *storage.Relation { return batch([]int64{1}, []string{"x"}, []int64{ts}) }
+	// rows counts the rows of windows, checking each is the group's count of 1.
+	rows := func(t *testing.T, mode Mode, results []Result) int {
+		n := 0
+		for _, res := range results {
+			for i := 0; i < res.Rel.NumRows(); i++ {
+				if c := res.Rel.Cols[1].Get(i).I; c != 1 {
+					t.Fatalf("%s: window [%d,%d) counts %d", mode, res.Start, res.End, c)
+				}
+				n++
+			}
+		}
+		return n
+	}
+	re, inc := newRunnerPair(t, "SELECT S.g, COUNT(*) AS n FROM [SELECT * FROM s] AS S GROUP BY S.g", spec)
+	for _, r := range []*Runner{re, inc} {
+		if _, err := r.Append(one(5)); err != nil {
+			t.Fatal(err)
+		}
+		results, err := r.Flush(2 * sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rows(t, r.Mode(), results); n != 1 { // windows start at the first tuple
+			t.Fatalf("%s: the first tuple reached %d windows, want 1", r.Mode(), n)
+		}
+		if c, ok := r.OpenClose(); ok {
+			t.Fatalf("%s: an empty buffer reports a close at %d", r.Mode(), c)
+		}
+		start := time.Now()
+		results, err = r.Append(one(day))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: the firing after an idle day took %v", r.Mode(), took)
+		}
+		if len(results) != 0 {
+			t.Errorf("%s: the tuple after the gap emitted %d windows before any closed over it", r.Mode(), len(results))
+		}
+		if c, ok := r.OpenClose(); !ok || c != day+slide {
+			t.Errorf("%s: next close %d, %v; want the first window holding the tuple", r.Mode(), c, ok)
+		}
+		if results, err = r.Flush(day + 2*sec); err != nil {
+			t.Fatal(err)
+		}
+		if n := rows(t, r.Mode(), results); n != int(sec/slide) || len(results) != n {
+			t.Errorf("%s: the second tuple reached %d rows in %d windows, want %d of each", r.Mode(), n, len(results), sec/slide)
+		}
+	}
+
+	re, inc = newRunnerPair(t, "SELECT COUNT(*) AS n FROM [SELECT * FROM s] AS S", spec)
+	for _, r := range []*Runner{re, inc} {
+		if _, err := r.Append(one(5)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Flush(2 * sec); err != nil {
+			t.Fatal(err)
+		}
+		c, ok := r.OpenClose()
+		if !ok {
+			t.Fatalf("%s: a scalar window with an empty buffer reports no close", r.Mode())
+		}
+		results, err := r.Flush(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 1 || results[0].Rel.NumRows() != 1 || results[0].Rel.Cols[0].Get(0).I != 0 {
+			t.Errorf("%s: at its close the empty window emitted %d results, want one row of count 0", r.Mode(), len(results))
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ package window
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -189,6 +190,10 @@ type Runner struct {
 	winStart int64             // current window start (abs index or timestamp)
 	started  bool              // time windows: winStart initialized from first tuple
 	emitted  bool              // time windows: at least one window emitted (late cutoff active)
+	// emptyRows: a time window with no tuples still yields rows (a scalar
+	// aggregate's count of 0), so every window is emitted in turn; else
+	// the empty windows before the first buffered tuple are skipped.
+	emptyRows bool
 
 	maxTS   int64 // largest event timestamp appended (time windows)
 	flushTS int64 // latest Flush clock reading (arrival-time windows)
@@ -225,7 +230,7 @@ func NewRunner(spec Spec, mode Mode, eval Evaluator, pane PaneEvaluator, schema 
 	} else if eval == nil {
 		return nil, fmt.Errorf("window: re-evaluation mode needs an evaluator")
 	}
-	return &Runner{
+	r := &Runner{
 		spec:      spec,
 		mode:      mode,
 		eval:      eval,
@@ -234,7 +239,36 @@ func NewRunner(spec Spec, mode Mode, eval Evaluator, pane PaneEvaluator, schema 
 		maxTS:     noTS,
 		flushTS:   noTS,
 		groupSeen: noTS,
-	}, nil
+	}
+	if spec.Kind == sql.WindowRange {
+		// An evaluation error counts as rows: emitting every window is
+		// always correct.
+		rel, err := r.evalEmpty()
+		r.emptyRows = err != nil || rel.NumRows() > 0
+	}
+	return r, nil
+}
+
+// evalEmpty computes a window with no tuples.
+func (r *Runner) evalEmpty() (*storage.Relation, error) {
+	if r.mode == ReEvaluate {
+		return r.eval.Eval(r.slice(0, 0))
+	}
+	sum, err := r.pane.Summarize(r.slice(0, 0))
+	if err != nil {
+		return nil, err
+	}
+	return r.merge(slices.Repeat([]Summary{sum}, int(r.spec.Size/r.spec.Slide)))
+}
+
+// merge combines a window's pane summaries: the window is the first
+// Size/Slide of panes, a list that starts at the window's start.
+func (r *Runner) merge(panes []Summary) (*storage.Relation, error) {
+	k := int(r.spec.Size / r.spec.Slide)
+	if len(panes) < k {
+		return nil, fmt.Errorf("window: internal pane shortfall (%d < %d)", len(panes), k)
+	}
+	return r.pane.Merge(panes[:k])
 }
 
 // Mode returns the evaluation strategy.
@@ -283,12 +317,13 @@ func (r *Runner) WakeOnEnds(lane int, wake func(from int)) {
 	}
 }
 
-// OpenClose returns when the earliest window that holds a buffered tuple
-// closes: its end plus the lateness, on the timestamp axis. ok is false
-// for count windows and while no tuple waits in an unemitted window —
-// time alone then closes nothing worth a firing.
+// OpenClose returns when the next window to emit closes: its end plus
+// the lateness, on the timestamp axis. ok is false for count windows,
+// before the first tuple, and while no tuple waits in an unemitted
+// window unless an empty window yields rows — time alone then closes
+// nothing worth a firing.
 func (r *Runner) OpenClose() (int64, bool) {
-	if r.spec.Kind != sql.WindowRange || !r.started || r.buf.NumRows() == 0 {
+	if r.spec.Kind != sql.WindowRange || !r.started || (r.buf.NumRows() == 0 && !r.emptyRows) {
 		return 0, false
 	}
 	return r.winStart + r.spec.Size + r.spec.Lateness, true
@@ -384,17 +419,11 @@ func (r *Runner) appendTime(rel *storage.Relation) {
 		if len(keep) == 0 {
 			return
 		}
+		// The survivors keep their order: a sorted batch stays sorted.
 		rel = rel.Take(keep)
 		ts = rel.Cols[r.spec.TSIndex].Ints()
 		n = rel.NumRows()
-		lo = ts[0]
-		sorted = true
-		for i := 1; i < n; i++ {
-			if ts[i] < ts[i-1] {
-				sorted = false
-				break
-			}
-		}
+		lo = slices.Min(ts)
 	}
 
 	inOrder := sorted
@@ -489,6 +518,9 @@ func (r *Runner) Flush(now int64) ([]Result, error) {
 func (r *Runner) advance() ([]Result, error) {
 	var out []Result
 	for {
+		if r.started && !r.emptyRows {
+			r.skipEmpty()
+		}
 		res, ok, err := r.tryEmit()
 		if err != nil {
 			return out, err
@@ -500,120 +532,62 @@ func (r *Runner) advance() ([]Result, error) {
 	}
 }
 
+// skipEmpty moves the window start past the windows that end by both
+// the watermark and the first buffered tuple. They are complete and
+// empty, so they would yield no rows; after an idle gap, or a late
+// clock reading, emitting them one by one would cost gap/Slide
+// evaluations and deliver nothing.
+func (r *Runner) skipEmpty() {
+	t, ok := r.Watermark()
+	if n := r.buf.NumRows(); n > 0 && ok {
+		t = min(t, r.buf.Cols[r.spec.TSIndex].Ints()[0])
+	}
+	e := r.spec.NextEnd(t)
+	if !ok || e == math.MaxInt64 || e-r.spec.Size <= r.winStart {
+		return
+	}
+	// The pane list covers [winStart, paneStart), one summary a slide.
+	if j := (e - r.spec.Size - r.winStart) / r.spec.Slide; j < int64(len(r.panes)) {
+		r.panes = r.panes[j:]
+	} else {
+		r.panes, r.paneStart = nil, e-r.spec.Size
+	}
+	r.winStart = e - r.spec.Size
+}
+
 // tryEmit emits the next complete window, if any.
 func (r *Runner) tryEmit() (Result, bool, error) {
+	end := r.winStart + r.spec.Size
 	if r.spec.Kind == sql.WindowRows {
-		if r.absCount-r.winStart < r.spec.Size {
+		if r.absCount < end {
 			return Result{}, false, nil
 		}
-		return r.emitCount()
-	}
-	if !r.started {
+	} else if wm, ok := r.Watermark(); !r.started || !ok || wm < end {
 		return Result{}, false, nil
 	}
-	end := r.winStart + r.spec.Size
-	wm, ok := r.Watermark()
-	if !ok || wm < end {
-		return Result{}, false, nil
-	}
-	return r.emitTime(end)
+	return r.emit(end)
 }
 
-func (r *Runner) emitCount() (Result, bool, error) {
-	lo := int(r.winStart - r.absBase)
-	hi := lo + int(r.spec.Size)
-	var rel *storage.Relation
-	var err error
-	if r.mode == ReEvaluate {
-		win := r.slice(lo, hi)
-		rel, err = r.eval.Eval(win)
-	} else {
-		// Summarize any completed slide-sized panes up to hi.
-		for r.paneStart+r.spec.Slide <= r.absBase+int64(r.buf.NumRows()) {
-			plo := int(r.paneStart - r.absBase)
-			phi := plo + int(r.spec.Slide)
-			sum, serr := r.pane.Summarize(r.slice(plo, phi))
-			if serr != nil {
-				return Result{}, false, serr
-			}
-			r.panes = append(r.panes, sum)
-			r.paneStart += r.spec.Slide
-		}
-		k := int(r.spec.Size / r.spec.Slide)
-		if len(r.panes) < k {
-			return Result{}, false, fmt.Errorf("window: internal pane shortfall (%d < %d)", len(r.panes), k)
-		}
-		rel, err = r.pane.Merge(r.panes[:k])
-	}
-	if err != nil {
-		return Result{}, false, err
-	}
-	res := Result{Start: r.winStart, End: r.winStart + r.spec.Size, Rel: rel}
-	// Slide: drop expired tuples (and pane summaries).
-	r.winStart += r.spec.Slide
-	drop := int(r.winStart - r.absBase)
-	if drop > r.buf.NumRows() {
-		drop = r.buf.NumRows()
-	}
-	if drop > 0 {
-		for _, c := range r.buf.Cols {
-			c.DropPrefix(drop)
-		}
-		r.absBase += int64(drop)
-	}
-	if r.mode == Incremental && len(r.panes) > 0 {
-		r.panes = r.panes[1:]
-	}
-	return res, true, nil
-}
-
-// lowerBound returns the first buffer position whose timestamp is >= t
-// (the buffer is ts-ordered for time windows).
-func (r *Runner) lowerBound(t int64) int {
-	ts := r.buf.Cols[r.spec.TSIndex].Ints()
-	return sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
-}
-
-func (r *Runner) emitTime(end int64) (Result, bool, error) {
+// emit evaluates the window [winStart, end) and slides past it.
+func (r *Runner) emit(end int64) (Result, bool, error) {
 	r.emitted = true
-	hi := r.lowerBound(end)
 	var rel *storage.Relation
 	var err error
 	if r.mode == ReEvaluate {
-		rel, err = r.eval.Eval(r.slice(0, hi))
-	} else {
-		// Summarize panes covering [paneStart, end). The watermark passed
-		// end, so every tuple that may still arrive for these panes is
-		// beyond the allowed lateness — sealing them now loses nothing
-		// that in-order arrival would have kept.
-		for r.paneStart+r.spec.Slide <= end {
-			pEnd := r.paneStart + r.spec.Slide
-			plo := r.lowerBound(r.paneStart)
-			phi := r.lowerBound(pEnd)
-			sum, serr := r.pane.Summarize(r.slice(plo, phi))
-			if serr != nil {
-				return Result{}, false, serr
-			}
-			r.panes = append(r.panes, sum)
-			r.paneStart = pEnd
-		}
-		k := int(r.spec.Size / r.spec.Slide)
-		if len(r.panes) < k {
-			return Result{}, false, fmt.Errorf("window: internal pane shortfall (%d < %d)", len(r.panes), k)
-		}
-		// The pane list starts at winStart, so the window is the first k.
-		rel, err = r.pane.Merge(r.panes[:k])
+		rel, err = r.eval.Eval(r.slice(r.pos(r.winStart), r.pos(end)))
+	} else if err = r.seal(end); err == nil {
+		rel, err = r.merge(r.panes)
 	}
 	if err != nil {
 		return Result{}, false, err
 	}
 	res := Result{Start: r.winStart, End: end, Rel: rel}
 	r.winStart += r.spec.Slide
-	// Expire everything before the new window start. The buffer is
+	// Expire everything before the new window start. A time buffer is
 	// ts-ordered, so the prefix is exactly the tuples whose value is
 	// below the boundary — an out-of-order straggler can never hide
 	// behind a newer tuple and leak.
-	if drop := r.lowerBound(r.winStart); drop > 0 {
+	if drop := r.pos(r.winStart); drop > 0 {
 		for _, c := range r.buf.Cols {
 			c.DropPrefix(drop)
 		}
@@ -623,6 +597,31 @@ func (r *Runner) emitTime(end int64) (Result, bool, error) {
 		r.panes = r.panes[1:]
 	}
 	return res, true, nil
+}
+
+// seal summarizes the panes from paneStart up to end. A window only
+// closes once the watermark passed its end, so every tuple that may
+// still arrive for these panes is beyond the allowed lateness — sealing
+// them now loses nothing that in-order arrival would have kept.
+func (r *Runner) seal(end int64) error {
+	for ; r.paneStart+r.spec.Slide <= end; r.paneStart += r.spec.Slide {
+		sum, err := r.pane.Summarize(r.slice(r.pos(r.paneStart), r.pos(r.paneStart+r.spec.Slide)))
+		if err != nil {
+			return err
+		}
+		r.panes = append(r.panes, sum)
+	}
+	return nil
+}
+
+// pos maps a point on the window axis — a tuple index or a timestamp —
+// to the first buffer row at or past it (a time buffer is ts-ordered).
+func (r *Runner) pos(t int64) int {
+	if r.spec.Kind == sql.WindowRows {
+		return min(max(int(t-r.absBase), 0), r.buf.NumRows())
+	}
+	ts := r.buf.Cols[r.spec.TSIndex].Ints()
+	return sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
 }
 
 // State is a serializable image of a runner for checkpoints. Pane
@@ -689,20 +688,9 @@ func (r *Runner) Restore(st *State) error {
 		r.group.Raise(r.maxTS)
 	}
 	if r.mode == Incremental {
-		for p := st.WinStart; p+r.spec.Slide <= st.PaneStart; p += r.spec.Slide {
-			var plo, phi int
-			if r.spec.Kind == sql.WindowRows {
-				plo = int(p - r.absBase)
-				phi = plo + int(r.spec.Slide)
-			} else {
-				plo = r.lowerBound(p)
-				phi = r.lowerBound(p + r.spec.Slide)
-			}
-			sum, err := r.pane.Summarize(r.slice(plo, phi))
-			if err != nil {
-				return fmt.Errorf("window: rebuilding pane at %d: %w", p, err)
-			}
-			r.panes = append(r.panes, sum)
+		r.paneStart = st.WinStart
+		if err := r.seal(st.PaneStart); err != nil {
+			return fmt.Errorf("window: rebuilding panes: %w", err)
 		}
 	}
 	return nil
